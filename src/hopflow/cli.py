@@ -115,7 +115,8 @@ def _emit(doc, args):
 def _run(args):
     _apply_threads(args)
     seed = _resolve_seed(args)
-    g = load_graph(open(args.graph).read())
+    with open(args.graph) as fh:
+        g = load_graph(fh.read())
     k = args.k if args.k is not None else default_k(g.n)
     prov = _provenance(seed, k, args.eps)
 
@@ -219,7 +220,7 @@ def main(argv=None):
     try:
         return _run(args)
     except (GraphError, ValueError, KeyError, IndexError, OSError,
-            json.JSONDecodeError, RuntimeError) as exc:
+            json.JSONDecodeError, RuntimeError, AssertionError) as exc:
         err = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "provenance": {"version": __version__},

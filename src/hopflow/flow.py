@@ -20,9 +20,9 @@ import numpy as np
 from scipy import sparse
 
 from .emulator import build_emulator, preprocess
-from .graphs import contract_zero_edges, dijkstra
+from .graphs import UnionFind, contract_zero_edges, dijkstra
 from .metric import Embedding, bourgain_embed, next_pow2
-from .precond import build_preconditioner, matrix_vec, vector_mat
+from .precond import build_preconditioner, distinct_rows, matrix_vec
 
 
 class AllScalesFailed(RuntimeError):
@@ -121,20 +121,11 @@ def mst_routing(g, b):
     """Exactly feasible flow supported on a minimum spanning tree."""
     b = validate_demand(b, g.n)
     order = sorted(range(g.m), key=lambda i: (int(g.ew[i]), int(g.eu[i]), int(g.ev[i])))
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(g.n)
     tree = []
     for i in order:
         u, v = int(g.eu[i]), int(g.ev[i])
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        if sets.union(u, v):
             tree.append((u, v, i))
     f = np.zeros(g.m, dtype=np.float64)
     for idx, val in _route_forest(g.n, tree, b).items():
@@ -182,57 +173,31 @@ def _route_forest(n, tree, b):
     return flows
 
 
-def _expand_sparse(P, cap_rows=2_000_000, cap_nnz=20_000_000):
-    """Materialize the compressed preconditioner as a scipy CSC matrix.
-
-    Only worthwhile (and only possible) when the row space is small:
-    the compressed kernels stay the general path, but at moderate sizes
-    one sparse matvec per MWU iteration is far cheaper than walking
-    segment lists.  Returns None when the expansion would be too large.
-    """
-    if P.r > cap_rows or P.n == 0:
-        return None
-    lens = (P.seg_b - P.seg_a + 1).astype(np.int64)
-    total = int(lens.sum())
-    if total > cap_nnz:
-        return None
-    data = np.repeat(P.seg_c, lens)
-    starts = np.repeat(P.seg_a.astype(np.int64), lens)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    rows = starts + offs - 1  # segment bounds are 1-based inclusive
-    nnz_prefix = np.concatenate([[0], np.cumsum(lens)])
-    indptr = nnz_prefix[P.col_ptr]
-    return sparse.csc_matrix((data, rows, indptr), shape=(int(P.r), P.n))
-
-
 class FlowRuntime:
     """Per-instance preconditioner bundle shared across MWU calls.
 
-    When the preconditioner fits in memory, `P_sp` holds its sparse
-    expansion and `M`/`MT` the precomposed (1/N)·P·A·W^-1 operator, so
-    each MWU iteration is two sparse matvecs; otherwise the compressed
-    kernels are used directly.
+    `D` holds P's distinct nonzero rows, each scaled by its multiplicity
+    (see `distinct_rows`), and `M`/`MT` the precomposed (1/N)·D·A·W^-1
+    operator, so each MWU iteration is two small sparse matvecs.  `P`
+    stays for the demand norms ||Pb||_1 of the scale search.
     """
 
-    __slots__ = ("P", "N", "alpha", "kappa_cert", "emb", "rescale",
-                 "P_sp", "M", "MT", "PT")
+    __slots__ = ("P", "N", "alpha", "kappa_cert", "emb", "rescale", "D", "M", "MT")
 
-    def __init__(self, P, N, alpha, kappa_cert, emb, rescale,
-                 P_sp=None, M=None, MT=None, PT=None):
+    def __init__(self, P, N, alpha, kappa_cert, emb, rescale, D, M, MT):
         self.P = P
         self.N = N
         self.alpha = alpha
         self.kappa_cert = kappa_cert
         self.emb = emb
         self.rescale = rescale
-        self.P_sp = P_sp
+        self.D = D
         self.M = M
         self.MT = MT
-        self.PT = PT
 
 
 def build_flow_runtime(g, seed=0, t_rep=2, k=None):
-    """Embed g's metric and build the compressed preconditioner + norms."""
+    """Embed g's metric and build the preconditioned flow operator + norms."""
     stack = preprocess(g, k=k, seed=seed)
     em = build_emulator(stack)
     emb = bourgain_embed(em, t_rep=t_rep, seed=seed)
@@ -275,34 +240,23 @@ def build_flow_runtime(g, seed=0, t_rep=2, k=None):
     alpha = max(1.0, ratios_hi * rescale)
 
     P = build_preconditioner(emb)
-    norm = 0.0
-    for i in range(g.m):
-        col = np.zeros(n)
-        wi = float(g.ew[i])
-        if wi == 0.0:
-            raise ValueError("zero-weight edges must be contracted before preconditioning")
-        col[g.eu[i]] = 1.0 / wi
-        col[g.ev[i]] = -1.0 / wi
-        norm = max(norm, matrix_vec(P, col).norm1())
     alpha_clamped = min(alpha, 64.0 * max(1.0, math.log2(max(n, 2))))
     kappa_cert = max(1.0, 2.0 * P.L * P.d * alpha_clamped)
 
-    P_sp = M = MT = PT = None
-    expanded = _expand_sparse(P)
-    if expanded is not None:
-        P_sp = expanded
-        inv_w = 1.0 / g.ew.astype(np.float64)
-        ar = np.arange(g.m)
-        A_w = sparse.csc_matrix(
-            (np.concatenate([inv_w, -inv_w]),
-             (np.concatenate([g.eu, g.ev]), np.concatenate([ar, ar]))),
-            shape=(n, g.m))
-        M = (P_sp @ A_w).tocsc()
-        M.data /= norm
-        MT = M.T.tocsr()
-        PT = P_sp.T.tocsr()
-    return FlowRuntime(P, norm, alpha, kappa_cert, emb, rescale,
-                       P_sp=P_sp, M=M, MT=MT, PT=PT)
+    if np.any(g.ew == 0):
+        raise ValueError("zero-weight edges must be contracted before preconditioning")
+    D = distinct_rows(P)
+    inv_w = 1.0 / g.ew.astype(np.float64)
+    ar = np.arange(g.m)
+    A_w = sparse.csc_matrix(
+        (np.concatenate([inv_w, -inv_w]),
+         (np.concatenate([g.eu, g.ev]), np.concatenate([ar, ar]))),
+        shape=(n, g.m))
+    M = (D @ A_w).tocsc()
+    # ||PAW^-1||_(1->1): the largest column l1 norm, which D preserves
+    norm = float(abs(M).sum(axis=0).max())
+    M.data /= norm
+    return FlowRuntime(P, norm, alpha, kappa_cert, emb, rescale, D, M, M.T.tocsr())
 
 
 class MwuOutcome:
@@ -325,87 +279,27 @@ def mwu_feasibility(rt, g, b, s, cfg, collect_certificate=False):
     Exhausting the formula iteration count yields status "fail" with the
     averaged dual certificate; exhausting the configured cap earlier
     yields status "cap" (treated as infeasible by the caller).
-    """
-    P, N = rt.P, rt.N
-    m = g.m
-    eps = cfg.epsilon
-    kappa = effective_kappa(rt, cfg)
-    T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
-    T = T_formula if cfg.t_cap is None else min(T_formula, cfg.t_cap)
-    eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
-    thresh_full = eps / (2.0 * kappa)
-
-    if rt.M is not None:
-        return _mwu_fast(rt, g, b, s, cfg, T, T_formula, eta, thresh_full,
-                         collect_certificate)
-
-    pb = matrix_vec(P, b)
-    pbn = pb.norm1()
-    if pbn <= 0.0:
-        raise ValueError("||Pb||_1 must be positive")
-
-    w = g.ew.astype(np.float64)
-    inv_w = 1.0 / w
-    eu, ev = g.eu, g.ev
-    log_psi = np.zeros(2 * m, dtype=np.float64)
-    zbar = np.zeros(g.n, dtype=np.float64) if collect_certificate else None
-    qbar = 0.0
-    thresh = thresh_full
-    eta0 = eta
-    best = np.inf
-    since = 0
-
-    for it in range(1, T + 1):
-        mx = log_psi.max()
-        pw = np.exp(log_psi - mx)
-        p = pw / pw.sum()
-        pp, pm = p[:m], p[m:]
-        edge_mass = (pp - pm) * inv_w / N
-        gv = np.bincount(eu, weights=edge_mass, minlength=g.n)
-        gv -= np.bincount(ev, weights=edge_mass, minlength=g.n)
-        gv -= b / (s * pbn)
-        z = matrix_vec(P, gv)
-        r = z.norm1()
-        if r <= thresh:
-            return MwuOutcome("ok", pp - pm, it)
-        if r < best - 1e-9:
-            best, since = r, 0
-        else:
-            since += 1
-            if since >= _PLATEAU_PATIENCE:
-                # the fixed step oscillates around a floor above the
-                # threshold at tight scales; halving it lowers the floor
-                eta = max(eta * 0.5, _ETA_FLOOR_FRAC * eta0)
-                since = 0
-        zt = vector_mat(z.sign(), P)
-        q = float(np.dot(zt, b)) / (s * pbn)
-        dz = (zt[eu] - zt[ev]) * inv_w / N
-        phi = np.concatenate([dz - q, -dz - q]) * 0.5
-        log_psi += np.log1p(-eta * phi)
-        if collect_certificate:
-            zbar += zt
-            qbar += q
-
-    status = "fail" if T >= T_formula else "cap"
-    return MwuOutcome(status, None, T, zbar, qbar, T)
-
-
-def _mwu_fast(rt, g, b, s, cfg, T, T_formula, eta, thresh, collect_certificate):
-    """Sparse-operator MWU loop; same contract as the compressed path.
 
     Weights are held as an explicitly normalized distribution rather
     than in log-space: renormalizing every iteration gives the same
     overflow safety without per-iteration exp/log calls.
     """
     m = g.m
-    pb = rt.P_sp @ b
+    eps = cfg.epsilon
+    kappa = effective_kappa(rt, cfg)
+    T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
+    T = T_formula if cfg.t_cap is None else min(T_formula, cfg.t_cap)
+    eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
+    thresh = eps / (2.0 * kappa)
+
+    pb = rt.D @ b
     pbn = float(np.abs(pb).sum())
     if pbn <= 0.0:
         raise ValueError("||Pb||_1 must be positive")
     c = pb / (s * pbn)
     M, MT = rt.M, rt.MT
     wts = np.full(2 * m, 1.0 / (2 * m))
-    zbar = np.zeros(g.n) if collect_certificate else None
+    szbar = np.zeros(len(c)) if collect_certificate else None
     qbar = 0.0
     eta0 = eta
     half = 0.5 * eta
@@ -435,9 +329,10 @@ def _mwu_fast(rt, g, b, s, cfg, T, T_formula, eta, thresh, collect_certificate):
         wts[m:] *= 1.0 + half * (dz + q)
         wts /= wts.sum()
         if collect_certificate:
-            zbar += rt.PT @ sz
+            szbar += sz
             qbar += q
     status = "fail" if T >= T_formula else "cap"
+    zbar = rt.D.T @ szbar if collect_certificate else None
     return MwuOutcome(status, None, T, zbar, qbar, T)
 
 
@@ -637,21 +532,12 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0, cfg=None):
     # rebalance inside each zero-weight class along zero-weight tree edges
     resid = b - _apply_incidence(g, f)
     if np.any(np.abs(resid) > 1e-12):
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = UnionFind(g.n)
         ztree = []
         for i in range(g.m):
             if int(g.ew[i]) == 0:
                 u, v = int(g.eu[i]), int(g.ev[i])
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
+                if sets.union(u, v):
                     ztree.append((u, v, i))
         for idx, val in _route_forest(g.n, ztree, resid).items():
             f[idx] += val

@@ -3,7 +3,9 @@
 Graphs are undirected, connected, with non-negative integer weights.
 Distances are computed in unsigned 64-bit arithmetic with a dedicated
 infinity sentinel; weights are validated against W_MAX on load so that
-path sums cannot overflow.
+path sums cannot overflow.  Graphs built through the API may carry
+larger weights: where a distance could leave the uint64 range, the
+distance functions switch to exact Python integers (object arrays).
 """
 
 from __future__ import annotations
@@ -204,7 +206,11 @@ def load_graph(text):
 
 
 def dijkstra(g, source):
-    """Exact single-source distances, returned as uint64 with INF sentinel."""
+    """Exact single-source distances, returned as uint64 with INF sentinel.
+
+    When a distance does not fit below INF the result is an object array
+    of Python ints, with math.inf for unreachable vertices.
+    """
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range")
     dist = [None] * g.n
@@ -222,6 +228,10 @@ def dijkstra(g, source):
             if dist[u] is None or nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
+    if max(d for d in dist if d is not None) >= int(INF):
+        out = np.empty(g.n, dtype=object)
+        out[:] = [math.inf if d is None else d for d in dist]
+        return out
     out = np.empty(g.n, dtype=np.uint64)
     for v in range(g.n):
         out[v] = INF if dist[v] is None else np.uint64(dist[v])
@@ -265,7 +275,12 @@ def bellman_ford_hops(g, sources, hops):
     o + path weight (INF when unreachable within the hop budget).
     """
     sources = list(sources)
-    if g.ew.dtype == object or any(int(off) >= int(INF) for (_, off) in sources):
+    # every value the scan forms is an offset plus at most n edge weights;
+    # uint64 holds it exactly only while that stays below INF
+    reach = max((int(off) for (_, off) in sources), default=0)
+    if g.m and hops > 0:
+        reach += min(hops, g.n) * int(g.ew.max())
+    if g.ew.dtype == object or reach >= int(INF):
         return _bf_hops_object(g, sources, hops)
     dist = np.full(g.n, INF, dtype=np.uint64)
     for (v, off) in sources:
@@ -318,6 +333,32 @@ def _bf_hops_object(g, sources, hops):
     return out
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1; each set's root is its smallest member."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False when they were already one."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if a > b:
+            a, b = b, a
+        self.parent[b] = a
+        return True
+
+
 def contract_zero_edges(g):
     """Contract all weight-0 edges.
 
@@ -326,24 +367,13 @@ def contract_zero_edges(g):
     j-th quotient edge (the minimum-weight representative).  Distances
     between any two vertices are preserved exactly.
     """
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(g.n)
     for i in range(g.m):
         if int(g.ew[i]) == 0:
-            a, b = find(int(g.eu[i])), find(int(g.ev[i]))
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                parent[b] = a
-    roots = sorted({find(v) for v in range(g.n)})
+            sets.union(int(g.eu[i]), int(g.ev[i]))
+    roots = sorted({sets.find(v) for v in range(g.n)})
     index = {r: i for i, r in enumerate(roots)}
-    vmap = np.fromiter((index[find(v)] for v in range(g.n)), dtype=np.int64, count=g.n)
+    vmap = np.fromiter((index[sets.find(v)] for v in range(g.n)), dtype=np.int64, count=g.n)
     best = {}
     for i in range(g.m):
         a, b = int(vmap[g.eu[i]]), int(vmap[g.ev[i]])

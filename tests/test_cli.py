@@ -145,6 +145,17 @@ def test_missing_graph_file_exit_one(capsys):
     assert doc["error"]["type"] in ("FileNotFoundError", "OSError")
 
 
+def test_internal_assertion_reports_error_json(graph_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("tower depth check failed")
+
+    monkeypatch.setattr("hopflow.cli.preprocess", broken)
+    code, doc = run_json(capsys, ["sssp", "0", "--graph", graph_file, "--seed", "1"])
+    assert code == 1
+    assert doc["error"] == {"type": "AssertionError",
+                            "message": "tower depth check failed"}
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

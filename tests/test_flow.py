@@ -22,6 +22,7 @@ from hopflow.flow import (
 )
 
 from conftest import rand_connected_graph, sssp_oracle, transportation_oracle
+from test_precond import assert_distinct_rows_match_dense
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +110,43 @@ def mwu_instance():
     return g, b, rt
 
 
+def _per_edge_norm(rt, g):
+    """||PAW^-1||_(1->1) as the largest ||P col||_1 over the m edge columns."""
+    norm = 0.0
+    for i in range(g.m):
+        col = np.zeros(g.n)
+        col[g.eu[i]] = 1.0 / float(g.ew[i])
+        col[g.ev[i]] = -1.0 / float(g.ew[i])
+        norm = max(norm, matrix_vec(rt.P, col).norm1())
+    return norm
+
+
 def test_runtime_norms_and_kappa(mwu_instance):
     g, b, rt = mwu_instance
-    assert rt.N == 24.0
+    assert rt.N == 24.0 == _per_edge_norm(rt, g)
     assert rt.kappa_cert == 96.0
     assert effective_kappa(rt, SolverConfig(epsilon=0.4)) == 2.0
     assert effective_kappa(rt, SolverConfig(kappa=0.01)) == 1.0  # clamped
+
+
+def _contract_residual(rt, g, b, s, x):
+    """||(PAW^-1/N) x - Pb/(s ||Pb||_1)||_1 on all r rows of P, by the
+    reference kernel rather than the operator the solver runs on."""
+    inv_w = 1.0 / g.ew.astype(np.float64)
+    gv = np.bincount(g.eu, weights=x * inv_w, minlength=g.n)
+    gv -= np.bincount(g.ev, weights=x * inv_w, minlength=g.n)
+    gv /= rt.N
+    gv -= b / (s * matrix_vec(rt.P, b).norm1())
+    return matrix_vec(rt.P, gv).norm1()
+
+
+def test_distinct_row_operator_on_benchmark_graph():
+    # the graph and seed of the flow64 benchmark workload
+    g = rand_connected_graph(64, 64, seed=1)
+    rt = build_flow_runtime(g, seed=0)
+    D = assert_distinct_rows_match_dense(rt.P, np.random.default_rng(3))
+    assert D.shape[0] == 262 and rt.P.r == 11940
+    assert rt.N == 768.0 == _per_edge_norm(rt, g)
 
 
 def test_mwu_feasible_above_critical_scale(mwu_instance):
@@ -124,17 +156,15 @@ def test_mwu_feasible_above_critical_scale(mwu_instance):
     assert out.status == "ok"
     assert out.iters == 99  # deterministic; doubles as a regression canary
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
-    # residual contract: ||(PAW^-1/N) x - Pb/(s ||Pb||_1)||_1 <= eps/(2 kappa)
-    pb = rt.P_sp @ b
-    c = pb / (3.0 * np.abs(pb).sum())
-    res = np.abs(rt.M @ out.x - c).sum()
-    assert res <= 0.4 / (2.0 * 2.0) + 1e-12
+    assert _contract_residual(rt, g, b, 3.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
 
 
 def test_mwu_feasible_at_critical_scale(mwu_instance):
     g, b, rt = mwu_instance
     out = mwu_feasibility(rt, g, b, 2.0, SolverConfig(epsilon=0.4))
     assert out.status == "ok"
+    assert np.abs(out.x).sum() <= 1.0 + 1e-12
+    assert _contract_residual(rt, g, b, 2.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
 
 
 def test_mwu_fails_below_critical_scale_with_certificate(mwu_instance):
@@ -159,21 +189,15 @@ def test_certificate_never_fires_on_success(mwu_instance):
 
 
 def test_mwu_compressed_path_matches_contract(mwu_instance):
-    """Force the segment-walking path (used when the sparse expansion
-    would not fit) and check the same residual contract."""
-    g, b, rt = mwu_instance
+    """The one MWU loop runs on P's compressed distinct-row form; on a
+    differently seeded runtime (t_rep=2) it must still meet the residual
+    contract, measured with the reference matrix_vec on all r rows."""
+    g, b, _ = mwu_instance
     rt2 = build_flow_runtime(g, seed=1, t_rep=2)
-    rt2.M = None
     out = mwu_feasibility(rt2, g, b, 3.0, SolverConfig(epsilon=0.4))
     assert out.status == "ok"
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
-    inv_w = 1.0 / g.ew.astype(np.float64)
-    gv = np.bincount(g.eu, weights=out.x * inv_w, minlength=g.n)
-    gv -= np.bincount(g.ev, weights=out.x * inv_w, minlength=g.n)
-    gv /= rt2.N
-    pbn = matrix_vec(rt2.P, b).norm1()
-    gv -= b / (3.0 * pbn)
-    assert matrix_vec(rt2.P, gv).norm1() <= 0.4 / (2.0 * 2.0) + 1e-12
+    assert _contract_residual(rt2, g, b, 3.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
 
 
 # ---------------------------------------------------------------------------

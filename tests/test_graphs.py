@@ -143,6 +143,21 @@ def test_bf_hops_full_budget_equals_dijkstra():
         assert np.array_equal(bf, dijkstra(g, s))
 
 
+def test_distances_past_uint64_are_exact():
+    # API-built graphs skip load_graph's W_MAX check; 4 * 2^62 = 2^64
+    # used to wrap to 0 in bellman_ford_hops and overflow in dijkstra
+    w = 1 << 62
+    for wide in (False, True):
+        g = Graph(5, [(i, i + 1, w) for i in range(4)], wide=wide)
+        exact = [i * w for i in range(5)]
+        assert bellman_ford_hops(g, [(0, 0)], 4).tolist() == exact
+        assert dijkstra(g, 0).tolist() == exact
+        mid = [2 * w, w, 0, w, 2 * w]  # fits: stays uint64
+        assert bellman_ford_hops(g, [(2, 0)], 4).tolist() == mid
+        assert dijkstra(g, 2).tolist() == mid
+        assert dijkstra(g, 2).dtype == np.uint64
+
+
 def test_contract_zero_edges_simple():
     g = Graph(3, [(0, 1, 0), (1, 2, 5)])
     h, remap, _ = contract_zero_edges(g)

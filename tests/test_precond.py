@@ -16,6 +16,7 @@ from hopflow import (
     matrix_vec,
     vector_mat,
 )
+from hopflow.precond import distinct_rows
 from hopflow.metric import Embedding
 
 
@@ -216,3 +217,32 @@ def test_adjointness(r, n, seed):
     lhs = float(np.dot(matrix_vec(P, x).to_dense(), y.to_dense()))
     rhs = float(np.dot(x, vector_mat(y, P)))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+# --- distinct-row operator ----------------------------------------------
+
+def assert_distinct_rows_match_dense(P, rng, trials=20):
+    """||D x||_1 and D^T sign(D x) equal their r-row values under P."""
+    D = distinct_rows(P)
+    assert D.shape[1] == P.n and D.shape[0] <= 2 * len(P.seg_a)
+    dense = P.to_dense()
+    for _ in range(trials):
+        x = rng.integers(-3, 4, size=P.n).astype(np.float64)
+        z, zd = D @ x, dense @ x
+        assert np.allclose(np.abs(z).sum(), np.abs(zd).sum())
+        assert np.allclose(D.T @ np.sign(z), dense.T @ np.sign(zd))
+    return D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 5), st.integers(0, 10_000))
+def test_distinct_rows_match_dense(n, d, log_delta, seed):
+    rng = np.random.default_rng(seed)
+    delta = 1 << log_delta
+    pts = rng.integers(1, delta + 1, size=(n, d))
+    assert_distinct_rows_match_dense(build_preconditioner(_embedding(pts, delta)), rng)
+    # hand-built columns carry values other than d
+    r = int(rng.integers(4, 65))
+    cols = _random_columns(rng, n, r)
+    if any(cols):
+        assert_distinct_rows_match_dense(_matrix_from_columns(cols, r), rng)

@@ -199,6 +199,7 @@ def _run(args):
         stack = clock("preprocess", lambda: preprocess(g, k=k, seed=seed))
         em = clock("emulator_build", lambda: build_emulator(stack))
         clock("approx_sssp", lambda: approx_sssp(em, 0))
+        clock("embed", lambda: bourgain_embed(em, t_rep=args.t_rep, seed=seed))
         clock("oracle_query", lambda: oracle_query(stack, 0, g.n - 1))
         text = "".join(f"{a},{b}\n" for a, b in rows)
         if args.out:

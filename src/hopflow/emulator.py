@@ -14,6 +14,15 @@ Two consumers sit on top:
 * ``build_emulator`` flattens the whole tower into a single graph on
   the original vertices whose 16*ceil(log2(k)+1)-hop distances already
   equal its true distances, at bounded multiplicative stretch.
+
+When the tower has one level, which the default ball size gives for any
+graph that fits in memory, that level stores the exact all-pairs
+distances as one (n, n) uint64 matrix.  The emulator is then the metric
+closure of the input graph, so its distances are that matrix's rows, and
+``set_distance`` reads them (min over sources of offset + row) instead
+of scanning the closure's n(n-1)/2 edges.  Deeper towers, emulators read
+back by ``load_emulator`` and sums that would reach INF take the
+hop-limited scan.
 """
 
 from __future__ import annotations
@@ -25,15 +34,16 @@ import numpy as np
 
 from ._par import ordered_map
 from .balls import compute_balls
-from .graphs import Graph, bellman_ford_hops, dijkstra
+from .graphs import INF, Graph, bellman_ford_hops, dijkstra
 from .subemulator import assign_leaders, connect_edges, sample_vertices
 
 
 class Level:
     __slots__ = ("graph", "vertices", "b", "ball_ids", "ball_dist",
-                 "leader_dist", "leader_next")
+                 "leader_dist", "leader_next", "dist")
 
-    def __init__(self, graph, vertices, b, ball_ids, ball_dist, leader_dist, leader_next):
+    def __init__(self, graph, vertices, b, ball_ids, ball_dist, leader_dist, leader_next,
+                 dist=None):
         self.graph = graph          # H_i on local ids
         self.vertices = vertices    # original id of each local vertex
         self.b = b
@@ -41,6 +51,9 @@ class Level:
         self.ball_dist = ball_dist  # aligned exact H_i distances
         self.leader_dist = leader_dist
         self.leader_next = leader_next  # local index in level i+1, -1 at top
+        # top level only: its (n, n) uint64 all-pairs matrix, whose rows
+        # ball_dist views; None below the top or when a row left uint64
+        self.dist = dist
 
     def ball_lookup(self, v, u):
         """Stored distance d_{H_i}(v, u) if u is in the ball of v, else None."""
@@ -140,12 +153,15 @@ def preprocess(g, k=None, seed=0, b0=None):
 
     # top level: exact all-pairs on what is left
     rows = ordered_map(lambda s: dijkstra(h, s), range(h.n))
+    dist = None
+    if all(r.dtype == np.uint64 for r in rows):
+        dist = np.stack(rows)
+        rows = list(dist)
     all_ids = np.arange(h.n, dtype=np.int64)
     ball_ids = [all_ids] * h.n
-    ball_dist = [rows[v] for v in range(h.n)]
     top_leader_dist = np.array([rows[v][0] for v in range(h.n)], dtype=np.uint64)
-    levels.append(Level(h, vertices, b, ball_ids, ball_dist,
-                        top_leader_dist, np.full(h.n, -1, dtype=np.int64)))
+    levels.append(Level(h, vertices, b, ball_ids, rows,
+                        top_leader_dist, np.full(h.n, -1, dtype=np.int64), dist))
 
     stack = LevelStack(levels, k, seed, n, first_b)
     if b0 is None and stack.t > level_bound(k):
@@ -176,15 +192,18 @@ def oracle_query(stack, u, v):
 
 
 class Emulator:
-    __slots__ = ("graph", "k", "t", "hop_bound", "stretch_bound", "seed")
+    __slots__ = ("graph", "k", "t", "hop_bound", "stretch_bound", "seed", "dist")
 
-    def __init__(self, graph, k, t, hop_bound, stretch_bound, seed):
+    def __init__(self, graph, k, t, hop_bound, stretch_bound, seed, dist=None):
         self.graph = graph
         self.k = k
         self.t = t
         self.hop_bound = hop_bound
         self.stretch_bound = stretch_bound
         self.seed = seed
+        # exact uint64 distance matrix of the graph, when one is known:
+        # the rows of a one-level tower, shared with the tower
+        self.dist = dist
 
 
 def hop_bound_for(k):
@@ -195,49 +214,82 @@ def stretch_bound_for(k):
     return 27 ** (4 * max(0, math.ceil(math.log2(k) + 1)))
 
 
+def _edge_families(stack):
+    """Each leader map and ball table as (a, b, level distance, scale).
+
+    Endpoints are original ids; pairs with a == b are dropped.
+    """
+    t = stack.t
+    for i, lvl in enumerate(stack.levels):
+        orig = lvl.vertices
+        families = []
+        if i < t:
+            nxt = stack.levels[i + 1].vertices
+            families.append((orig, nxt[lvl.leader_next], lvl.leader_dist, 27 ** (t - i - 1)))
+        sizes = [len(ids) for ids in lvl.ball_ids]
+        families.append((np.repeat(orig, sizes), orig[np.concatenate(lvl.ball_ids)],
+                         np.concatenate(lvl.ball_dist), 27 ** (t - i)))
+        for (a, b, d, scale) in families:
+            keep = a != b
+            yield a[keep], b[keep], d[keep], scale
+
+
+def _emulator_edges(stack, hop_bound):
+    """All emulator edges as one (m, 3) array, and whether its weights are
+    exact Python ints (``wide``) because a hop-limited sum could pass 2^63."""
+    families = list(_edge_families(stack))
+    # exact Python ints: a uint64 product could wrap before the check
+    max_w = max((scale * int(d.max()) for (_, _, d, scale) in families if len(d)), default=0)
+    wide = max_w * (hop_bound + 2) >= (1 << 63)
+    edges = np.empty((sum(len(a) for (a, _, _, _) in families), 3),
+                     dtype=object if wide else np.uint64)
+    pos = 0
+    for (a, b, d, scale) in families:
+        rows = edges[pos:pos + len(a)]
+        rows[:, 0], rows[:, 1] = a, b
+        rows[:, 2] = d.astype(object) * scale if wide else d.astype(np.uint64) * np.uint64(scale)
+        pos += len(a)
+    return edges, wide
+
+
 def build_emulator(stack):
     """Flatten the tower into one low-hop graph on the original vertices."""
-    t = stack.t
-    edges = []
-    max_w = 0
-    for i, lvl in enumerate(stack.levels):
-        scale_ball = 27 ** (t - i)
-        scale_leader = 27 ** (t - i - 1) if i < t else None
-        orig = lvl.vertices
-        if scale_leader is not None:
-            nxt = stack.levels[i + 1].vertices
-            for v in range(lvl.graph.n):
-                q = int(lvl.leader_next[v])
-                a, b = int(orig[v]), int(nxt[q])
-                if a == b:
-                    continue
-                w = scale_leader * int(lvl.leader_dist[v])
-                max_w = max(max_w, w)
-                edges.append((a, b, w))
-        for v in range(lvl.graph.n):
-            ids, ds = lvl.ball_ids[v], lvl.ball_dist[v]
-            a = int(orig[v])
-            for u, d in zip(ids, ds):
-                bo = int(orig[u])
-                if bo == a:
-                    continue
-                w = scale_ball * int(d)
-                max_w = max(max_w, w)
-                edges.append((a, bo, w))
     hop_bound = hop_bound_for(stack.k)
-    wide = max_w * (hop_bound + 2) >= (1 << 63)
+    edges, wide = _emulator_edges(stack, hop_bound)
     graph = Graph(stack.n, edges, check_connected=False, wide=wide)
-    return Emulator(graph, stack.k, t, hop_bound, stretch_bound_for(stack.k), stack.seed)
+    dist = stack.levels[0].dist if stack.t == 0 else None
+    return Emulator(graph, stack.k, stack.t, hop_bound, stretch_bound_for(stack.k),
+                    stack.seed, dist)
 
 
 def set_distance(em, sources):
     """Exact emulator distances from a set of (vertex, offset) sources.
 
     Because the emulator's hop diameter is bounded, a hop-limited scan
-    already yields its true shortest-path distances.
+    already yields its true shortest-path distances.  An emulator built
+    from a one-level tower is the metric closure of its input graph, so
+    its distances are the tower's exact all-pairs rows: then the result
+    is min over sources of offset + row, computed in uint64 whenever that
+    stays below INF, and the scan runs only otherwise.
+
+    Raises ValueError for a vertex outside [0, n) or a negative offset.
     """
     if isinstance(sources, dict):
         sources = sources.items()
+    sources = [(int(v), int(off)) for (v, off) in sources]
+    n = em.graph.n
+    for v, off in sources:
+        if not 0 <= v < n:
+            raise ValueError(f"source vertex {v} out of range 0..{n - 1}")
+        if off < 0:
+            raise ValueError(f"negative offset {off} at source {v}")
+    if em.dist is not None and sources:
+        offsets = [off for (_, off) in sources]
+        rows = em.dist[[v for (v, _) in sources]]
+        if max(offsets) + int(rows.max()) < int(INF):
+            if any(offsets):
+                rows += np.array(offsets, dtype=np.uint64)[:, None]
+            return rows.min(axis=0)
     return bellman_ford_hops(em.graph, sources, em.hop_bound)
 
 

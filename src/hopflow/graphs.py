@@ -50,7 +50,7 @@ class Graph:
     ----------
     n : int
         Number of vertices, labeled 0..n-1.
-    edges : sequence of (u, v, w)
+    edges : sequence of (u, v, w), or an (m, 3) integer array
         Undirected edges. Parallel edges are merged keeping the minimum
         weight; the merge is deterministic (sorted by endpoints, then
         weight). Self loops are rejected.
@@ -62,67 +62,24 @@ class Graph:
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         self.n = int(n)
-        norm = []
-        for (u, v, w) in edges:
-            u, v, w = int(u), int(v), int(w)
-            if u == v:
-                raise SelfLoop(f"self loop at vertex {u}")
-            if w < 0:
-                raise NegativeWeight(f"negative weight {w} on edge ({u}, {v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise MalformedLine(f"vertex out of range on edge ({u}, {v})")
-            if u > v:
-                u, v = v, u
-            if w >= (1 << 63):
-                wide = True
-            norm.append((u, v, w))
-        norm.sort()
-        merged = []
-        for (u, v, w) in norm:
-            if merged and merged[-1][0] == u and merged[-1][1] == v:
-                continue  # sorted by weight within (u, v): first wins = min
-            merged.append((u, v, w))
-        self.m = len(merged)
-        dtype = object if wide else np.uint64
-        self.eu = np.fromiter((e[0] for e in merged), dtype=np.int64, count=self.m)
-        self.ev = np.fromiter((e[1] for e in merged), dtype=np.int64, count=self.m)
-        if wide:
-            self.ew = np.empty(self.m, dtype=object)
-            for i, e in enumerate(merged):
-                self.ew[i] = e[2]
-        else:
-            self.ew = np.fromiter((e[2] for e in merged), dtype=dtype, count=self.m)
+        self.eu, self.ev, self.ew = _merged_edges(self.n, edges, wide)
+        self.m = len(self.eu)
         self._build_csr()
         if check_connected and not self.is_connected():
             raise NotConnected("graph is not connected")
 
     def _build_csr(self):
         n, m = self.n, self.m
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, self.eu, 1)
-        np.add.at(deg, self.ev, 1)
+        src = np.concatenate([self.eu, self.ev])
+        dst = np.concatenate([self.ev, self.eu])
+        eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
+        # each adjacency row sorted by (neighbor, edge id) for reproducible scans
+        order = np.lexsort((eid, dst, src))
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.indptr[1:])
-        self.adj_v = np.zeros(2 * m, dtype=np.int64)
-        self.adj_w = np.empty(2 * m, dtype=self.ew.dtype)
-        self.adj_e = np.zeros(2 * m, dtype=np.int64)
-        cursor = self.indptr[:-1].copy()
-        for (src, dst) in ((self.eu, self.ev), (self.ev, self.eu)):
-            for i in range(m):
-                s = src[i]
-                pos = cursor[s]
-                self.adj_v[pos] = dst[i]
-                self.adj_w[pos] = self.ew[i]
-                self.adj_e[pos] = i
-                cursor[s] += 1
-        # sort each adjacency row by (neighbor, weight) for reproducible scans
-        for v in range(n):
-            lo, hi = self.indptr[v], self.indptr[v + 1]
-            if hi - lo > 1:
-                order = np.lexsort((self.adj_e[lo:hi], self.adj_v[lo:hi]))
-                self.adj_v[lo:hi] = self.adj_v[lo:hi][order]
-                self.adj_w[lo:hi] = self.adj_w[lo:hi][order]
-                self.adj_e[lo:hi] = self.adj_e[lo:hi][order]
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.adj_v = dst[order]
+        self.adj_e = eid[order]
+        self.adj_w = self.ew[self.adj_e]
 
     def neighbors(self, v):
         lo, hi = self.indptr[v], self.indptr[v + 1]
@@ -154,6 +111,49 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _merged_edges(n, edges, wide):
+    """Validated (eu, ev, ew) with eu < ev, sorted, parallel edges merged.
+
+    ``edges`` is a sequence of (u, v, w) or an (m, 3) array.  Integer
+    arrays keep their dtype; anything else becomes int64 when every value
+    fits, else exact Python ints through ``int()``.  The weights are
+    object arrays when ``wide`` or when a weight reaches 2^63, else uint64.
+    """
+    arr = edges
+    if not isinstance(arr, np.ndarray):
+        arr = list(arr)
+        try:
+            arr = np.array(arr, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            arr = np.array(arr, dtype=object)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise MalformedLine("edges must be (u, v, w) triples")
+    if arr.dtype.kind not in "iu":
+        arr = np.frompyfunc(int, 1, 1)(arr.astype(object))
+    u, v, w = arr[:, 0], arr[:, 1], arr[:, 2]
+    bad = (u == v) | (w < 0) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad edge, checked as one edge
+        a, b, c = int(u[i]), int(v[i]), int(w[i])
+        if a == b:
+            raise SelfLoop(f"self loop at vertex {a}")
+        if c < 0:
+            raise NegativeWeight(f"negative weight {c} on edge ({a}, {b})")
+        raise MalformedLine(f"vertex out of range on edge ({a}, {b})")
+    wide = wide or bool((w >= (1 << 63)).any())
+    w = w.astype(object if wide else np.uint64)
+    lo = np.minimum(u, v).astype(np.int64)
+    hi = np.maximum(u, v).astype(np.int64)
+    # sorted by (u, v, w): the first edge of each (u, v) run has the min weight
+    order = np.lexsort((w, hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return lo[first], hi[first], w[first]
 
 
 def load_graph(text):
@@ -216,15 +216,15 @@ def dijkstra(g, source):
     dist = [None] * g.n
     dist[source] = 0
     heap = [(0, source)]
-    indptr, adj_v, adj_w = g.indptr, g.adj_v, g.adj_w
+    # Python lists: indexing a numpy array one scalar at a time is slower
+    indptr, adj_v, adj_w = g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist()
     while heap:
         d, v = heapq.heappop(heap)
         if dist[v] != d:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        for k in range(lo, hi):
-            u = int(adj_v[k])
-            nd = d + int(adj_w[k])
+        for k in range(indptr[v], indptr[v + 1]):
+            u = adj_v[k]
+            nd = d + adj_w[k]
             if dist[u] is None or nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
@@ -232,10 +232,7 @@ def dijkstra(g, source):
         out = np.empty(g.n, dtype=object)
         out[:] = [math.inf if d is None else d for d in dist]
         return out
-    out = np.empty(g.n, dtype=np.uint64)
-    for v in range(g.n):
-        out[v] = INF if dist[v] is None else np.uint64(dist[v])
-    return out
+    return np.array([int(INF) if d is None else d for d in dist], dtype=np.uint64)
 
 
 def dijkstra_cutoff(g, source, radius):

@@ -1,8 +1,9 @@
 """Metric applications built on the low-hop emulator.
 
-Both are classic constructions whose inner loop is the emulator's exact
-hop-limited multi-source scan, so every coordinate / cluster assignment
-costs one bounded-depth pass:
+Both are classic constructions whose inner loop is an exact
+multi-source distance in the emulator, so every coordinate / cluster
+assignment costs one bounded-depth pass (for a coordinate on a
+one-level tower, one minimum over stored rows; see ``set_distance``):
 
 * ``bourgain_embed``: an l1 embedding from distances to random vertex
   subsets at geometric sampling rates; every coordinate is 1-Lipschitz.

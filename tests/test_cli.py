@@ -111,6 +111,7 @@ def test_bench_csv(graph_file, capsys):
     assert lines[0] == "stage,seconds"
     stages = [ln.split(",")[0] for ln in lines[1:]]
     assert "dijkstra_baseline" in stages and "emulator_build" in stages
+    assert stages.index("embed") == stages.index("approx_sssp") + 1
     for ln in lines[1:]:
         float(ln.split(",")[1])  # parsable timings
 
@@ -137,6 +138,16 @@ def test_malformed_graph_reports_error_json(tmp_path, capsys):
     assert code == 1
     assert doc["error"]["type"] == "SelfLoop"
     assert "version" in doc["provenance"]
+
+
+def test_sssp_rejects_bad_source(graph_file, capsys):
+    # numpy indexing would wrap -1 to the last vertex
+    for source in ("-1", "3"):
+        code, doc = run_json(capsys, ["sssp", "--graph", graph_file, "--seed", "1",
+                                      "--", source])
+        assert code == 1
+        assert doc["error"]["type"] == "ValueError"
+        assert "out of range" in doc["error"]["message"]
 
 
 def test_missing_graph_file_exit_one(capsys):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopflow import (
     Graph,
@@ -19,7 +21,7 @@ from hopflow import (
     set_distance,
 )
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
-from hopflow.graphs import bellman_ford_hops
+from hopflow.graphs import INF, W_MAX, bellman_ford_hops
 
 from conftest import all_pairs_oracle, rand_connected_graph
 
@@ -158,6 +160,10 @@ def test_save_load_roundtrip(tmp_path):
         (em.k, em.t, em.hop_bound, em.stretch_bound, em.seed)
     assert back.graph.n == em.graph.n
     assert back.graph.edge_list() == em.graph.edge_list()
+    # the loaded emulator has no stored rows and scans its graph instead
+    assert em.dist is not None and back.dist is None
+    for sources in ([(0, 0)], [(3, 5), (20, 0)]):
+        assert set_distance(back, sources).tolist() == set_distance(em, sources).tolist()
 
 
 def test_deterministic_per_seed():
@@ -165,3 +171,71 @@ def test_deterministic_per_seed():
     a = build_emulator(preprocess(g, seed=77, b0=4))
     b = build_emulator(preprocess(g, seed=77, b0=4))
     assert a.graph.edge_list() == b.graph.edge_list()
+
+
+@st.composite
+def _one_level_case(draw):
+    """A connected graph with weights 0..W_MAX, and (vertex, offset) sources
+    whose offsets reach past INF often enough to force the scan."""
+    n = draw(st.integers(1, 40))
+    weight = st.integers(0, W_MAX)
+    edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=60))
+    edges += [(u, v, w) for (u, v, w) in chords if u != v]
+    offset = st.one_of(st.just(0), st.integers(0, W_MAX),
+                       st.integers(int(INF) - (1 << 46), 1 << 66))
+    sources = draw(st.lists(st.tuples(st.integers(0, n - 1), offset), max_size=8))
+    return Graph(n, edges), sources
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_level_case(), st.integers(0, 1000))
+def test_set_distance_rows_match_scan(case, seed):
+    g, sources = case
+    em = build_emulator(preprocess(g, seed=seed))
+    assert em.t == 0 and em.dist is not None
+    got = set_distance(em, sources)
+    want = bellman_ford_hops(em.graph, sources, em.hop_bound)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_set_distance_one_level_skips_scan(monkeypatch):
+    g = rand_connected_graph(30, 40, seed=14)
+    em = build_emulator(preprocess(g, seed=14))
+    want = [bellman_ford_hops(em.graph, [(7, 0)], em.hop_bound),
+            bellman_ford_hops(em.graph, [(2, 3), (19, 0)], em.hop_bound)]
+
+    def scan(*args):
+        raise AssertionError("one-level emulator scanned its graph")
+
+    monkeypatch.setattr("hopflow.emulator.bellman_ford_hops", scan)
+    assert approx_sssp(em, 7).tolist() == want[0].tolist()
+    assert set_distance(em, {2: 3, 19: 0}).tolist() == want[1].tolist()
+    # a sum that would reach INF still takes the exact scan
+    with pytest.raises(AssertionError, match="scanned"):
+        set_distance(em, [(7, int(INF) - 1)])
+
+
+def test_set_distance_returns_fresh_array():
+    g = rand_connected_graph(20, 25, seed=15)
+    stack = preprocess(g, seed=15)
+    em = build_emulator(stack)
+    first = set_distance(em, [(4, 0)])
+    before = first.copy()
+    first[:] = 12345
+    assert set_distance(em, [(4, 0)]).tolist() == before.tolist()
+    assert [oracle_query(stack, 4, v)[0] for v in range(g.n)] == before.tolist()
+
+
+def test_set_distance_rejects_bad_sources():
+    g = rand_connected_graph(12, 10, seed=16)
+    for b0 in (None, 4):  # stored rows, and the scan of a deep tower
+        em = build_emulator(preprocess(g, seed=16, b0=b0))
+        assert (em.dist is None) == (b0 is not None)
+        for sources in ([(-1, 0)], [(12, 0)], [(0, 0), (3, -1)]):
+            with pytest.raises(ValueError):
+                set_distance(em, sources)
+        with pytest.raises(ValueError):
+            approx_sssp(em, -1)

@@ -11,6 +11,7 @@ from hopflow import (
 )
 from hopflow.graphs import (
     INF,
+    GraphError,
     MalformedLine,
     NegativeWeight,
     NotConnected,
@@ -156,6 +157,74 @@ def test_distances_past_uint64_are_exact():
         assert bellman_ford_hops(g, [(2, 0)], 4).tolist() == mid
         assert dijkstra(g, 2).tolist() == mid
         assert dijkstra(g, 2).dtype == np.uint64
+
+
+def _reference_graph(n, edges, wide=False):
+    """The per-edge constructor Graph replaced: validate, merge, CSR.
+
+    Returns (eu, ev, ew, indptr, adj_v, adj_w, adj_e) as lists.
+    """
+    norm = []
+    for (u, v, w) in edges:
+        u, v, w = int(u), int(v), int(w)
+        if u == v:
+            raise SelfLoop(u)
+        if w < 0:
+            raise NegativeWeight(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise MalformedLine((u, v))
+        if u > v:
+            u, v = v, u
+        if w >= (1 << 63):
+            wide = True
+        norm.append((u, v, w))
+    norm.sort()
+    merged = []
+    for (u, v, w) in norm:
+        if not (merged and merged[-1][:2] == (u, v)):
+            merged.append((u, v, w))
+    rows = [[] for _ in range(n)]
+    for i, (u, v, w) in enumerate(merged):
+        rows[u].append((v, i, w))
+        rows[v].append((u, i, w))
+    indptr = [0]
+    adj = []
+    for row in rows:
+        row.sort()
+        adj += row
+        indptr.append(len(adj))
+    return ([e[0] for e in merged], [e[1] for e in merged], [e[2] for e in merged], indptr,
+            [a[0] for a in adj], [a[2] for a in adj], [a[1] for a in adj]), wide
+
+
+_weight = st.one_of(st.integers(0, 20), st.integers(0, W_MAX),
+                    st.integers((1 << 63) - 4, 1 << 70))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12),
+                                               st.one_of(_weight, st.integers(-3, -1))),
+                                     max_size=40),
+       st.booleans())
+def test_graph_matches_reference_constructor(n, edges, wide):
+    # parallel edges and both orientations of one edge are common at n <= 12
+    forms = [edges]
+    if all(w < (1 << 63) for (_, _, w) in edges):
+        forms.append(np.array(edges, dtype=np.int64).reshape(-1, 3))
+    try:
+        want, want_wide = _reference_graph(n, edges, wide)
+    except GraphError as exc:
+        for form in forms:
+            with pytest.raises(type(exc)):
+                Graph(n, form, check_connected=False, wide=wide)
+        return
+    for form in forms:
+        g = Graph(n, form, check_connected=False, wide=wide)
+        got = (g.eu, g.ev, g.ew, g.indptr, g.adj_v, g.adj_w, g.adj_e)
+        assert [a.tolist() for a in got] == list(want)
+        assert g.m == len(want[0])
+        assert (g.eu.dtype, g.ev.dtype, g.adj_v.dtype, g.adj_e.dtype) == (np.int64,) * 4
+        assert g.ew.dtype == g.adj_w.dtype == (object if want_wide else np.uint64)
 
 
 def test_contract_zero_edges_simple():

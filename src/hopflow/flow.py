@@ -42,6 +42,11 @@ class AllScalesFailed(RuntimeError):
 _PLATEAU_PATIENCE = 1500
 _ETA_FLOOR_FRAC = 1.0 / 64.0
 
+# The averaged-dual stop needs its margin to beat the exit threshold by
+# this relative guard, so rounding in the running sums cannot certify a
+# scale that exact arithmetic would not.
+_CERT_GUARD = 1e-9
+
 
 @dataclass
 class SolverConfig:
@@ -53,9 +58,11 @@ class SolverConfig:
     value trades certified residuals for tractable iteration counts.
     The scale-search grid always spans the full certificate.  t_cap
     bounds iterations per MWU call (the formula value T = ceil(64 kappa^2
-    ln(2m)/eps^2) is used when smaller); a capped, non-converged run
-    counts as infeasible at that scale, which only ever moves the
-    search toward more conservative scales.
+    ln(2m)/eps^2) is used when smaller).  A run stops as infeasible as
+    soon as its averaged dual certifies that no iterate can reach the
+    exit threshold; a run that reaches t_cap without converging also
+    counts as infeasible at that scale, which only ever moves the search
+    toward more conservative scales.
     """
 
     epsilon: float = 0.1
@@ -260,25 +267,37 @@ def build_flow_runtime(g, seed=0, t_rep=2, k=None):
 
 
 class MwuOutcome:
-    __slots__ = ("status", "x", "iters", "zbar", "qbar", "T")
+    """One MWU run: its status, solution and averaged-dual sum.
 
-    def __init__(self, status, x, iters, zbar=None, qbar=0.0, T=0):
+    `zsum` is the sum of the sign vectors sign(My - c) over D's rows,
+    taken over the iterations that updated the weights: all `iters` of
+    them for "fail" and "cap", the first iters - 1 for "ok", whose last
+    iteration exits before its update.
+    """
+
+    __slots__ = ("status", "x", "iters", "zsum")
+
+    def __init__(self, status, x, iters, zsum):
         self.status = status  # "ok" | "fail" | "cap"
         self.x = x
         self.iters = iters
-        self.zbar = zbar
-        self.qbar = qbar
-        self.T = T
+        self.zsum = zsum
 
 
-def mwu_feasibility(rt, g, b, s, cfg, collect_certificate=False):
+def mwu_feasibility(rt, g, b, s, cfg):
     """One MWU run on the scaled feasibility system at scale s.
 
     Success returns x' = p+ - p- with ||x'||_1 <= 1 and
     ||(PAW^-1/N) x' - (1/s) Pb/||Pb||_1||_1 <= eps/(2 kappa).
-    Exhausting the formula iteration count yields status "fail" with the
-    averaged dual certificate; exhausting the configured cap earlier
-    yields status "cap" (treated as infeasible by the caller).
+
+    Infeasibility is certified by the averaged sign vector zbar, whose
+    entries lie in [-1, 1]: every y with ||y||_1 <= 1 has
+    ||My - c||_1 >= |zbar.c| - max_j |(M^T zbar)_j|, where M and c are the
+    scaled operator and demand.  As soon as that margin exceeds the exit
+    threshold eps/(2 kappa) (by the relative guard _CERT_GUARD), no later
+    iterate could succeed, and the run stops with status "fail".  Running
+    out of iterations reports "fail" at the formula count and "cap" at
+    an earlier configured cap; the caller treats both as infeasible.
 
     Weights are held as an explicitly normalized distribution rather
     than in log-space: renormalizing every iteration gives the same
@@ -291,6 +310,7 @@ def mwu_feasibility(rt, g, b, s, cfg, collect_certificate=False):
     T = T_formula if cfg.t_cap is None else min(T_formula, cfg.t_cap)
     eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
     thresh = eps / (2.0 * kappa)
+    cert_thresh = thresh * (1.0 + _CERT_GUARD)
 
     pb = rt.D @ b
     pbn = float(np.abs(pb).sum())
@@ -299,8 +319,9 @@ def mwu_feasibility(rt, g, b, s, cfg, collect_certificate=False):
     c = pb / (s * pbn)
     M, MT = rt.M, rt.MT
     wts = np.full(2 * m, 1.0 / (2 * m))
-    szbar = np.zeros(len(c)) if collect_certificate else None
-    qbar = 0.0
+    zsum = np.zeros(len(c))
+    dzsum = np.zeros(m)
+    qsum = 0.0
     eta0 = eta
     half = 0.5 * eta
     best = np.inf
@@ -311,7 +332,7 @@ def mwu_feasibility(rt, g, b, s, cfg, collect_certificate=False):
         z -= c
         r = float(np.abs(z).sum())
         if r <= thresh:
-            return MwuOutcome("ok", y, it)
+            return MwuOutcome("ok", y, it, zsum)
         if r < best - 1e-9:
             best, since = r, 0
         else:
@@ -328,12 +349,13 @@ def mwu_feasibility(rt, g, b, s, cfg, collect_certificate=False):
         wts[:m] *= 1.0 - half * (dz - q)
         wts[m:] *= 1.0 + half * (dz + q)
         wts /= wts.sum()
-        if collect_certificate:
-            szbar += sz
-            qbar += q
+        zsum += sz
+        dzsum += dz
+        qsum += q
+        if abs(qsum) - float(np.abs(dzsum).max()) > it * cert_thresh:
+            return MwuOutcome("fail", None, it, zsum)
     status = "fail" if T >= T_formula else "cap"
-    zbar = rt.D.T @ szbar if collect_certificate else None
-    return MwuOutcome(status, None, T, zbar, qbar, T)
+    return MwuOutcome(status, None, T, zsum)
 
 
 def _cancel_cycles(g, f, tol=1e-12):
@@ -395,24 +417,33 @@ def effective_kappa(rt, cfg):
     return max(1.0, min(rt.kappa_cert, cfg.kappa_cap))
 
 
-def certificate_rejects_all(g, rt, b, s, outcome):
-    """Check the averaged-dual infeasibility inequalities on all 2m columns."""
-    if outcome.zbar is None or outcome.T == 0:
+def certificate_rejects_all(g, rt, b, s, outcome, cfg):
+    """Recheck an outcome's averaged-dual certificate at scale s.
+
+    Averages the sign-vector sums over outcome.iters and evaluates the
+    margin |zbar.c| - max_j |(M^T zbar)_j| through D^T, the incidence
+    matrix and the edge weights rather than the solver's M^T; True when
+    it exceeds eps/(2 kappa) by the same guard the MWU loop applies, so
+    that no y with ||y||_1 <= 1 meets the exit threshold at this scale.
+    """
+    if outcome.iters == 0:
         return False
-    zt = outcome.zbar / outcome.T
-    q = abs(outcome.qbar / outcome.T)
+    zt = rt.D.T @ (outcome.zsum / outcome.iters)
+    q = abs(float(zt @ b)) / (s * matrix_vec(rt.P, b).norm1())
     dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
-    # a feasible y* with ||y*||_1 <= 1 would force y*.dz_bar = q_bar,
-    # impossible when |q_bar| strictly exceeds every |dz_bar_j|
-    return bool(np.all(q - dz > 0.0) and np.all(q + dz > 0.0))
+    thresh = cfg.epsilon / (2.0 * effective_kappa(rt, cfg))
+    return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
 
 
 def scale_search(rt, g, b, cfg):
     """Smallest feasible scale on the (1+eps)-geometric grid.
 
     Returns (x, probes) where x = x' * s * ||Pb||_1 / ||PAW^-1||_(1->1)
-    and probes is the scale-search trace.  Raises AllScalesFailed when
-    even the top of the grid fails.
+    and probes is the scale-search trace of (j, status, iterations).  A
+    probe below the feasible scale ends as soon as its averaged dual
+    certifies it ("fail"), or at t_cap ("cap") when no certificate
+    appears first.  Raises AllScalesFailed when even the top of the grid
+    fails.
     """
     pb = matrix_vec(rt.P, b)
     pbn = pb.norm1()

@@ -116,13 +116,18 @@ class ContractionLevel:
 
 
 def _edge_weight_map(g):
-    return {(int(g.eu[i]), int(g.ev[i])): int(g.ew[i]) for i in range(g.m)}
+    """{(u, v): w} over g's edges (u < v), all Python ints."""
+    return dict(zip(zip(g.eu.tolist(), g.ev.tolist()), g.ew.tolist()))
 
 
-def contract(g, pointers, t):
-    """Contract the pointer graph; roots are t or min-id cycle vertices."""
+def contract(g, pointers, t, wmap=None):
+    """Contract the pointer graph; roots are t or min-id cycle vertices.
+
+    `wmap` is g's `_edge_weight_map`, built here when not passed in.
+    """
     n = g.n
-    wmap = _edge_weight_map(g)
+    if wmap is None:
+        wmap = _edge_weight_map(g)
 
     def pw(u, v):
         return wmap[(u, v) if u < v else (v, u)]
@@ -172,15 +177,16 @@ def contract(g, pointers, t):
 
     roots = np.unique(root)
     index = {int(r): i for i, r in enumerate(roots)}
+    local = [index[r] for r in root.tolist()]
+    climb = l.tolist()
     best = {}
-    for i in range(g.m):
-        u, v, w = int(g.eu[i]), int(g.ev[i]), int(g.ew[i])
-        a, b = index[int(root[u])], index[int(root[v])]
+    for (u, v), w in wmap.items():
+        a, b = local[u], local[v]
         if a == b:
             continue
         x, y = (u, v) if a < b else (v, u)
         a, b = min(a, b), max(a, b)
-        cand = (int(l[u]) + w + int(l[v]), x, y)
+        cand = (climb[u] + w + climb[v], x, y)
         cur = best.get((a, b))
         if cur is None or cand < cur:
             best[(a, b)] = cand
@@ -285,7 +291,8 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
         raise WalkBudgetExceeded("flow solver kept returning infeasible flows")
 
     ptr = sample_pointers(g, f, t, seed)
-    level = contract(g, ptr, t)
+    wmap = _edge_weight_map(g)
+    level = contract(g, ptr, t, wmap)
     sub_seed = np.random.SeedSequence(entropy=[int(seed), 29]).generate_state(1)[0]
     sub = find_path(level.graph, level.local_root(s), level.local_root(t),
                     epsilon, int(sub_seed), flow_engine)
@@ -300,7 +307,6 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
         seq += _pointer_path(level, y)            # y ... root_b
     seq = shortcut_cycles(seq)
 
-    wmap = _edge_weight_map(g)
     length = 0
     for i in range(len(seq) - 1):
         u, v = seq[i], seq[i + 1]

@@ -5,11 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+import hopflow.flow
 from hopflow.graphs import Graph
 from hopflow.precond import matrix_vec
 from hopflow.flow import (
+    _ETA_FLOOR_FRAC,
+    _PLATEAU_PATIENCE,
     AllScalesFailed,
+    MwuOutcome,
     SolverConfig,
     build_flow_runtime,
     certificate_rejects_all,
@@ -140,10 +146,46 @@ def _contract_residual(rt, g, b, s, x):
     return matrix_vec(rt.P, gv).norm1()
 
 
-def test_distinct_row_operator_on_benchmark_graph():
+def _dense_certificate(rt, g):
+    """margin(b, s, out) = |zbar.c| - max_j |(M^T zbar)_j| on all r rows of
+    P.to_dense(), where zbar spreads each of D's averaged sign sums over
+    the rows of P that D's row stands for (zero rows get 0)."""
+    dense = rt.P.to_dense()
+    uniq, inverse, counts = np.unique(dense, axis=0, return_inverse=True,
+                                      return_counts=True)
+    # D's rows are the distinct nonzero rows of P, each times its count
+    scaled = {(k * row).tobytes(): u for u, (row, k) in enumerate(zip(uniq, counts))}
+    d_rows = [scaled[row.tobytes()] for row in rt.D.toarray()]
+    assert sorted(d_rows) == [u for u in range(len(uniq)) if np.any(uniq[u])]
+    inverse = inverse.reshape(-1)
+    inv_w = 1.0 / g.ew.astype(np.float64)
+    a_w = np.zeros((g.n, g.m))
+    a_w[g.eu, np.arange(g.m)] = inv_w
+    a_w[g.ev, np.arange(g.m)] = -inv_w
+    paw = dense @ a_w
+    paw /= np.abs(paw).sum(axis=0).max()
+
+    def margin(b, s, out):
+        assert np.abs(out.zsum).max() <= out.iters
+        per_unique = np.zeros(len(uniq))
+        per_unique[d_rows] = out.zsum / out.iters
+        zbar = per_unique[inverse]
+        pb = dense @ b
+        q = float(zbar @ pb) / (s * np.abs(pb).sum())
+        return abs(q) - np.abs(paw.T @ zbar).max()
+
+    return margin
+
+
+@pytest.fixture(scope="module")
+def flow64_runtime():
     # the graph and seed of the flow64 benchmark workload
     g = rand_connected_graph(64, 64, seed=1)
-    rt = build_flow_runtime(g, seed=0)
+    return g, build_flow_runtime(g, seed=0)
+
+
+def test_distinct_row_operator_on_benchmark_graph(flow64_runtime):
+    g, rt = flow64_runtime
     D = assert_distinct_rows_match_dense(rt.P, np.random.default_rng(3))
     assert D.shape[0] == 262 and rt.P.r == 11940
     assert rt.N == 768.0 == _per_edge_norm(rt, g)
@@ -173,19 +215,22 @@ def test_mwu_fails_below_critical_scale_with_certificate(mwu_instance):
     kappa = effective_kappa(rt, cfg)
     t_formula = math.ceil(64.0 * kappa * kappa * math.log(2 * g.m) / 0.4**2)
     assert t_formula == 3328
+    margin = _dense_certificate(rt, g)
     for s in (1.0, 0.5):
-        out = mwu_feasibility(rt, g, b, s, cfg, collect_certificate=True)
+        out = mwu_feasibility(rt, g, b, s, cfg)
+        # the averaged dual certifies the scale before the formula count
         assert out.status == "fail"
-        assert out.T == t_formula
-        assert certificate_rejects_all(g, rt, b, s, out)
+        assert out.iters < t_formula
+        assert certificate_rejects_all(g, rt, b, s, out, cfg)
+        assert margin(b, s, out) > 0.4 / (2.0 * kappa)
 
 
 def test_certificate_never_fires_on_success(mwu_instance):
     g, b, rt = mwu_instance
-    out = mwu_feasibility(rt, g, b, 3.0, SolverConfig(epsilon=0.4),
-                          collect_certificate=True)
+    cfg = SolverConfig(epsilon=0.4)
+    out = mwu_feasibility(rt, g, b, 3.0, cfg)
     assert out.status == "ok"
-    assert not certificate_rejects_all(g, rt, b, 3.0, out)
+    assert not certificate_rejects_all(g, rt, b, 3.0, out, cfg)
 
 
 def test_mwu_compressed_path_matches_contract(mwu_instance):
@@ -198,6 +243,141 @@ def test_mwu_compressed_path_matches_contract(mwu_instance):
     assert out.status == "ok"
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
     assert _contract_residual(rt2, g, b, 3.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the averaged-dual stop against the loop that runs every probe to its end
+
+
+def _reference_mwu(rt, g, b, s, cfg):
+    """mwu_feasibility as it was before the averaged-dual stop (less its
+    collect_certificate flag), kept as the reference: an infeasible scale
+    runs to t_cap or the formula count."""
+    m = g.m
+    eps = cfg.epsilon
+    kappa = effective_kappa(rt, cfg)
+    T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
+    T = T_formula if cfg.t_cap is None else min(T_formula, cfg.t_cap)
+    eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
+    thresh = eps / (2.0 * kappa)
+
+    pb = rt.D @ b
+    pbn = float(np.abs(pb).sum())
+    if pbn <= 0.0:
+        raise ValueError("||Pb||_1 must be positive")
+    c = pb / (s * pbn)
+    M, MT = rt.M, rt.MT
+    wts = np.full(2 * m, 1.0 / (2 * m))
+    eta0 = eta
+    half = 0.5 * eta
+    best = np.inf
+    since = 0
+    for it in range(1, T + 1):
+        y = wts[:m] - wts[m:]
+        z = M @ y
+        z -= c
+        r = float(np.abs(z).sum())
+        if r <= thresh:
+            return MwuOutcome("ok", y, it, None)
+        if r < best - 1e-9:
+            best, since = r, 0
+        else:
+            since += 1
+            if since >= _PLATEAU_PATIENCE:
+                eta = max(eta * 0.5, _ETA_FLOOR_FRAC * eta0)
+                half = 0.5 * eta
+                since = 0
+        sz = np.sign(z)
+        dz = MT @ sz
+        q = float(sz @ c)
+        wts[:m] *= 1.0 - half * (dz - q)
+        wts[m:] *= 1.0 + half * (dz + q)
+        wts /= wts.sum()
+    status = "fail" if T >= T_formula else "cap"
+    return MwuOutcome(status, None, T, None)
+
+
+def _assert_probes_match_reference(rt, g, b, cfg):
+    """Every scale of the search grid: the same ok decision, x and
+    iterations as the reference; an early stop is a "fail" whose margin,
+    recomputed on the dense P, beats the exit threshold."""
+    eps = cfg.epsilon
+    thresh = eps / (2.0 * effective_kappa(rt, cfg))
+    top = math.ceil(math.log(max(rt.kappa_cert, 1.0 + eps)) / math.log1p(eps))
+    margin = _dense_certificate(rt, g)
+    early = 0
+    for j in range(top + 1):
+        s = (1.0 + eps) ** j
+        out = mwu_feasibility(rt, g, b, s, cfg)
+        ref = _reference_mwu(rt, g, b, s, cfg)
+        assert (out.status == "ok") == (ref.status == "ok"), j
+        if ref.status == "ok":
+            assert out.iters == ref.iters and np.array_equal(out.x, ref.x), j
+        elif out.iters < ref.iters:
+            early += 1
+            assert out.status == "fail", j
+            assert certificate_rejects_all(g, rt, b, s, out, cfg), j
+            assert margin(b, s, out) > thresh, j
+        else:
+            assert (out.status, out.iters) == (ref.status, ref.iters), j
+    return early
+
+
+@st.composite
+def _flow_case(draw):
+    n = draw(st.integers(3, 9))
+    weight = st.integers(1, 9)
+    edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=n))
+    edges += [(min(u, v), max(u, v), w) for u, v, w in chords if u != v]
+    if draw(st.booleans()):
+        t = draw(st.integers(1, n - 1))
+        b = np.zeros(n)
+        b[0], b[t] = 1.0, -1.0
+    else:  # several sources and sinks
+        b = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+        b[0] -= b.sum()
+        if not np.any(b):
+            b[0], b[n - 1] = 1.0, -1.0
+    return Graph(n, edges), b
+
+
+@settings(max_examples=12, deadline=None)
+@given(_flow_case(), st.integers(0, 1000))
+def test_certificate_stop_matches_reference(case, seed):
+    g, b = case
+    try:
+        rt = build_flow_runtime(g, seed=seed)
+    except ValueError as exc:
+        if "collapsed" not in str(exc):
+            raise
+        reject()  # an embedding that merges two vertices has no runtime
+    cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
+    _assert_probes_match_reference(rt, g, b, cfg)
+
+
+def test_certificate_stop_matches_reference_on_benchmark_graph(flow64_runtime):
+    g, rt = flow64_runtime
+    b = np.zeros(g.n)
+    b[0], b[63] = 1.0, -1.0
+    # min_cost_flow's working config at epsilon=0.1, with its later-round cap
+    cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=3000)
+    assert _assert_probes_match_reference(rt, g, b, cfg) > 0
+
+
+def test_min_cost_flow_identical_with_reference_loop(monkeypatch):
+    g = rand_connected_graph(64, 64, seed=1)
+    b = np.zeros(g.n)
+    b[0], b[63] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1)
+    monkeypatch.setattr(hopflow.flow, "mwu_feasibility", _reference_mwu)
+    ref = min_cost_flow(g, b, epsilon=0.1)
+    assert sol.f.tobytes() == ref.f.tobytes()
+    assert sol.cost == ref.cost
+    assert sol.iterations <= ref.iterations
+    ok = [[(j, it) for (j, st_, it) in rnd if st_ == "ok"] for rnd in sol.trace]
+    assert ok == [[(j, it) for (j, st_, it) in rnd if st_ == "ok"] for rnd in ref.trace]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from ._par import ordered_map
 from .graphs import INF, dijkstra_cutoff
 
 _BIG_ID = np.iinfo(np.int64).max
@@ -66,8 +65,7 @@ def _select_b(cand_ids, cand_d, b):
     return ids_f, d_f
 
 
-def _relax_block(args):
-    ids, dist, lo, hi, width = args
+def _relax_block(ids, dist, lo, hi, width):
     sub_ids = ids[lo:hi]
     sub_d = dist[lo:hi]
     hop = np.where(sub_ids >= 0, sub_ids, 0)
@@ -106,8 +104,8 @@ def compute_balls(g, b):
     rounds = max(1, math.ceil(math.log2(n))) if n > 1 else 0
     block = max(1, 2_000_000 // max(1, width * width))
     for _ in range(rounds):
-        spans = [(ids, dist, lo, min(lo + block, n), width) for lo in range(0, n, block)]
-        parts = ordered_map(_relax_block, spans)
+        parts = [_relax_block(ids, dist, lo, min(lo + block, n), width)
+                 for lo in range(0, n, block)]
         new_ids = np.concatenate([p[0] for p in parts], axis=0)
         new_d = np.concatenate([p[1] for p in parts], axis=0)
         done = np.array_equal(new_ids, ids) and np.array_equal(new_d, dist)

@@ -3,7 +3,7 @@
 Every subcommand reads the edge-list graph format, runs one pipeline
 stage, and emits a single JSON document (CSV for `bench`) carrying a
 provenance block {seed, k, epsilon, version}.  Identical invocations
-are byte-identical regardless of thread count.
+are byte-identical; `--threads` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ def _common_options(p):
                    help="embedding repetitions per scale")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (0 = all cores; default $HOPFLOW_THREADS)")
+                   help="accepted for compatibility and ignored: every stage runs "
+                        "in one thread")
 
 
 def _build_parser():
@@ -88,12 +89,6 @@ def _resolve_seed(args):
     return int.from_bytes(os.urandom(8), "big") >> 1
 
 
-def _apply_threads(args):
-    if args.threads is not None:
-        count = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-        os.environ["HOPFLOW_THREADS"] = str(count)
-
-
 def _provenance(seed, k, epsilon):
     return {
         "seed": int(seed),
@@ -113,7 +108,6 @@ def _emit(doc, args):
 
 
 def _run(args):
-    _apply_threads(args)
     seed = _resolve_seed(args)
     with open(args.graph) as fh:
         g = load_graph(fh.read())

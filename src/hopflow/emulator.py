@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 
-from ._par import ordered_map
 from .balls import compute_balls
 from .graphs import INF, Graph, bellman_ford_hops, dijkstra
 from .subemulator import assign_leaders, connect_edges, sample_vertices
@@ -152,7 +151,7 @@ def preprocess(g, k=None, seed=0, b0=None):
         raise RuntimeError("level tower failed to terminate")
 
     # top level: exact all-pairs on what is left
-    rows = ordered_map(lambda s: dijkstra(h, s), range(h.n))
+    rows = [dijkstra(h, s) for s in range(h.n)]
     dist = None
     if all(r.dtype == np.uint64 for r in rows):
         dist = np.stack(rows)

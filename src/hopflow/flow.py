@@ -203,8 +203,51 @@ class FlowRuntime:
         self.MT = MT
 
 
+def _distortion(emb, rows):
+    """(min, max) of l1/dist over the pairs (source, v) at positive
+    distance, and the sources whose embedding collapses such a pair."""
+    lo, hi = math.inf, 0.0
+    collapsed = []
+    for sidx, row in rows.items():
+        for v in range(len(row)):
+            if v == sidx:
+                continue
+            dist = int(row[v])
+            if dist == 0:
+                continue
+            l1 = emb.l1(sidx, v)
+            if l1 == 0 and (not collapsed or collapsed[-1] != sidx):
+                collapsed.append(sidx)
+            lo = min(lo, l1 / dist)
+            hi = max(hi, l1 / dist)
+    return lo, hi, collapsed
+
+
+def _with_distance_columns(emb, cols):
+    """emb plus one column d(s, .) + 1 per row in `cols`.
+
+    Each such column is 1-Lipschitz, keeps the minimum coordinate at 1
+    and separates s from every vertex at positive distance from it.
+    """
+    extra = np.stack(cols, axis=1)
+    if emb.points.dtype == object or extra.dtype == object:
+        pts = np.concatenate([emb.points.astype(object), extra.astype(object) + 1], axis=1)
+        delta = next_pow2(max(int(x) for x in pts.flat))
+    else:
+        pts = np.concatenate([emb.points, extra + np.uint64(1)], axis=1)
+        delta = next_pow2(int(pts.max()))
+    return Embedding(pts, delta, emb.seed, emb.t_rep, emb.scales)
+
+
 def build_flow_runtime(g, seed=0, t_rep=2, k=None):
-    """Embed g's metric and build the preconditioned flow operator + norms."""
+    """Embed g's metric and build the preconditioned flow operator + norms.
+
+    The distortion ratios are read from exact distance rows: the
+    emulator's stored rows on a one-level tower, one Dijkstra per source
+    otherwise.  Should the embedding collapse a pair at positive
+    distance, each collapsing source's distance row is appended as a
+    column, which separates the pair.
+    """
     stack = preprocess(g, k=k, seed=seed)
     em = build_emulator(stack)
     emb = bourgain_embed(em, t_rep=t_rep, seed=seed)
@@ -215,24 +258,16 @@ def build_flow_runtime(g, seed=0, t_rep=2, k=None):
     else:
         step = max(1, n // 64)
         sources = range(0, n, step)
-    ratios_lo, ratios_hi = math.inf, 0.0
-    rows = {}
-    for sidx in sources:
-        rows[sidx] = dijkstra(g, sidx)
-    for sidx, row in rows.items():
-        for v in range(n):
-            if v == sidx:
-                continue
-            dist = int(row[v])
-            if dist == 0:
-                continue
-            l1 = emb.l1(sidx, v)
-            ratios_lo = min(ratios_lo, l1 / dist)
-            ratios_hi = max(ratios_hi, l1 / dist)
+    if em.dist is not None:
+        rows = {sidx: em.dist[sidx] for sidx in sources}
+    else:
+        rows = {sidx: dijkstra(g, sidx) for sidx in sources}
+    ratios_lo, ratios_hi, collapsed = _distortion(emb, rows)
+    if collapsed:
+        emb = _with_distance_columns(emb, [rows[sidx] for sidx in collapsed])
+        ratios_lo, ratios_hi, _ = _distortion(emb, rows)
     if not rows or ratios_hi == 0.0:
         rescale = 1
-    elif ratios_lo <= 0.0:
-        raise ValueError("embedding collapsed two distinct vertices; try another seed")
     else:
         rescale = 1 if ratios_lo >= 1.0 else math.ceil(1.0 / ratios_lo)
     if rescale > 1:

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from ._par import ordered_map
 from .emulator import set_distance
 
 
@@ -104,7 +103,7 @@ def bourgain_embed(em, t_rep=None, seed=0):
         return set_distance(em, [(int(v), 0) for v in np.flatnonzero(mask)])
 
     pairs = [(i, j) for i in range(1, scales + 1) for j in range(t_rep)]
-    cols = ordered_map(column, pairs)
+    cols = [column(ij) for ij in pairs]
     pts = np.stack(cols, axis=1)
     if pts.dtype == object:
         mins = [min(int(pts[v, c]) for v in range(n)) for c in range(pts.shape[1])]

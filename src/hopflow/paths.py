@@ -1,13 +1,17 @@
 """From an approximate flow to an explicit s-t path.
 
 A unit of flow is traced by sampling one out-pointer per vertex
-(proportional to positive outflow), contracting the pointer forest,
-and recursing on the contracted graph: each level at least halves the
-vertex count, contracted edge weights already account for the climb to
-the component roots, and the lifted walk is finally de-cycled by a
+(proportional to positive outflow).  When s's pointer chain reaches t,
+which it always does for an acyclic flow, that chain is the path: it
+cannot repeat a vertex, so it is already simple.  Only when the chain
+closes a cycle is the pointer forest contracted and the extraction
+recursed on the contracted graph: each level at least halves the vertex
+count, contracted edge weights already account for the climb to the
+component roots, and the lifted walk is finally de-cycled by a
 last-appearance scan.  Repeating the whole extraction and keeping the
 shortest result turns the per-trial expectation bound into a
-high-probability (1+eps) guarantee.
+high-probability (1+eps) guarantee; a seedless engine such as `exact`
+gives the same path on every trial, so it runs once.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 
 import numpy as np
 
-from ._par import ordered_map
 from .flow import min_cost_flow, _apply_incidence
 from .graphs import Graph
 
@@ -49,26 +52,27 @@ def _flow_values(f):
 
 
 def _out_edges(g, f):
-    """Per-vertex positive-outflow lists: (targets, flows, edge weights)."""
+    """Per-vertex positive-outflow lists: (targets, flows, edge weights).
+
+    Each vertex's lists run in ascending edge order, which fixes the
+    order of the draws in `sample_pointers`.  Also returns the inflow
+    per vertex, summed in edge order.
+    """
     f = _flow_values(f)
-    out_nbr = [[] for _ in range(g.n)]
-    out_flow = [[] for _ in range(g.n)]
-    out_w = [[] for _ in range(g.n)]
-    inflow = np.zeros(g.n)
-    for i in range(g.m):
-        fi = float(f[i])
-        u, v, w = int(g.eu[i]), int(g.ev[i]), int(g.ew[i])
-        if fi > _FLOW_TOL:
-            out_nbr[u].append(v)
-            out_flow[u].append(fi)
-            out_w[u].append(w)
-            inflow[v] += fi
-        elif fi < -_FLOW_TOL:
-            out_nbr[v].append(u)
-            out_flow[v].append(-fi)
-            out_w[v].append(w)
-            inflow[u] += -fi
-    return out_nbr, out_flow, out_w, inflow
+    fwd = f > _FLOW_TOL
+    live = np.flatnonzero(fwd | (f < -_FLOW_TOL))
+    src = np.where(fwd, g.eu, g.ev)[live]
+    dst = np.where(fwd, g.ev, g.eu)[live]
+    amount = np.abs(f[live])
+    inflow = np.bincount(dst, weights=amount, minlength=g.n)
+    order = np.argsort(src, kind="stable")
+    bounds = np.searchsorted(src[order], np.arange(g.n + 1)).tolist()
+    nbr, flow, w = dst[order].tolist(), amount[order].tolist(), g.ew[live[order]].tolist()
+
+    def per_vertex(xs):
+        return [xs[bounds[v]:bounds[v + 1]] for v in range(g.n)]
+
+    return per_vertex(nbr), per_vertex(flow), per_vertex(w), inflow
 
 
 def sample_pointers(g, f, t, seed):
@@ -267,16 +271,39 @@ def _mwu_unit_flow(g, s, t, epsilon, seed):
     return min_cost_flow(g, b, epsilon=min(max(epsilon, 1e-3), 0.49), seed=seed).f
 
 
-_ENGINES = {"exact": _exact_unit_flow, "mwu": _mwu_unit_flow}
+# name -> (unit-flow engine, seedless).  A seedless engine returns the
+# same flow for every seed, routed on one simple path, so every vertex
+# carrying flow has one out-edge and every sampled pointer is forced.
+_ENGINES = {"exact": (_exact_unit_flow, True), "mwu": (_mwu_unit_flow, False)}
+
+
+def _chain_to_target(pointers, s, t):
+    """s's pointer chain if it reaches t, else None (it closed a cycle)."""
+    seq = [s]
+    seen = {s}
+    v = s
+    while v != t:
+        v = pointers[v]
+        if v in seen:
+            return None
+        seen.add(v)
+        seq.append(v)
+    return seq
 
 
 def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
-    """Recursive sample-contract-expand path extraction."""
+    """Sample out-pointers from a unit s-t flow and follow them to t.
+
+    When s's pointer chain reaches t it is the path.  When it closes a
+    cycle instead (a cyclic flow, which only a custom engine returns),
+    the pointer forest is contracted, the extraction recurses on the
+    contracted graph, and the lifted walk is de-cycled.
+    """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("endpoint out of range")
     if s == t:
         return Path([s], 0)
-    engine = _ENGINES[flow_engine] if isinstance(flow_engine, str) else flow_engine
+    engine = _ENGINES[flow_engine][0] if isinstance(flow_engine, str) else flow_engine
 
     b = np.zeros(g.n)
     b[s], b[t] = 1.0, -1.0
@@ -292,20 +319,21 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
 
     ptr = sample_pointers(g, f, t, seed)
     wmap = _edge_weight_map(g)
-    level = contract(g, ptr, t, wmap)
-    sub_seed = np.random.SeedSequence(entropy=[int(seed), 29]).generate_state(1)[0]
-    sub = find_path(level.graph, level.local_root(s), level.local_root(t),
-                    epsilon, int(sub_seed), flow_engine)
-
-    seq = _pointer_path(level, s)
-    for j in range(len(sub.vertices) - 1):
-        a, bb = int(sub.vertices[j]), int(sub.vertices[j + 1])
-        x, y = level.witness[(min(a, bb), max(a, bb))]
-        if level.local_root(x) != a:
-            x, y = y, x
-        seq += _pointer_path(level, x)[::-1][1:]  # root_a ... x, drop repeated root
-        seq += _pointer_path(level, y)            # y ... root_b
-    seq = shortcut_cycles(seq)
+    seq = _chain_to_target(ptr.tolist(), s, t)
+    if seq is None:
+        level = contract(g, ptr, t, wmap)
+        sub_seed = np.random.SeedSequence(entropy=[int(seed), 29]).generate_state(1)[0]
+        sub = find_path(level.graph, level.local_root(s), level.local_root(t),
+                        epsilon, int(sub_seed), flow_engine)
+        seq = _pointer_path(level, s)
+        for j in range(len(sub.vertices) - 1):
+            a, bb = int(sub.vertices[j]), int(sub.vertices[j + 1])
+            x, y = level.witness[(min(a, bb), max(a, bb))]
+            if level.local_root(x) != a:
+                x, y = y, x
+            seq += _pointer_path(level, x)[::-1][1:]  # root_a ... x, drop repeated root
+            seq += _pointer_path(level, y)            # y ... root_b
+        seq = shortcut_cycles(seq)
 
     length = 0
     for i in range(len(seq) - 1):
@@ -322,7 +350,9 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
 
     Each trial runs find_path with the inner accuracy eps/(20 log2 n);
     the returned path always has length >= dist(s, t), and with high
-    probability at most (1+eps) times it.
+    probability at most (1+eps) times it.  A seedless engine (`exact`)
+    extracts the same path on every trial, so it runs one trial
+    whatever `trials` is; `mwu` and callable engines run all of them.
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must be in (0, 0.5)")
@@ -330,14 +360,16 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
         return Path([s], 0)
     log_n = max(1.0, math.log2(g.n))
     inner_eps = epsilon / (20.0 * log_n)
-    if trials is None:
+    if isinstance(flow_engine, str) and _ENGINES[flow_engine][1]:
+        trials = 1
+    elif trials is None:
         trials = max(1, math.ceil(4.0 * log_n / epsilon))
 
     def one(trial):
         ts = np.random.SeedSequence(entropy=[int(seed), 31, trial]).generate_state(1)[0]
         return find_path(g, s, t, inner_eps, int(ts), flow_engine)
 
-    paths = ordered_map(one, range(trials))
+    paths = [one(trial) for trial in range(trials)]
     return min(paths, key=lambda p: (p.length, p.vertices))
 
 

@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from ._par import ordered_map
 from .balls import closed_ball, compute_balls
 from .graphs import Graph
 
@@ -65,7 +64,7 @@ def sample_vertices(g, balls, seed):
         ids, _ = closed_ball(g, v, balls.radius[v])
         return not any(sampled[u] for u in ids)
 
-    misses = ordered_map(miss, range(n))
+    misses = [miss(v) for v in range(n)]
     for v in range(n):
         if misses[v]:
             kept[v] = True
@@ -85,7 +84,7 @@ def assign_leaders(g, balls, kept):
                 return u, d
         return -1, 0
 
-    picks = ordered_map(pick, range(n))
+    picks = [pick(v) for v in range(n)]
     for v, (u, d) in enumerate(picks):
         if u < 0:
             raise ValueError(f"vertex {v} has no kept vertex in its ball")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopflow.flow
@@ -191,6 +191,67 @@ def test_distinct_row_operator_on_benchmark_graph(flow64_runtime):
     assert rt.N == 768.0 == _per_edge_norm(rt, g)
 
 
+def test_runtime_reads_distortion_rows_from_the_emulator(monkeypatch):
+    g = rand_connected_graph(20, 16, seed=120)
+    rt = build_flow_runtime(g, seed=3)
+
+    # with the emulator's rows withheld, n Dijkstras give the same runtime
+    build = hopflow.flow.build_emulator
+
+    def rowless(stack):
+        em = build(stack)
+        em.dist = None
+        return em
+
+    monkeypatch.setattr(hopflow.flow, "build_emulator", rowless)
+    ref = build_flow_runtime(g, seed=3)
+    assert np.array_equal(rt.emb.points, ref.emb.points)
+    assert (rt.rescale, rt.alpha, rt.N, rt.kappa_cert) == (
+        ref.rescale, ref.alpha, ref.N, ref.kappa_cert)
+    assert (rt.M != ref.M).nnz == 0
+
+    # with the rows present, no Dijkstra runs
+    monkeypatch.setattr(hopflow.flow, "build_emulator", build)
+
+    def no_dijkstra(*args):
+        raise AssertionError("distortion rows recomputed")
+
+    monkeypatch.setattr(hopflow.flow, "dijkstra", no_dijkstra)
+    assert np.array_equal(build_flow_runtime(g, seed=3).emb.points, rt.emb.points)
+
+
+def test_collapsed_embedding_gets_a_distance_column():
+    # at seed 592 the Bourgain columns give two vertices at positive
+    # distance the same point; one exact distance column separates them
+    g = Graph(6, [(0, 1, 4), (1, 2, 4), (2, 3, 9), (3, 4, 7), (4, 5, 4), (1, 2, 8),
+                  (1, 4, 5), (3, 5, 6), (1, 3, 5), (0, 3, 9)])
+    rt = build_flow_runtime(g, seed=592)
+    bourgain_cols = 3 * 2  # ceil(log2 6) scales, t_rep = 2
+    assert rt.emb.d > bourgain_cols
+    dist = sssp_oracle(g, 0)
+    pts = rt.emb.points.astype(np.int64)
+    for u in range(g.n):
+        du = sssp_oracle(g, u)
+        for v in range(g.n):
+            l1 = int(np.abs(pts[u] - pts[v]).sum())
+            assert (l1 > 0) == (u != v)
+            assert l1 <= rt.emb.d * rt.rescale * du[v]
+    # every appended column is a distance row plus one (times the rescale)
+    rows = np.array([sssp_oracle(g, u) for u in range(g.n)], dtype=np.int64)
+    for c in range(bourgain_cols, rt.emb.d):
+        col = pts[:, c] // rt.rescale - 1
+        assert any(np.array_equal(col, rows[u]) for u in range(g.n))
+    assert rt.emb.Delta >= int(pts.max()) and rt.emb.Delta & (rt.emb.Delta - 1) == 0
+
+    b = np.zeros(g.n)
+    b[0], b[5] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1, seed=592)
+    af = np.bincount(g.eu, weights=sol.f, minlength=g.n) - np.bincount(
+        g.ev, weights=sol.f, minlength=g.n)
+    assert float(np.abs(af - b).sum()) <= 1e-6
+    assert sol.cost <= 1.1 * float(dist[5])
+
+
 def test_mwu_feasible_above_critical_scale(mwu_instance):
     g, b, rt = mwu_instance
     cfg = SolverConfig(epsilon=0.4)
@@ -347,12 +408,7 @@ def _flow_case(draw):
 @given(_flow_case(), st.integers(0, 1000))
 def test_certificate_stop_matches_reference(case, seed):
     g, b = case
-    try:
-        rt = build_flow_runtime(g, seed=seed)
-    except ValueError as exc:
-        if "collapsed" not in str(exc):
-            raise
-        reject()  # an embedding that merges two vertices has no runtime
+    rt = build_flow_runtime(g, seed=seed)
     cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
     _assert_probes_match_reference(rt, g, b, cfg)
 

@@ -1,9 +1,15 @@
 """Path extraction: pointer sampling, contraction, expansion, and the
 flow-guided random-walk checker."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopflow import paths
+from hopflow.flow import _apply_incidence
 from hopflow.graphs import Graph, dijkstra
 from hopflow.paths import (
     Path,
@@ -285,3 +291,197 @@ def test_walk_check_step_cap():
         random_walk_length_check(g, np.array([1.0, 1.0]),
                                  np.array([1.0, 0.0, -1.0]),
                                  trials=3, seed=1, step_cap=1)
+
+
+# ---------------------------------------------------------------------------
+# the chain walk against the sample-contract-recurse extraction
+
+
+def _reference_out_edges(g, f):
+    """Per-edge loop building the outflow lists, kept as the reference."""
+    f = np.asarray(getattr(f, "f", f), dtype=np.float64)
+    out_nbr = [[] for _ in range(g.n)]
+    out_flow = [[] for _ in range(g.n)]
+    inflow = np.zeros(g.n)
+    for i in range(g.m):
+        fi = float(f[i])
+        u, v = int(g.eu[i]), int(g.ev[i])
+        if fi > 1e-12:
+            out_nbr[u].append(v)
+            out_flow[u].append(fi)
+            inflow[v] += fi
+        elif fi < -1e-12:
+            out_nbr[v].append(u)
+            out_flow[v].append(-fi)
+            inflow[u] += -fi
+    return out_nbr, out_flow, inflow
+
+
+def _reference_sample_pointers(g, f, t, seed):
+    out_nbr, out_flow, inflow = _reference_out_edges(g, f)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 17]))
+    ptr = np.full(g.n, -1, dtype=np.int64)
+    for v in range(g.n):
+        if v == t:
+            continue
+        flows = out_flow[v]
+        if flows:
+            probs = np.asarray(flows) / float(sum(flows))
+            ptr[v] = out_nbr[v][int(rng.choice(len(flows), p=probs))]
+        else:
+            if inflow[v] > 1e-9:
+                raise StuckVertex(f"flow enters vertex {v} but cannot leave")
+            lo, hi = g.indptr[v], g.indptr[v + 1]
+            if hi == lo:
+                raise StuckVertex(f"vertex {v} is isolated")
+            ptr[v] = int(g.adj_v[lo])
+    return ptr
+
+
+def _reference_find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
+    """Extraction that always contracts and recurses, kept as the reference."""
+    if s == t:
+        return Path([s], 0)
+    engine = paths._ENGINES[flow_engine][0] if isinstance(flow_engine, str) else flow_engine
+    b = np.zeros(g.n)
+    b[s], b[t] = 1.0, -1.0
+    f = None
+    for attempt in range(3 * max(1, math.ceil(math.log2(max(g.n, 2))))):
+        cand = np.asarray(engine(g, s, t, epsilon, int(seed) + attempt), dtype=np.float64)
+        if float(np.abs(_apply_incidence(g, cand) - b).sum()) <= 1e-6:
+            f = cand
+            break
+    assert f is not None
+    ptr = _reference_sample_pointers(g, f, t, seed)
+    wmap = paths._edge_weight_map(g)
+    level = contract(g, ptr, t, wmap)
+    sub_seed = np.random.SeedSequence(entropy=[int(seed), 29]).generate_state(1)[0]
+    sub = _reference_find_path(level.graph, level.local_root(s), level.local_root(t),
+                               epsilon, int(sub_seed), flow_engine)
+    seq = paths._pointer_path(level, s)
+    for a, bb in zip(sub.vertices, sub.vertices[1:]):
+        x, y = level.witness[(min(a, bb), max(a, bb))]
+        if level.local_root(x) != a:
+            x, y = y, x
+        seq += paths._pointer_path(level, x)[::-1][1:]
+        seq += paths._pointer_path(level, y)
+    seq = shortcut_cycles(seq)
+    length = sum(wmap[(min(u, v), max(u, v))] for u, v in zip(seq, seq[1:]))
+    return Path(seq, length)
+
+
+@st.composite
+def _small_graph(draw, lo=2, hi=12):
+    n = draw(st.integers(lo, hi))
+    weight = st.integers(0, 9)
+    edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=2 * n))
+    edges += [(min(u, v), max(u, v), w) for u, v, w in chords if u != v]
+    return Graph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graph(), st.data(), st.integers(0, 2**32 - 1))
+def test_sample_pointers_match_reference(g, data, seed):
+    # arbitrary signed flows, zeros and values at the tolerance included;
+    # the draws must follow the same RNG stream as the per-edge loop
+    vals = st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, 0.25, -0.5, 1.0, -3.0, 7.5])
+    f = np.array(data.draw(st.lists(vals, min_size=g.m, max_size=g.m)), dtype=np.float64)
+    t = data.draw(st.integers(0, g.n - 1))
+    try:
+        want = _reference_sample_pointers(g, f, t, seed)
+    except StuckVertex as exc:
+        with pytest.raises(StuckVertex, match=str(exc)):
+            sample_pointers(g, f, t, seed)
+        return
+    assert sample_pointers(g, f, t, seed).tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_graph(), st.data(), st.integers(0, 2**32 - 1))
+def test_find_path_matches_reference_exact_engine(g, data, seed):
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 1))
+    p, want = find_path(g, s, t, 0.1, seed=seed), _reference_find_path(g, s, t, 0.1, seed)
+    assert (p.vertices, p.length) == (want.vertices, want.length)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_small_graph(3, 6), st.integers(0, 2**32 - 1))
+def test_find_path_matches_reference_mwu_engine(g, seed):
+    # zero weights are drawn too: min_cost_flow contracts those edges itself
+    p = find_path(g, 0, g.n - 1, 0.3, seed=seed, flow_engine="mwu")
+    want = _reference_find_path(g, 0, g.n - 1, 0.3, seed, "mwu")
+    assert (p.vertices, p.length) == (want.vertices, want.length)
+
+
+def _cyclic_case():
+    """s = 0, t = 3; one unit runs 0-1-2-3 while 3 units circle 1-2-4."""
+    g = Graph(5, [(0, 1, 1), (1, 2, 1), (1, 4, 1), (2, 4, 1), (2, 3, 1)])
+    idx = {(int(u), int(v)): i for i, (u, v) in enumerate(zip(g.eu, g.ev))}
+    f = np.zeros(g.m)
+    f[idx[(0, 1)]] = 1.0
+    f[idx[(1, 2)]] = 4.0
+    f[idx[(2, 4)]] = 3.0
+    f[idx[(1, 4)]] = -3.0  # 4 -> 1 against the stored orientation
+    f[idx[(2, 3)]] = 1.0
+    return g, f
+
+
+def test_find_path_contracts_when_the_chain_closes_a_cycle(monkeypatch):
+    g, cyclic = _cyclic_case()
+
+    def engine(h, s, t, epsilon, seed):
+        # the cyclic flow on the input graph, an exact path on contractions
+        return cyclic if h is g else paths._exact_unit_flow(h, s, t, epsilon, seed)
+
+    contractions = []
+
+    def counted_contract(*args, **kwargs):
+        contractions.append(args[0].n)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "contract", counted_contract)
+    cycled = 0
+    for seed in range(20):
+        before = len(contractions)
+        p = find_path(g, 0, 3, 0.1, seed=seed, flow_engine=engine)
+        want = _reference_find_path(g, 0, 3, 0.1, seed, engine)
+        assert (p.vertices, p.length) == (want.vertices, want.length)
+        assert path_is_valid(g, p) and p.vertices[0] == 0 and p.vertices[-1] == 3
+        assert len(set(p.vertices)) == len(p.vertices)
+        # vertex 2 points at 4 (share 3/4) exactly when the chain cycles
+        closes_cycle = int(sample_pointers(g, cyclic, 3, seed)[2]) == 4
+        assert (len(contractions) > before) == closes_cycle
+        cycled += closes_cycle
+    assert 0 < cycled < 20
+
+
+def test_approx_shortest_path_engine_calls(monkeypatch):
+    calls = {}
+
+    def counting(name, inner):
+        def engine(g, s, t, epsilon, seed):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(g, s, t, epsilon, seed)
+        return engine
+
+    # the count follows the seedless flag recorded with each engine; the
+    # mwu entry routes the exact flow here, as a real solve at the inner
+    # accuracy takes tens of seconds
+    for name in ("exact", "mwu"):
+        seedless = paths._ENGINES[name][1]
+        monkeypatch.setitem(paths._ENGINES, name,
+                            (counting(name, paths._exact_unit_flow), seedless))
+    custom = counting("custom", paths._exact_unit_flow)
+    g = rand_connected_graph(12, 8, seed=175)
+    t = int(np.argmax(sssp_oracle(g, 0)))
+    want = approx_shortest_path(g, 0, t, 0.2, seed=4, trials=7, flow_engine=custom)
+    assert calls == {"custom": 7}
+    for trials in (None, 7):
+        p = approx_shortest_path(g, 0, t, 0.2, seed=4, trials=trials)
+        assert (p.vertices, p.length) == (want.vertices, want.length)
+    assert calls["exact"] == 2
+    approx_shortest_path(g, 0, t, 0.2, seed=4, trials=7, flow_engine="mwu")
+    assert calls["mwu"] == 7

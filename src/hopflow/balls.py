@@ -2,40 +2,45 @@
 
 For a budget b, each vertex keeps its b closest vertices (ties broken by
 smaller id).  The radius r_b(v) is the largest distance in that list; the
-open ball is everything strictly inside it.  Lists are grown by doubling:
-starting from the b nearest 1-hop neighbors, each round relaxes through
-the current lists, so ceil(log2 n) rounds reach exact b-nearest sets.
+open ball is everything strictly inside it and the closed ball everything
+within it, including ties on the sphere beyond the b-th vertex.
+
+One Dijkstra per vertex yields all three: the b-th vertex it settles
+fixes r_b(v), the search then drains the ties at that radius and stops.
+It touches exactly the closed ball and its boundary edges, which is
+what the leader and sampling steps used to search twice per vertex, so
+no input does more work than those two searches did.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
+from itertools import chain
 
 import numpy as np
 
-from .graphs import INF, dijkstra_cutoff
-
-_BIG_ID = np.iinfo(np.int64).max
+from .graphs import INF, GraphError
 
 
 class BallData:
-    """b-nearest lists for every vertex.
+    """b-nearest lists and closed balls for every vertex.
 
     ids[v] / dist[v] are the b nearest vertices of v sorted by
-    (distance, id); unused slots (only when n < b) hold -1 / INF.
+    (distance, id); unused slots (only when n < b) hold -1 / INF, and
+    radius[v] is the largest distance in the list.  The closed ball of v,
+    sorted the same way, is ball_ids / ball_dist[ball_ptr[v]:ball_ptr[v + 1]].
     """
 
-    __slots__ = ("b", "ids", "dist", "radius")
+    __slots__ = ("b", "ids", "dist", "radius", "ball_ptr", "ball_ids", "ball_dist")
 
-    def __init__(self, b, ids, dist):
+    def __init__(self, b, ids, dist, radius, ball_ptr, ball_ids, ball_dist):
         self.b = b
         self.ids = ids
         self.dist = dist
-        counts = (ids >= 0).sum(axis=1)
-        n = ids.shape[0]
-        self.radius = np.empty(n, dtype=np.uint64)
-        for v in range(n):
-            self.radius[v] = dist[v, counts[v] - 1]
+        self.radius = radius
+        self.ball_ptr = ball_ptr
+        self.ball_ids = ball_ids
+        self.ball_dist = ball_dist
 
     def open_ball(self, v):
         """(ids, dists) strictly inside r_b(v), sorted by (dist, id)."""
@@ -46,82 +51,80 @@ class BallData:
         keep = self.ids[v] >= 0
         return self.ids[v][keep], self.dist[v][keep]
 
-
-def _select_b(cand_ids, cand_d, b):
-    """Per-row: dedupe by id keeping min dist, then keep b best by (d, id)."""
-    # pass 1: sort by (id, dist); mark repeats of the same id as dead
-    order = np.lexsort((cand_d, cand_ids), axis=-1)
-    ids_s = np.take_along_axis(cand_ids, order, axis=-1)
-    d_s = np.take_along_axis(cand_d, order, axis=-1)
-    dup = np.zeros_like(ids_s, dtype=bool)
-    dup[:, 1:] = ids_s[:, 1:] == ids_s[:, :-1]
-    d_s[dup] = INF
-    ids_s[dup] = _BIG_ID
-    # pass 2: sort by (dist, id) and truncate
-    order = np.lexsort((ids_s, d_s), axis=-1)
-    ids_f = np.take_along_axis(ids_s, order, axis=-1)[:, :b]
-    d_f = np.take_along_axis(d_s, order, axis=-1)[:, :b]
-    ids_f[d_f == INF] = -1
-    return ids_f, d_f
-
-
-def _relax_block(ids, dist, lo, hi, width):
-    sub_ids = ids[lo:hi]
-    sub_d = dist[lo:hi]
-    hop = np.where(sub_ids >= 0, sub_ids, 0)
-    mid_ids = ids[hop]                      # (rows, w, w)
-    mid_d = dist[hop]
-    cand_d = sub_d[:, :, None] + mid_d      # uint64; INF entries wrap
-    bad = (sub_d[:, :, None] == INF) | (mid_d == INF) | (sub_ids < 0)[:, :, None]
-    cand_d[bad] = INF
-    cand_ids = np.where(bad, _BIG_ID, mid_ids)
-    rows = hi - lo
-    return _select_b(
-        np.concatenate([sub_ids, cand_ids.reshape(rows, -1)], axis=1),
-        np.concatenate([sub_d, cand_d.reshape(rows, -1)], axis=1),
-        width,
-    )
+    def closed_members(self, v):
+        """(ids, dists) within r_b(v), sorted by (dist, id)."""
+        lo, hi = self.ball_ptr[v], self.ball_ptr[v + 1]
+        return self.ball_ids[lo:hi], self.ball_dist[lo:hi]
 
 
 def compute_balls(g, b):
-    """Exact b-nearest lists for all vertices (BallData)."""
+    """Exact b-nearest lists and closed balls for all vertices (BallData)."""
     n = g.n
     b = int(b)
     if b < 1:
         raise ValueError("ball size must be >= 1")
     width = min(b, n)
-    deg_cap = int(np.max(g.indptr[1:] - g.indptr[:-1])) if g.m else 0
-    seed_ids = np.full((n, deg_cap + 1), -1, dtype=np.int64)
-    seed_d = np.full((n, deg_cap + 1), INF, dtype=np.uint64)
-    seed_ids[:, 0] = np.arange(n)
-    seed_d[:, 0] = 0
-    for v in range(n):
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        seed_ids[v, 1:1 + hi - lo] = g.adj_v[lo:hi]
-        seed_d[v, 1:1 + hi - lo] = g.adj_w[lo:hi]
-    ids, dist = _select_b(seed_ids, seed_d, width)
-
-    rounds = max(1, math.ceil(math.log2(n))) if n > 1 else 0
-    block = max(1, 2_000_000 // max(1, width * width))
-    for _ in range(rounds):
-        parts = [_relax_block(ids, dist, lo, min(lo + block, n), width)
-                 for lo in range(0, n, block)]
-        new_ids = np.concatenate([p[0] for p in parts], axis=0)
-        new_d = np.concatenate([p[1] for p in parts], axis=0)
-        done = np.array_equal(new_ids, ids) and np.array_equal(new_d, dist)
-        ids, dist = new_ids, new_d
-        if done:
-            break
-    if (ids < 0).any() and b <= n:
+    # Python lists: indexing a numpy array one scalar at a time is slower
+    adj = (g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist())
+    found = [closed_ball(g, v, b, adj) for v in range(n)]
+    sizes = np.array([len(ids) for ids, _ in found], dtype=np.int64)
+    if b <= n and sizes.min() < b:
         raise AssertionError("ball lists incomplete on a connected graph")
-    return BallData(b, ids, dist)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    total = int(ptr[-1])
+    ball_ids = np.fromiter(chain.from_iterable(ids for ids, _ in found),
+                           dtype=np.int64, count=total)
+    ball_dist = np.fromiter(chain.from_iterable(ds for _, ds in found),
+                            dtype=np.uint64, count=total)
+
+    # the list of v is the first min(b, |ball|) members of its closed ball
+    counts = np.minimum(sizes, width)
+    owner = np.repeat(np.arange(n), sizes)
+    rank = np.arange(total) - ptr[owner]
+    head = rank < counts[owner]
+    ids = np.full((n, width), -1, dtype=np.int64)
+    dist = np.full((n, width), INF, dtype=np.uint64)
+    ids[owner[head], rank[head]] = ball_ids[head]
+    dist[owner[head], rank[head]] = ball_dist[head]
+    radius = ball_dist[ptr[:-1] + counts - 1]
+    return BallData(b, ids, dist, radius, ptr, ball_ids, ball_dist)
 
 
-def closed_ball(g, v, radius):
-    """Exact closed ball members, including every tie on the sphere.
+def closed_ball(g, v, b, adj=None):
+    """The closed b-ball of v: (ids, dists) as lists sorted by (dist, id).
 
-    Returns (ids, dists) sorted by (dist, id).  This is a cutoff
-    Dijkstra: the truncated lists alone may miss equal-distance
-    boundary vertices beyond the b-th.
+    Dijkstra from v: the b-th settled vertex fixes the radius, and the
+    search goes on only to settle every other vertex at that distance.
+    Fewer than b members means v's component is smaller than b.  ``adj``
+    is g's (indptr, adj_v, adj_w) as lists, built here when not passed.
+    Raises GraphError when a member's distance does not fit below the
+    uint64 INF sentinel.
     """
-    return dijkstra_cutoff(g, v, radius)
+    indptr, adj_v, adj_w = adj if adj is not None else (
+        g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist())
+    dist = {v: 0}
+    heap = [(0, v)]
+    settled = []
+    radius = None
+    while heap:
+        d, u = heapq.heappop(heap)
+        if dist[u] != d:
+            continue
+        if radius is not None and d > radius:
+            break
+        settled.append((d, u))
+        if radius is None and len(settled) == b:
+            radius = d
+        for k in range(indptr[u], indptr[u + 1]):
+            x = adj_v[k]
+            nd = d + adj_w[k]
+            if (radius is None or nd <= radius) and (x not in dist or nd < dist[x]):
+                dist[x] = nd
+                heapq.heappush(heap, (nd, x))
+    # zero-weight edges can settle equal distances out of id order
+    settled.sort()
+    d, u = settled[-1]
+    if d >= int(INF):
+        raise GraphError(f"distance {d} from vertex {v} to vertex {u} does not fit in uint64")
+    return [u for _, u in settled], [d for d, _ in settled]

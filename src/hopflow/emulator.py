@@ -32,9 +32,8 @@ import math
 
 import numpy as np
 
-from .balls import compute_balls
 from .graphs import INF, Graph, bellman_ford_hops, dijkstra
-from .subemulator import assign_leaders, connect_edges, sample_vertices
+from .subemulator import build_subemulator
 
 
 class Level:
@@ -92,9 +91,10 @@ def level_bound(k):
     return 4 * max(0, math.ceil(math.log2(k) + 1))
 
 
-def _stored_ball(balls, leader, leader_dist, v):
-    ids, ds = balls.open_ball(v)
-    q, qd = int(leader[v]), int(leader_dist[v])
+def _stored_ball(sub, v):
+    """v's open ball plus its leader, sorted by id, from a Subemulator."""
+    ids, ds = sub.balls.open_ball(v)
+    q, qd = int(sub.leader[v]), int(sub.leader_dist[v])
     if q not in set(int(x) for x in ids):
         ids = np.append(ids, q)
         ds = np.append(ds, np.uint64(qd))
@@ -125,27 +125,15 @@ def preprocess(g, k=None, seed=0, b0=None):
     for _ in range(64):
         if h.n < b:
             break
-        balls = compute_balls(h, b)
         level_seed = np.random.SeedSequence(entropy=[int(seed), len(levels)])
-        kept, _ = sample_vertices(h, balls, level_seed)
-        leader, leader_dist = assign_leaders(h, balls, kept)
-        raw = connect_edges(h, balls, leader, leader_dist)
-
-        kept_ids = np.flatnonzero(kept).astype(np.int64)
-        index = np.full(h.n, -1, dtype=np.int64)
-        index[kept_ids] = np.arange(len(kept_ids))
-        ball_ids, ball_dist = [], []
-        for v in range(h.n):
-            bi, bd = _stored_ball(balls, leader, leader_dist, v)
-            ball_ids.append(bi)
-            ball_dist.append(bd)
-        leader_next = index[leader]
-        levels.append(Level(h, vertices, b, ball_ids, ball_dist,
-                            leader_dist.copy(), leader_next))
-
-        local_edges = [(int(index[a]), int(index[c]), w) for (a, c, w) in raw]
-        h = Graph(len(kept_ids), local_edges, check_connected=False)
-        vertices = vertices[kept_ids]
+        sub = build_subemulator(h, b, level_seed)
+        stored = [_stored_ball(sub, v) for v in range(h.n)]
+        # leaders are kept vertices, so each one's local id is its rank
+        leader_next = np.searchsorted(sub.vertices, sub.leader)
+        levels.append(Level(h, vertices, b, [ids for ids, _ in stored],
+                            [ds for _, ds in stored], sub.leader_dist, leader_next))
+        h = sub.graph
+        vertices = vertices[sub.vertices]
         b = min(math.ceil(b ** 1.25), max(n, 2))
     else:
         raise RuntimeError("level tower failed to terminate")

@@ -29,7 +29,9 @@ class AllScalesFailed(RuntimeError):
     """No scale in the search grid produced a feasible MWU run.
 
     Either the iteration budget is too small or kappa underestimates the
-    true condition number; raise SolverConfig.kappa / t_cap and retry.
+    true condition number.  min_cost_flow raises it only after retrying
+    with larger kappa_cap and t_cap; scale_search callers can raise
+    SolverConfig.kappa / t_cap and retry.
     """
 
 
@@ -46,6 +48,10 @@ _ETA_FLOOR_FRAC = 1.0 / 64.0
 # this relative guard, so rounding in the running sums cannot certify a
 # scale that exact arithmetic would not.
 _CERT_GUARD = 1e-9
+
+# When every scale of a round fails, min_cost_flow retries the round this
+# many times, each with kappa_cap and t_cap four times larger.
+_ESCALATIONS = 3
 
 
 @dataclass
@@ -70,10 +76,6 @@ class SolverConfig:
     kappa_cap: float = 2.0
     t_cap: int | None = 12000
     eta: float | None = None
-    depth: int | None = None
-    t_rep: int = 2
-    k: float | None = None
-    escalations: int = 3
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
@@ -239,7 +241,7 @@ def _with_distance_columns(emb, cols):
     return Embedding(pts, delta, emb.seed, emb.t_rep, emb.scales)
 
 
-def build_flow_runtime(g, seed=0, t_rep=2, k=None):
+def build_flow_runtime(g, seed=0, t_rep=2):
     """Embed g's metric and build the preconditioned flow operator + norms.
 
     The distortion ratios are read from exact distance rows: the
@@ -248,7 +250,7 @@ def build_flow_runtime(g, seed=0, t_rep=2, k=None):
     distance, each collapsing source's distance row is appended as a
     column, which separates the pair.
     """
-    stack = preprocess(g, k=k, seed=seed)
+    stack = preprocess(g, seed=seed)
     em = build_emulator(stack)
     emb = bourgain_embed(em, t_rep=t_rep, seed=seed)
 
@@ -515,25 +517,22 @@ def scale_search(rt, g, b, cfg):
     return x, probes
 
 
-def min_cost_flow(g, b, epsilon=0.1, seed=0, cfg=None):
+def min_cost_flow(g, b, epsilon=0.1, seed=0):
     """(1+eps)-approximate min-cost flow with exact feasibility.
 
     Composes the scale-searched MWU solver on residual demands for
-    depth rounds, then routes the leftover demand along an MST, so the
-    returned FlowSolution always satisfies Af = b.
+    1 + ceil(log2 n) rounds, then routes the leftover demand along an
+    MST, so the returned FlowSolution always satisfies Af = b.
     """
     b = validate_demand(b, g.n)
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must be in (0, 0.5)")
-    if cfg is None:
-        cfg = SolverConfig(epsilon=epsilon)
-    # the public epsilon splits five ways across composition and repair
-    cfg = replace(cfg, epsilon=max(1e-4, epsilon / 5.0))
-    if cfg.eta is None:
-        # the formula step size pairs with the astronomical formula T;
-        # at capped iteration counts a step near the stability edge
-        # converges orders of magnitude faster
-        cfg = replace(cfg, eta=min(0.125, 6.0 * cfg.epsilon))
+    # the public epsilon splits five ways across composition and repair;
+    # the formula step size pairs with the astronomical formula T, but at
+    # capped iteration counts a step near the stability edge converges
+    # orders of magnitude faster
+    inner_eps = max(1e-4, epsilon / 5.0)
+    run_cfg = SolverConfig(epsilon=inner_eps, eta=min(0.125, 6.0 * inner_eps))
 
     if not np.any(np.abs(b) > 1e-12):
         return FlowSolution(np.zeros(g.m), 0.0, 0.0, 0, [])
@@ -545,31 +544,30 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0, cfg=None):
 
     fq = np.zeros(gq.m, dtype=np.float64)
     if gq.n > 1 and np.any(np.abs(bq) > 1e-12):
-        rt = build_flow_runtime(gq, seed=seed, t_rep=cfg.t_rep, k=cfg.k)
-        depth = cfg.depth if cfg.depth is not None else 1 + math.ceil(math.log2(max(gq.n, 2)))
+        rt = build_flow_runtime(gq, seed=seed)
+        depth = 1 + math.ceil(math.log2(max(gq.n, 2)))
         wq = gq.ew.astype(np.float64)
         b_res = bq.copy()
         pbn0 = matrix_vec(rt.P, b_res).norm1()
         pbn_prev = pbn0
-        run_cfg = cfg
         for round_no in range(depth):
             if pbn_prev <= 1e-8 * max(pbn0, 1.0):
                 break  # leftover is dust; exact repair costs nothing
-            if round_no == 1 and run_cfg.t_cap is not None:
+            if round_no == 1:
                 # later rounds fix small residuals whose cost share is
                 # tiny, so they get a smaller iteration budget
                 run_cfg = replace(run_cfg, t_cap=max(2000, run_cfg.t_cap // 4))
-            for attempt in range(cfg.escalations + 1):
+            for attempt in range(_ESCALATIONS + 1):
                 try:
                     x_r, probes = scale_search(rt, gq, b_res, run_cfg)
                     break
                 except AllScalesFailed:
-                    if attempt == cfg.escalations:
+                    if attempt == _ESCALATIONS:
                         raise
                     run_cfg = replace(
                         run_cfg,
                         kappa_cap=run_cfg.kappa_cap * 4.0,
-                        t_cap=None if run_cfg.t_cap is None else run_cfg.t_cap * 4)
+                        t_cap=run_cfg.t_cap * 4)
             total_iters += sum(p[2] for p in probes)
             trace.append(probes)
             f_round = x_r / wq

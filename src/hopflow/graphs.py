@@ -235,35 +235,6 @@ def dijkstra(g, source):
     return np.array([int(INF) if d is None else d for d in dist], dtype=np.uint64)
 
 
-def dijkstra_cutoff(g, source, radius):
-    """All (vertex, dist) with dist <= radius, by early-stopped Dijkstra.
-
-    Returns two lists sorted by (dist, vertex).
-    """
-    radius = int(radius)
-    dist = {source: 0}
-    heap = [(0, source)]
-    settled = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if dist.get(v) != d:
-            continue
-        if d > radius:
-            break
-        settled.append((d, v))
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        for k in range(lo, hi):
-            u = int(g.adj_v[k])
-            nd = d + int(g.adj_w[k])
-            if nd <= radius and (u not in dist or nd < dist[u]):
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    settled.sort()
-    ids = [v for (_, v) in settled]
-    ds = [d for (d, _) in settled]
-    return ids, ds
-
-
 def bellman_ford_hops(g, sources, hops):
     """Exact hop-limited distances from a set of offset sources.
 

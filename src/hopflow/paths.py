@@ -52,11 +52,12 @@ def _flow_values(f):
 
 
 def _out_edges(g, f):
-    """Per-vertex positive-outflow lists: (targets, flows, edge weights).
+    """Positive-outflow edges grouped by tail vertex, in CSR form.
 
-    Each vertex's lists run in ascending edge order, which fixes the
-    order of the draws in `sample_pointers`.  Also returns the inflow
-    per vertex, summed in edge order.
+    Returns (bounds, targets, flows, edge weights, inflow): the out-edges
+    of v are positions bounds[v]:bounds[v + 1] of the three lists, in
+    ascending edge order, which fixes the order of the draws in
+    `sample_pointers`.  The inflow per vertex is summed in edge order.
     """
     f = _flow_values(f)
     fwd = f > _FLOW_TOL
@@ -66,13 +67,9 @@ def _out_edges(g, f):
     amount = np.abs(f[live])
     inflow = np.bincount(dst, weights=amount, minlength=g.n)
     order = np.argsort(src, kind="stable")
-    bounds = np.searchsorted(src[order], np.arange(g.n + 1)).tolist()
-    nbr, flow, w = dst[order].tolist(), amount[order].tolist(), g.ew[live[order]].tolist()
-
-    def per_vertex(xs):
-        return [xs[bounds[v]:bounds[v + 1]] for v in range(g.n)]
-
-    return per_vertex(nbr), per_vertex(flow), per_vertex(w), inflow
+    bounds = np.searchsorted(src[order], np.arange(g.n + 1))
+    return (bounds, dst[order].tolist(), amount[order].tolist(),
+            g.ew[live[order]].tolist(), inflow)
 
 
 def sample_pointers(g, f, t, seed):
@@ -83,24 +80,26 @@ def sample_pointers(g, f, t, seed):
     Raises StuckVertex when positive flow enters a vertex that cannot
     pass it on.
     """
-    out_nbr, out_flow, _, inflow = _out_edges(g, f)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 17]))
+    bounds, out_nbr, out_flow, _, inflow = _out_edges(g, f)
+    idle = bounds[1:] == bounds[:-1]
+    carries = ~idle
+    idle[t] = carries[t] = False
+    stuck = idle & (inflow > 1e-9)
+    bad = stuck | (idle & (g.indptr[1:] == g.indptr[:-1]))
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise StuckVertex(f"flow enters vertex {v} but cannot leave" if stuck[v]
+                          else f"vertex {v} is isolated")
     ptr = np.full(g.n, -1, dtype=np.int64)
-    for v in range(g.n):
-        if v == t:
-            continue
-        flows = out_flow[v]
-        if flows:
-            total = float(sum(flows))
-            probs = np.asarray(flows) / total
-            ptr[v] = out_nbr[v][int(rng.choice(len(flows), p=probs))]
-        else:
-            if inflow[v] > 1e-9:
-                raise StuckVertex(f"flow enters vertex {v} but cannot leave")
-            lo, hi = g.indptr[v], g.indptr[v + 1]
-            if hi == lo:
-                raise StuckVertex(f"vertex {v} is isolated")
-            ptr[v] = int(g.adj_v[lo])  # adjacency rows are sorted by id
+    ptr[idle] = g.adj_v[g.indptr[:-1][idle]]  # adjacency rows are sorted by id
+    # draws in vertex order, one per flow-carrying vertex
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 17]))
+    bounds = bounds.tolist()
+    for v in np.flatnonzero(carries).tolist():
+        lo, hi = bounds[v], bounds[v + 1]
+        flows = out_flow[lo:hi]
+        probs = np.asarray(flows) / float(sum(flows))
+        ptr[v] = out_nbr[lo + int(rng.choice(hi - lo, p=probs))]
     return ptr
 
 
@@ -236,19 +235,20 @@ def _exact_unit_flow(g, s, t, epsilon, seed):
     parent_edge = [None] * g.n
     dist[s] = 0
     heap = [(0, s)]
+    indptr, adj_v, adj_w = g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist()
+    adj_e = g.adj_e.tolist()
     while heap:
         d, v = heapq.heappop(heap)
         if dist[v] != d:
             continue
         if v == t:
             break
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        for kk in range(lo, hi):
-            u = int(g.adj_v[kk])
-            nd = d + int(g.adj_w[kk])
+        for kk in range(indptr[v], indptr[v + 1]):
+            u = adj_v[kk]
+            nd = d + adj_w[kk]
             if dist[u] is None or nd < dist[u]:
                 dist[u] = nd
-                parent_edge[u] = int(g.adj_e[kk])
+                parent_edge[u] = adj_e[kk]
                 heapq.heappush(heap, (nd, u))
     f = np.zeros(g.m, dtype=np.float64)
     v = t
@@ -388,11 +388,13 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
     t = int(sinks[0])
     supply = np.clip(b, 0.0, None)
     supply = supply / supply.sum()
-    out_nbr, out_flow, out_w, _ = _out_edges(g, f)
+    bounds, out_nbr, out_flow, out_w, _ = _out_edges(g, f)
+    bounds = bounds.tolist()
     cum = [None] * g.n
     for v in range(g.n):
-        if out_flow[v]:
-            arr = np.cumsum(out_flow[v])
+        lo, hi = bounds[v], bounds[v + 1]
+        if hi > lo:
+            arr = np.cumsum(out_flow[lo:hi])
             cum[v] = arr / arr[-1]
     if step_cap is None:
         step_cap = max(10_000, 100 * g.n)
@@ -410,9 +412,9 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
             if cum[v] is None:
                 raise StuckVertex(f"walk stuck at vertex {v}")
             j = int(np.searchsorted(cum[v], rng.random(), side="right"))
-            j = min(j, len(out_nbr[v]) - 1)
-            total += out_w[v][j]
-            v = out_nbr[v][j]
+            j = bounds[v] + min(j, len(cum[v]) - 1)
+            total += out_w[j]
+            v = out_nbr[j]
             steps += 1
             if steps > step_cap:
                 raise WalkBudgetExceeded(f"walk exceeded {step_cap} steps")

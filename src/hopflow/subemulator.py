@@ -1,6 +1,7 @@
 """One compression level: a smaller graph that coarsely preserves distances.
 
-A level is built in three steps:
+A level is built in three steps, all reading the b-nearest lists and
+closed b-balls that one ``compute_balls`` call finds for every vertex:
 
 1. sample a vertex subset S at rate min(50 ln(n)/b, 1/2) and keep, in
    addition, every vertex whose closed b-ball misses S entirely;
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .balls import closed_ball, compute_balls
+from .balls import compute_balls
 from .graphs import Graph
 
 
@@ -33,16 +34,18 @@ class Subemulator:
     leader    -- per original vertex, the original id of its leader
     leader_dist -- per original vertex, its distance to the leader
     sampled   -- boolean mask of the random subset S
+    balls     -- the BallData of the input graph the level was built from
     """
 
-    __slots__ = ("vertices", "graph", "leader", "leader_dist", "sampled")
+    __slots__ = ("vertices", "graph", "leader", "leader_dist", "sampled", "balls")
 
-    def __init__(self, vertices, graph, leader, leader_dist, sampled):
+    def __init__(self, vertices, graph, leader, leader_dist, sampled, balls):
         self.vertices = vertices
         self.graph = graph
         self.leader = leader
         self.leader_dist = leader_dist
         self.sampled = sampled
+        self.balls = balls
 
     def local_id(self, original):
         pos = np.searchsorted(self.vertices, original)
@@ -52,45 +55,33 @@ class Subemulator:
 def sample_vertices(g, balls, seed):
     """Pick the kept set: random S plus every vertex whose ball misses S.
 
-    Returns (kept_mask, sampled_mask).
+    Reads the closed balls stored in ``balls``.  Returns (kept_mask,
+    sampled_mask).
     """
     n = g.n
     rng = np.random.default_rng(seed)
     p = min(50.0 * math.log(n) / balls.b, 0.5) if n > 1 else 0.0
     sampled = rng.random(n) < p
-    kept = sampled.copy()
-
-    def miss(v):
-        ids, _ = closed_ball(g, v, balls.radius[v])
-        return not any(sampled[u] for u in ids)
-
-    misses = [miss(v) for v in range(n)]
-    for v in range(n):
-        if misses[v]:
-            kept[v] = True
-    return kept, sampled
+    # every closed ball holds its own center, so no segment is empty
+    hit = np.logical_or.reduceat(sampled[balls.ball_ids], balls.ball_ptr[:-1])
+    return sampled | ~hit, sampled
 
 
 def assign_leaders(g, balls, kept):
-    """q(v) = nearest kept vertex in the closed ball of v, ties to small id."""
-    n = g.n
-    leader = np.full(n, -1, dtype=np.int64)
-    leader_dist = np.zeros(n, dtype=np.uint64)
+    """q(v) = nearest kept vertex in the closed ball of v, ties to small id.
 
-    def pick(v):
-        ids, ds = closed_ball(g, v, balls.radius[v])  # already (dist, id) sorted
-        for u, d in zip(ids, ds):
-            if kept[u]:
-                return u, d
-        return -1, 0
-
-    picks = [pick(v) for v in range(n)]
-    for v, (u, d) in enumerate(picks):
-        if u < 0:
-            raise ValueError(f"vertex {v} has no kept vertex in its ball")
-        leader[v] = u
-        leader_dist[v] = d
-    return leader, leader_dist
+    The stored closed balls are sorted by (dist, id), so q(v) is the
+    first kept member of v's ball.
+    """
+    kept = np.asarray(kept, dtype=bool)
+    starts, ends = balls.ball_ptr[:-1], balls.ball_ptr[1:]
+    # kept positions in the ball arrays, with an end sentinel past them all
+    pos = np.append(np.flatnonzero(kept[balls.ball_ids]), len(balls.ball_ids))
+    first = pos[np.searchsorted(pos, starts)]
+    missing = first >= ends
+    if missing.any():
+        raise ValueError(f"vertex {int(np.argmax(missing))} has no kept vertex in its ball")
+    return balls.ball_ids[first], balls.ball_dist[first]
 
 
 def connect_edges(g, balls, leader, leader_dist, categories=("original", "ball")):
@@ -134,4 +125,4 @@ def build_subemulator(g, b, seed, categories=("original", "ball")):
     index[vertices] = np.arange(len(vertices))
     local = [(int(index[a]), int(index[b]), w) for (a, b, w) in raw]
     h = Graph(len(vertices), local, check_connected=False)
-    return Subemulator(vertices, h, leader, leader_dist, sampled)
+    return Subemulator(vertices, h, leader, leader_dist, sampled, balls)

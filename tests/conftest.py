@@ -26,6 +26,20 @@ def rand_connected_graph(n, extra, seed, wmax=10):
     return Graph(n, edges)
 
 
+def grid_graph(side, seed, wmax):
+    """side x side grid, weights drawn from 1..wmax-1 row by row."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                edges.append((v, v + 1, int(rng.integers(1, wmax))))
+            if r + 1 < side:
+                edges.append((v, v + side, int(rng.integers(1, wmax))))
+    return Graph(side * side, edges)
+
+
 def all_pairs_oracle(g):
     """Dense exact distance matrix, computed by scipy (float64)."""
     mat = csr_matrix(

@@ -1,10 +1,18 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflow import Graph, compute_balls
+from hopflow.graphs import INF, GraphError
 
-from conftest import brute_ball, rand_connected_graph
+from conftest import all_pairs_oracle, brute_ball, rand_connected_graph
+
+
+def _brute_closed_ball(dist_row, radius):
+    """Every vertex within radius, sorted by (dist, id), from a scipy row."""
+    order = sorted(range(len(dist_row)), key=lambda u: (dist_row[u], u))
+    return [(u, int(dist_row[u])) for u in order if dist_row[u] <= radius]
 
 
 def test_path_b2_middle_vertex(path4):
@@ -47,12 +55,18 @@ def test_matches_brute_force(n, extra, b, seed):
     b = min(b, n)
     g = rand_connected_graph(n, extra, seed)
     balls = compute_balls(g, b)
+    dist = all_pairs_oracle(g)
     for v in range(0, n, max(1, n // 5)):
         radius, members = brute_ball(g, v, b)
         assert balls.radius[v] == radius
         ids, ds = balls.open_ball(v)
         assert sorted(zip(ds.tolist(), ids.tolist())) == \
             sorted((d, u) for u, d in members)
+        closed = _brute_closed_ball(dist[v], radius)
+        # the b-nearest list is the head of the closed ball
+        assert list(zip(balls.ids[v].tolist(), balls.dist[v].tolist())) == closed[:b]
+        ids, ds = balls.closed_members(v)
+        assert list(zip(ids.tolist(), ds.tolist())) == closed
 
 
 def test_ties_break_toward_smaller_id():
@@ -63,3 +77,39 @@ def test_ties_break_toward_smaller_id():
     assert balls.radius[0] == 1
     ids, _ = balls.open_ball(0)
     assert ids.tolist() == [0]
+
+
+def test_sphere_ties_beyond_b():
+    # a star: from the center b=2 fixes radius 1, and all five leaves tie
+    g = Graph(6, [(0, i, 1) for i in range(1, 6)])
+    balls = compute_balls(g, 2)
+    assert balls.ids[0].tolist() == [0, 1] and balls.dist[0].tolist() == [0, 1]
+    assert balls.radius[0] == 1
+    ids, ds = balls.closed_members(0)
+    assert ids.tolist() == [0, 1, 2, 3, 4, 5] and ds.tolist() == [0, 1, 1, 1, 1, 1]
+    ids, ds = balls.closed_members(3)
+    assert ids.tolist() == [3, 0] and ds.tolist() == [0, 1]
+
+
+def test_zero_weight_tie_settled_late_sorts_first():
+    # from 0, vertex 1 is reached at distance 1 only through 3 (a zero
+    # edge), after 2 and 3 are settled, yet it leads the tie by id
+    g = Graph(4, [(0, 2, 1), (0, 3, 1), (1, 3, 0)])
+    balls = compute_balls(g, 2)
+    assert balls.ids[0].tolist() == [0, 1] and balls.dist[0].tolist() == [0, 1]
+    ids, ds = balls.closed_members(0)
+    assert ids.tolist() == [0, 1, 2, 3] and ds.tolist() == [0, 1, 1, 1]
+
+
+def test_distance_past_uint64_raises_graph_error():
+    g = Graph(3, [(0, 1, 2**63), (1, 2, 2**63)])
+    with pytest.raises(GraphError, match="from vertex 0 to vertex 2"):
+        compute_balls(g, 3)
+    # INF itself is the sentinel, so a ball distance must stay below it
+    g = Graph(3, [(0, 1, 2**63), (1, 2, 2**63 - 1)])
+    with pytest.raises(GraphError, match="from vertex 0 to vertex 2"):
+        compute_balls(g, 3)
+    g = Graph(3, [(0, 1, 2**63), (1, 2, 2**63 - 2)])
+    balls = compute_balls(g, 3)
+    assert int(balls.radius[0]) == 2**64 - 2 < int(INF)
+    assert balls.closed_members(0)[1].tolist() == [0, 2**63, 2**64 - 2]

@@ -1,5 +1,6 @@
 """Level tower, distance oracle, and the flattened low-hop graph."""
 
+import hashlib
 import math
 import os
 
@@ -23,7 +24,7 @@ from hopflow import (
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
 from hopflow.graphs import INF, W_MAX, bellman_ford_hops
 
-from conftest import all_pairs_oracle, rand_connected_graph
+from conftest import all_pairs_oracle, grid_graph, rand_connected_graph
 
 
 def test_small_graph_single_level(path4):
@@ -164,6 +165,16 @@ def test_save_load_roundtrip(tmp_path):
     assert em.dist is not None and back.dist is None
     for sources in ([(0, 0)], [(3, 5), (20, 0)]):
         assert set_distance(back, sources).tolist() == set_distance(em, sources).tolist()
+
+
+def test_deep_tower_emulator_pinned_on_grid():
+    # pinned when each level searched its closed balls three times over:
+    # building the balls once must not change any level of the tower
+    stack = preprocess(grid_graph(32, 7, 10), b0=16)
+    assert stack.t == 3
+    text = build_emulator(stack).graph.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1b75cc2e3019a8dc973a8760404c61dbc3bf291983fb1ea7a9eb35801560e54b")
 
 
 def test_deterministic_per_seed():

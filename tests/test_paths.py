@@ -23,7 +23,7 @@ from hopflow.paths import (
     shortcut_cycles,
 )
 
-from conftest import path_is_valid, rand_connected_graph, sssp_oracle
+from conftest import grid_graph, path_is_valid, rand_connected_graph, sssp_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -199,28 +199,14 @@ def test_approx_shortest_path_quality():
     assert int(dist[t]) <= p.length <= 1.2 * int(dist[t])
 
 
-def _grid(side, seed, wmax):
-    """side x side grid, weights drawn from 1..wmax-1 row by row."""
-    rng = np.random.default_rng(seed)
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            if c + 1 < side:
-                edges.append((v, v + 1, int(rng.integers(1, wmax))))
-            if r + 1 < side:
-                edges.append((v, v + side, int(rng.integers(1, wmax))))
-    return Graph(side * side, edges)
-
-
 def test_approx_shortest_path_pinned_on_grid():
     # pinned results: how the extraction looks up edge weights must not
     # change which path it returns
-    p = approx_shortest_path(_grid(10, 7, 10), 0, 99, 0.2, seed=3)
+    p = approx_shortest_path(grid_graph(10, 7, 10), 0, 99, 0.2, seed=3)
     assert (p.vertices, p.length) == (
         [0, 10, 11, 12, 13, 14, 24, 34, 44, 54, 64, 65, 66, 76, 86, 87, 97, 98, 99], 56)
     # weights 1..2 leave many tied shortest paths
-    p = approx_shortest_path(_grid(12, 5, 3), 0, 143, 0.2, seed=3, trials=6)
+    p = approx_shortest_path(grid_graph(12, 5, 3), 0, 143, 0.2, seed=3, trials=6)
     assert (p.vertices, p.length) == (
         [0, 12, 13, 14, 26, 27, 39, 40, 52, 64, 65, 77, 78, 79, 91, 103, 115, 116, 117,
          118, 119, 131, 143], 25)

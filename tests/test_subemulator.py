@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hopflow import Graph, build_subemulator, compute_balls, dijkstra
+import hopflow.balls
+from hopflow import Graph, build_subemulator, compute_balls, dijkstra, preprocess
 from hopflow.subemulator import (
     Subemulator,
     assign_leaders,
@@ -29,7 +30,7 @@ def _assemble(g, b, kept, categories=("original", "ball")):
     index[vertices] = np.arange(len(vertices))
     local = [(int(index[a]), int(index[b_]), w) for (a, b_, w) in raw]
     h = Graph(len(vertices), local, check_connected=False)
-    return Subemulator(vertices, h, leader, ld, kept)
+    return Subemulator(vertices, h, leader, ld, kept, balls)
 
 
 def test_sampling_postcondition_every_ball_hits_kept_set():
@@ -40,6 +41,50 @@ def test_sampling_postcondition_every_ball_hits_kept_set():
     for v in range(g.n):
         member_ids, _ = balls.list_members(v)
         assert kept[member_ids].any()
+
+
+def test_sampling_and_leaders_read_the_stored_balls(monkeypatch):
+    g = rand_connected_graph(80, 100, seed=13)
+    balls = compute_balls(g, 7)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("closed_ball called after compute_balls")
+
+    monkeypatch.setattr(hopflow.balls, "closed_ball", no_search)
+    kept, sampled = sample_vertices(g, balls, seed=5)
+    leader, leader_dist = assign_leaders(g, balls, kept)
+    # against closed balls taken from scipy's distance matrix
+    dist = all_pairs_oracle(g)
+    for v in range(g.n):
+        ball = sorted((u for u in range(g.n) if dist[v, u] <= balls.radius[v]),
+                      key=lambda u: (dist[v, u], u))
+        hit = any(sampled[u] for u in ball)
+        assert kept[v] == (sampled[v] or not hit)
+        q = next(u for u in ball if kept[u])
+        assert (int(leader[v]), int(leader_dist[v])) == (q, int(dist[v, q]))
+
+
+def test_assign_leaders_names_the_first_vertex_without_one():
+    g = Graph(5, [(i, i + 1, 1) for i in range(4)])
+    balls = compute_balls(g, 2)
+    kept = np.zeros(g.n, dtype=bool)
+    kept[0] = True  # balls: {0, 1}, {1, 0, 2}, {2, 1, 3}, ...
+    with pytest.raises(ValueError, match="vertex 2 has no kept vertex"):
+        assign_leaders(g, balls, kept)
+
+
+def test_one_closed_ball_search_per_vertex_per_level(monkeypatch):
+    calls = []
+    search = hopflow.balls.closed_ball
+
+    def counted(g, v, *args, **kwargs):
+        calls.append(v)
+        return search(g, v, *args, **kwargs)
+
+    monkeypatch.setattr(hopflow.balls, "closed_ball", counted)
+    stack = preprocess(rand_connected_graph(120, 150, seed=3), seed=1, b0=4)
+    assert stack.t >= 2
+    assert len(calls) == sum(lvl.graph.n for lvl in stack.levels[:-1])
 
 
 def test_b1_keeps_everything():

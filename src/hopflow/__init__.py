@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .graphs import (Graph, GraphError, MalformedLine, NegativeWeight,
                      NotConnected, SelfLoop, WeightTooLarge, contract_zero_edges,
-                     dijkstra, load_graph)
+                     dijkstra, distance_rows, load_graph)
 from .balls import BallData, compute_balls
 from .subemulator import Subemulator, build_subemulator
 from .emulator import (Emulator, LevelStack, approx_sssp, build_emulator,
@@ -31,7 +31,7 @@ from .paths import (Path, StuckVertex, WalkBudgetExceeded, approx_shortest_path,
 __all__ = [
     "Graph", "GraphError", "MalformedLine", "NegativeWeight", "NotConnected",
     "SelfLoop", "WeightTooLarge", "contract_zero_edges", "dijkstra",
-    "load_graph", "BallData", "compute_balls", "Subemulator",
+    "distance_rows", "load_graph", "BallData", "compute_balls", "Subemulator",
     "build_subemulator", "Emulator", "LevelStack", "approx_sssp",
     "build_emulator", "default_k", "load_emulator", "oracle_query",
     "preprocess", "save_emulator", "set_distance", "Decomposition",

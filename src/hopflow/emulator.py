@@ -4,7 +4,10 @@ The tower repeatedly compresses the graph: level i holds graph H_i, a
 ball size b_i, and for every vertex its truncated ball (open ball plus
 leader, with exact H_i distances) and its leader in the next level.
 Ball sizes grow as b^(5/4), so the tower has O(log k) levels; the final
-level keeps all pairwise distances of what is left.
+level keeps all pairwise distances of what is left.  ``distance_rows``
+computes them: one ``scipy.sparse.csgraph.dijkstra`` call while
+(n-1) * max weight < 2^53, where float64 sums are exact, and one
+Python Dijkstra per vertex otherwise.
 
 Two consumers sit on top:
 
@@ -32,7 +35,7 @@ import math
 
 import numpy as np
 
-from .graphs import INF, Graph, bellman_ford_hops, dijkstra
+from .graphs import INF, Graph, bellman_ford_hops, distance_rows
 from .subemulator import build_subemulator
 
 
@@ -139,11 +142,9 @@ def preprocess(g, k=None, seed=0, b0=None):
         raise RuntimeError("level tower failed to terminate")
 
     # top level: exact all-pairs on what is left
-    rows = [dijkstra(h, s) for s in range(h.n)]
-    dist = None
-    if all(r.dtype == np.uint64 for r in rows):
-        dist = np.stack(rows)
-        rows = list(dist)
+    rows = distance_rows(h)
+    dist = rows if rows.dtype == np.uint64 else None
+    rows = list(rows)
     all_ids = np.arange(h.n, dtype=np.int64)
     ball_ids = [all_ids] * h.n
     top_leader_dist = np.array([rows[v][0] for v in range(h.n)], dtype=np.uint64)
@@ -204,7 +205,8 @@ def stretch_bound_for(k):
 def _edge_families(stack):
     """Each leader map and ball table as (a, b, level distance, scale).
 
-    Endpoints are original ids; pairs with a == b are dropped.
+    Endpoints are original ids; pairs with a == b are dropped, and on the
+    top level so are pairs with a > b.
     """
     t = stack.t
     for i, lvl in enumerate(stack.levels):
@@ -217,7 +219,9 @@ def _edge_families(stack):
         families.append((np.repeat(orig, sizes), orig[np.concatenate(lvl.ball_ids)],
                          np.concatenate(lvl.ball_dist), 27 ** (t - i)))
         for (a, b, d, scale) in families:
-            keep = a != b
+            # the top level's balls hold every vertex at symmetric exact
+            # distances, so each unordered pair is kept once there
+            keep = a < b if i == t else a != b
             yield a[keep], b[keep], d[keep], scale
 
 

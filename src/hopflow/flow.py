@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .emulator import build_emulator, preprocess
-from .graphs import UnionFind, contract_zero_edges, dijkstra
+from .graphs import UnionFind, contract_zero_edges, distance_rows
 from .metric import Embedding, bourgain_embed, next_pow2
 from .precond import build_preconditioner, distinct_rows, matrix_vec
 
@@ -245,8 +245,8 @@ def build_flow_runtime(g, seed=0, t_rep=2):
     """Embed g's metric and build the preconditioned flow operator + norms.
 
     The distortion ratios are read from exact distance rows: the
-    emulator's stored rows on a one-level tower, one Dijkstra per source
-    otherwise.  Should the embedding collapse a pair at positive
+    emulator's stored rows on a one-level tower, one ``distance_rows``
+    call otherwise.  Should the embedding collapse a pair at positive
     distance, each collapsing source's distance row is appended as a
     column, which separates the pair.
     """
@@ -260,10 +260,8 @@ def build_flow_runtime(g, seed=0, t_rep=2):
     else:
         step = max(1, n // 64)
         sources = range(0, n, step)
-    if em.dist is not None:
-        rows = {sidx: em.dist[sidx] for sidx in sources}
-    else:
-        rows = {sidx: dijkstra(g, sidx) for sidx in sources}
+    rows = em.dist[sources] if em.dist is not None else distance_rows(g, sources)
+    rows = dict(zip(sources, rows))
     ratios_lo, ratios_hi, collapsed = _distortion(emb, rows)
     if collapsed:
         emb = _with_distance_columns(emb, [rows[sidx] for sidx in collapsed])

@@ -6,6 +6,13 @@ infinity sentinel; weights are validated against W_MAX on load so that
 path sums cannot overflow.  Graphs built through the API may carry
 larger weights: where a distance could leave the uint64 range, the
 distance functions switch to exact Python integers (object arrays).
+
+``dijkstra`` is the one search written in Python.  ``distance_rows``
+gives many sources' rows at once: while (n-1) * max weight < 2^53 every
+distance is an integer that float64 holds exactly, so one
+``scipy.sparse.csgraph.dijkstra`` call computes them all; past that
+bound it stacks ``dijkstra`` rows.  Every graph loaded from text with
+n < 8,193 is inside the bound, because W_MAX is 2^40.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 INF = np.uint64(0xFFFFFFFFFFFFFFFF)
 W_MAX = 1 << 40
@@ -233,6 +241,44 @@ def dijkstra(g, source):
         out[:] = [math.inf if d is None else d for d in dist]
         return out
     return np.array([int(INF) if d is None else d for d in dist], dtype=np.uint64)
+
+
+def distance_rows(g, sources=None):
+    """Exact distances from each source (all vertices by default).
+
+    Returns a (len(sources), n) uint64 matrix with the INF sentinel for
+    unreachable vertices.  When a row does not fit below INF the matrix
+    holds Python ints instead, with math.inf for unreachable vertices,
+    as ``dijkstra``'s rows do.
+    """
+    n = g.n
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    bad = (sources < 0) | (sources >= n)
+    if bad.any():
+        raise GraphError(f"source {int(sources[np.argmax(bad)])} out of range")
+    max_w = int(g.ew.max()) if g.m else 0
+    if (n - 1) * max_w >= 1 << 53:
+        return _stacked_rows(g, sources)
+    # every finite distance is an integer below 2^53, so float64 holds each
+    # one exactly; a rounded candidate sum is >= 2^53 and never wins.
+    # Explicit zero weights stay stored entries, which csgraph reads as edges.
+    mat = csr_matrix((g.ew.astype(np.float64), (g.eu, g.ev)), shape=(n, n))
+    rows = csgraph.dijkstra(mat, directed=False, indices=sources)
+    unreached = np.isinf(rows)
+    rows[unreached] = 0
+    out = rows.astype(np.uint64)
+    out[unreached] = INF
+    return out
+
+
+def _stacked_rows(g, sources):
+    rows = [dijkstra(g, int(s)) for s in sources]
+    if all(r.dtype == np.uint64 for r in rows):
+        return np.stack(rows) if rows else np.empty((0, g.n), dtype=np.uint64)
+    out = np.empty((len(rows), g.n), dtype=object)
+    for i, r in enumerate(rows):
+        out[i] = r if r.dtype == object else [math.inf if d == INF else int(d) for d in r]
+    return out
 
 
 def bellman_ford_hops(g, sources, hops):

@@ -85,31 +85,43 @@ def assign_leaders(g, balls, kept):
 
 
 def connect_edges(g, balls, leader, leader_dist, categories=("original", "ball")):
-    """Project edges and ball memberships onto leaders; min-merge parallels.
+    """Project edges and ball memberships onto leaders, as an (m, 3) array.
+
+    Rows are (min leader, max leader, weight): the projected graph edges
+    in edge order, then each vertex's open-ball members in ball order.
+    Pairs whose leaders coincide are dropped; parallel rows stay, for
+    ``Graph`` to min-merge.  The array is uint64, or exact Python ints
+    when a weight could reach 2^63.
 
     categories restricts which edge family is emitted ("original" for
     projected graph edges, "ball" for open-ball memberships).  Both are
     required for the stretch guarantee; the parameter exists so tests
     can demonstrate each family's necessity.
     """
-    edges = []
-    ld = leader_dist
+    families = []
     if "original" in categories:
-        for i in range(g.m):
-            u, v, w = int(g.eu[i]), int(g.ev[i]), int(g.ew[i])
-            a, b = int(leader[u]), int(leader[v])
-            if a == b:
-                continue
-            edges.append((min(a, b), max(a, b), int(ld[u]) + w + int(ld[v])))
+        families.append((g.eu, g.ev, g.ew))
     if "ball" in categories:
-        for v in range(g.n):
-            ids, ds = balls.open_ball(v)
-            b_ = int(leader[v])
-            for u, d in zip(ids, ds):
-                a = int(leader[u])
-                if a == b_:
-                    continue
-                edges.append((min(a, b_), max(a, b_), int(ld[u]) + int(d) + int(ld[v])))
+        owner = np.repeat(np.arange(g.n), np.diff(balls.ball_ptr))
+        # strictly inside r_b(v): exactly the open ball of v
+        inside = balls.ball_dist < balls.radius[owner]
+        families.append((balls.ball_ids[inside], owner[inside], balls.ball_dist[inside]))
+    if not families:
+        return np.empty((0, 3), dtype=np.uint64)
+    u, v, d = (np.concatenate(x) for x in zip(*families))
+    a, b = leader[u], leader[v]
+    keep = a != b
+    u, v, d, a, b = u[keep], v[keep], d[keep], a[keep], b[keep]
+    ld = leader_dist
+    # exact Python ints: a uint64 sum could wrap before the check
+    top = 2 * int(ld.max()) + int(d.max()) if len(d) else 0
+    wide = top >= (1 << 63)
+    edges = np.empty((len(d), 3), dtype=object if wide else np.uint64)
+    edges[:, 0], edges[:, 1] = np.minimum(a, b), np.maximum(a, b)
+    if wide:
+        edges[:, 2] = ld[u].astype(object) + d.astype(object) + ld[v].astype(object)
+    else:
+        edges[:, 2] = ld[u] + d.astype(np.uint64) + ld[v]
     return edges
 
 
@@ -123,6 +135,6 @@ def build_subemulator(g, b, seed, categories=("original", "ball")):
     vertices = np.flatnonzero(kept).astype(np.int64)
     index = np.full(g.n, -1, dtype=np.int64)
     index[vertices] = np.arange(len(vertices))
-    local = [(int(index[a]), int(index[b]), w) for (a, b, w) in raw]
-    h = Graph(len(vertices), local, check_connected=False)
+    raw[:, :2] = index[raw[:, :2].astype(np.int64)]
+    h = Graph(len(vertices), raw, check_connected=False)
     return Subemulator(vertices, h, leader, leader_dist, sampled, balls)

@@ -177,6 +177,16 @@ def test_deep_tower_emulator_pinned_on_grid():
         "1b75cc2e3019a8dc973a8760404c61dbc3bf291983fb1ea7a9eb35801560e54b")
 
 
+def test_one_level_closure_pinned():
+    # pinned when the top level emitted each pair in both orientations:
+    # emitting it once must leave the merged closure unchanged
+    stack = preprocess(rand_connected_graph(300, 300, seed=3))
+    assert stack.t == 0
+    text = build_emulator(stack).graph.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c959c9bd5b066171a69725b0cdb47de493152362b726e23355a052dd62e5b918")
+
+
 def test_deterministic_per_seed():
     g = rand_connected_graph(40, 45, seed=13)
     a = build_emulator(preprocess(g, seed=77, b0=4))

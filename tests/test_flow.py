@@ -195,7 +195,7 @@ def test_runtime_reads_distortion_rows_from_the_emulator(monkeypatch):
     g = rand_connected_graph(20, 16, seed=120)
     rt = build_flow_runtime(g, seed=3)
 
-    # with the emulator's rows withheld, n Dijkstras give the same runtime
+    # with the emulator's rows withheld, distance_rows gives the same runtime
     build = hopflow.flow.build_emulator
 
     def rowless(stack):
@@ -210,13 +210,13 @@ def test_runtime_reads_distortion_rows_from_the_emulator(monkeypatch):
         ref.rescale, ref.alpha, ref.N, ref.kappa_cert)
     assert (rt.M != ref.M).nnz == 0
 
-    # with the rows present, no Dijkstra runs
+    # with the rows present, no distances are recomputed
     monkeypatch.setattr(hopflow.flow, "build_emulator", build)
 
-    def no_dijkstra(*args):
+    def no_rows(*args):
         raise AssertionError("distortion rows recomputed")
 
-    monkeypatch.setattr(hopflow.flow, "dijkstra", no_dijkstra)
+    monkeypatch.setattr(hopflow.flow, "distance_rows", no_rows)
     assert np.array_equal(build_flow_runtime(g, seed=3).emb.points, rt.emb.points)
 
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopflow.graphs
 from hopflow import (
     Graph,
     contract_zero_edges,
     dijkstra,
+    distance_rows,
     load_graph,
 )
 from hopflow.graphs import (
@@ -157,6 +159,69 @@ def test_distances_past_uint64_are_exact():
         assert bellman_ford_hops(g, [(2, 0)], 4).tolist() == mid
         assert dijkstra(g, 2).tolist() == mid
         assert dijkstra(g, 2).dtype == np.uint64
+
+
+def _stacked(g, sources):
+    return np.stack([dijkstra(g, s) for s in sources])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 60), st.integers(0, 10_000), st.integers(1, W_MAX))
+def test_distance_rows_match_stacked_dijkstra(n, extra, seed, wmax):
+    g = rand_connected_graph(n, extra, seed, wmax=wmax + 1)
+    rows = distance_rows(g)
+    assert rows.dtype == np.uint64
+    assert np.array_equal(rows, _stacked(g, range(n)))
+    sources = [seed % n, 0, n - 1, seed % n]  # any order, repeats allowed
+    assert np.array_equal(distance_rows(g, sources), _stacked(g, sources))
+
+
+def test_distance_rows_keep_zero_weight_edges():
+    # stored zeros must stay edges, not vanish from the sparse matrix
+    g = Graph(5, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 7)])
+    rows = distance_rows(g)
+    assert rows[0].tolist() == [0, 0, 0, 0, 7]
+    assert np.array_equal(rows, _stacked(g, range(5)))
+
+
+@pytest.mark.filterwarnings("error")  # no invalid-cast warning from inf
+def test_distance_rows_unreachable_is_inf():
+    # a level graph is built without the connectivity check; vertex 5 is
+    # isolated and {3, 4} is a second component
+    g = Graph(6, [(0, 1, 2), (1, 2, 0), (3, 4, 5)], check_connected=False)
+    rows = distance_rows(g)
+    assert rows.dtype == np.uint64
+    assert rows[0].tolist() == [0, 2, 2, INF, INF, INF]
+    assert rows[5].tolist() == [INF] * 5 + [0]
+    assert np.array_equal(rows, _stacked(g, range(6)))
+    assert distance_rows(g, []).shape == (0, 6)
+    with pytest.raises(GraphError):
+        distance_rows(g, [0, 6])
+
+
+def test_distance_rows_exact_past_float64(monkeypatch):
+    calls = []
+
+    def counted(g, s):
+        calls.append(s)
+        return dijkstra(g, s)
+
+    monkeypatch.setattr(hopflow.graphs, "dijkstra", counted)
+    # (n - 1) * max weight = 2^53 - 1: inside the bound, no Python search
+    g = Graph(2, [(0, 1, (1 << 53) - 1)])
+    assert distance_rows(g).tolist() == [[0, (1 << 53) - 1], [(1 << 53) - 1, 0]]
+    assert calls == []
+    # 2^53 + 1 rounds to 2^53 in float64; the exact value needs the fallback
+    g = Graph(3, [(0, 1, (1 << 53) - 1), (1, 2, 2)])
+    rows = distance_rows(g)
+    assert rows.dtype == np.uint64
+    assert int(rows[0, 2]) == int(rows[2, 0]) == (1 << 53) + 1
+    assert calls == [0, 1, 2]
+    # past uint64 the rows are exact Python ints
+    g = Graph(3, [(0, 1, 1 << 63), (1, 2, 1 << 63)])
+    rows = distance_rows(g, [0, 1])
+    assert rows.dtype == object
+    assert rows.tolist() == [[0, 1 << 63, 1 << 64], [1 << 63, 0, 1 << 63]]
 
 
 def _reference_graph(n, edges, wide=False):

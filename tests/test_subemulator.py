@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopflow.balls
 from hopflow import Graph, build_subemulator, compute_balls, dijkstra, preprocess
@@ -193,6 +195,52 @@ def test_expected_size_shrinks():
     rate = min(75.0 * math.log(g.n) / b, 0.75)
     sizes = [len(build_subemulator(g, b, seed=s).vertices) for s in range(100)]
     assert np.mean(sizes) <= rate * g.n * 1.2
+
+
+def _reference_connect_edges(g, balls, leader, leader_dist, categories):
+    """The per-edge, per-member loop connect_edges replaced."""
+    edges = []
+    ld = leader_dist
+    if "original" in categories:
+        for i in range(g.m):
+            u, v, w = int(g.eu[i]), int(g.ev[i]), int(g.ew[i])
+            a, b = int(leader[u]), int(leader[v])
+            if a == b:
+                continue
+            edges.append((min(a, b), max(a, b), int(ld[u]) + w + int(ld[v])))
+    if "ball" in categories:
+        for v in range(g.n):
+            ids, ds = balls.open_ball(v)
+            b_ = int(leader[v])
+            for u, d in zip(ids, ds):
+                a = int(leader[u])
+                if a == b_:
+                    continue
+                edges.append((min(a, b_), max(a, b_), int(ld[u]) + int(d) + int(ld[v])))
+    return edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 40), st.integers(0, 10_000), st.integers(1, 30),
+       st.sampled_from([(0, 30), (59, 4), (60, 2)]))
+def test_connect_edges_matches_reference(n, extra, seed, b, scale):
+    # shifted weights make level weights pass 2^63 and 2^64; the cap on b
+    # keeps every radius within b - 1 edges, so ball distances fit in uint64
+    shift, b_max = scale
+    b = min(b, b_max)
+    base = rand_connected_graph(n, extra, seed)
+    g = Graph(n, [(u, v, w << shift) for (u, v, w) in base.edge_list()])
+    balls = compute_balls(g, b)
+    kept, _ = sample_vertices(g, balls, seed)
+    leader, ld = assign_leaders(g, balls, kept)
+    for categories in (("original",), ("ball",), ("original", "ball")):
+        raw = connect_edges(g, balls, leader, ld, categories)
+        want = _reference_connect_edges(g, balls, leader, ld, categories)
+        assert [tuple(int(x) for x in row) for row in raw] == want
+    sub = build_subemulator(g, b, seed)
+    index = {int(x): i for i, x in enumerate(sub.vertices)}
+    local = [(index[a], index[b_], w) for (a, b_, w) in want]
+    assert sub.graph.edge_list() == Graph(len(index), local, check_connected=False).edge_list()
 
 
 def test_deterministic_per_seed():

@@ -1,10 +1,11 @@
 """(1+eps)-approximate uncapacitated minimum-cost flow.
 
 Pipeline: contract zero-weight edges, embed the metric (emulator ->
-Bourgain -> compressed grid preconditioner P), then binary-search a
-scale s and run a multiplicative-weights feasibility solver on the
-preconditioned system  PAW^-1 x = Pb.  The solver is composed with
-itself on the residual demand for a logarithmic number of rounds, and
+Bourgain -> compressed grid preconditioner P), then search a geometric
+grid for a scale s and run a multiplicative-weights feasibility solver
+on the preconditioned system  PAW^-1 x = Pb.  The solver is composed
+with itself on the residual demand for a logarithmic number of rounds
+(each round's search starting at the scale the round before chose), and
 whatever demand is still unrouted gets repaired exactly along a
 minimum spanning tree, so returned flows always satisfy Af = b.
 
@@ -83,7 +84,13 @@ class SolverConfig:
 
 
 class FlowSolution:
-    """Signed per-edge flow; positive means u -> v for the stored u < v."""
+    """Signed per-edge flow; positive means u -> v for the stored u < v.
+
+    `trace` holds one list per composition round of that round's
+    scale-search probes (j, status, iterations), in probe order.  Round
+    0's list is a bisection of the whole grid; each later round's search
+    starts at the j the previous round chose, its smallest ok probe.
+    """
 
     __slots__ = ("f", "cost", "residual", "iterations", "trace")
 
@@ -207,10 +214,30 @@ class FlowRuntime:
 
 def _distortion(emb, rows):
     """(min, max) of l1/dist over the pairs (source, v) at positive
-    distance, and the sources whose embedding collapses such a pair."""
+    distance, and the sources whose embedding collapses such a pair.
+
+    While every coordinate sum and distance stays below 2^53, a source's
+    l1 row is one uint64 numpy reduction and its ratios float64
+    divisions, which are then bit-equal to Python's int / int.  Object
+    points or rows, and values past that bound, take the per-pair loop.
+    """
     lo, hi = math.inf, 0.0
     collapsed = []
+    pts = emb.points
+    exact_pts = pts.dtype != object and int(pts.max(initial=0)) * pts.shape[1] < 2**53
     for sidx, row in rows.items():
+        if exact_pts and row.dtype != object and int(row.max(initial=0)) < 2**53:
+            l1 = (np.maximum(pts, pts[sidx]) - np.minimum(pts, pts[sidx])).sum(axis=1)
+            keep = row != 0
+            keep[sidx] = False
+            l1, dist = l1[keep], row[keep]
+            if l1.size:
+                if not l1.all():
+                    collapsed.append(sidx)
+                ratios = l1 / dist
+                lo = min(lo, float(ratios.min()))
+                hi = max(hi, float(ratios.max()))
+            continue
         for v in range(len(row)):
             if v == sidx:
                 continue
@@ -470,7 +497,7 @@ def certificate_rejects_all(g, rt, b, s, outcome, cfg):
     return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
 
 
-def scale_search(rt, g, b, cfg):
+def scale_search(rt, g, b, cfg, start=None):
     """Smallest feasible scale on the (1+eps)-geometric grid.
 
     Returns (x, probes) where x = x' * s * ||Pb||_1 / ||PAW^-1||_(1->1)
@@ -479,6 +506,15 @@ def scale_search(rt, g, b, cfg):
     certifies it ("fail"), or at t_cap ("cap") when no certificate
     appears first.  Raises AllScalesFailed when even the top of the grid
     fails.
+
+    Without `start` the search bisects the whole grid [0, top].  With it
+    (min_cost_flow passes the previous round's j), the search gallops
+    from j0 = start clamped to [0, top]: down by j0-1, j0-2, j0-4, ...
+    while the probes are ok, or up by j0+1, j0+2, j0+4, ... (capped at
+    top) until one is, then bisects the bracket that is left.  Each
+    probe is a pure function of its scale, so wherever feasibility is
+    monotone in j both searches end at the same j with the same run.
+    Neither probes outside [0, top].
     """
     pb = matrix_vec(rt.P, b)
     pbn = pb.norm1()
@@ -495,21 +531,42 @@ def scale_search(rt, g, b, cfg):
         probes.append((j, out.status, out.iters))
         return out.status == "ok"
 
+    # lo is 0 or just above a failed probe; hi is ok, or top unprobed
     lo, hi = 0, top
+    if start is not None:
+        j0 = min(max(start, 0), top)
+        step = 1
+        if probe(j0):
+            hi = j0
+            while lo < hi:
+                j = max(j0 - step, 0)
+                if not probe(j):
+                    lo = j + 1
+                    break
+                hi = j
+                step *= 2
+        else:
+            lo = j0 + 1
+            while lo <= top:
+                j = min(j0 + step, top)
+                if probe(j):
+                    hi = j
+                    break
+                lo = j + 1
+                step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
         if probe(mid):
             hi = mid
         else:
             lo = mid + 1
+    if lo == top and top not in results:
+        probe(top)
     out = results.get(lo)
     if out is None or out.status != "ok":
-        probe(lo)
-        out = results[lo]
-        if out.status != "ok":
-            raise AllScalesFailed(
-                f"MWU failed at every scale up to (1+eps)^{top}; "
-                "raise kappa/t_cap or loosen epsilon")
+        raise AllScalesFailed(
+            f"MWU failed at every scale up to (1+eps)^{top}; "
+            "raise kappa/t_cap or loosen epsilon")
     s = (1.0 + eps) ** lo
     x = out.x * (s * pbn / rt.N)
     return x, probes
@@ -520,7 +577,9 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
 
     Composes the scale-searched MWU solver on residual demands for
     1 + ceil(log2 n) rounds, then routes the leftover demand along an
-    MST, so the returned FlowSolution always satisfies Af = b.
+    MST, so the returned FlowSolution always satisfies Af = b.  Round 0
+    bisects the whole scale grid; every later round's search starts at
+    the scale the round before it chose (see scale_search).
     """
     b = validate_demand(b, g.n)
     if not (0.0 < epsilon < 0.5):
@@ -548,6 +607,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         b_res = bq.copy()
         pbn0 = matrix_vec(rt.P, b_res).norm1()
         pbn_prev = pbn0
+        start = None
         for round_no in range(depth):
             if pbn_prev <= 1e-8 * max(pbn0, 1.0):
                 break  # leftover is dust; exact repair costs nothing
@@ -557,7 +617,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
                 run_cfg = replace(run_cfg, t_cap=max(2000, run_cfg.t_cap // 4))
             for attempt in range(_ESCALATIONS + 1):
                 try:
-                    x_r, probes = scale_search(rt, gq, b_res, run_cfg)
+                    x_r, probes = scale_search(rt, gq, b_res, run_cfg, start=start)
                     break
                 except AllScalesFailed:
                     if attempt == _ESCALATIONS:
@@ -568,6 +628,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
                         t_cap=run_cfg.t_cap * 4)
             total_iters += sum(p[2] for p in probes)
             trace.append(probes)
+            start = min((j for (j, status, _) in probes if status == "ok"), default=start)
             f_round = x_r / wq
             b_new = b_res - _apply_incidence(gq, f_round)
             pbn_new = matrix_vec(rt.P, b_new).norm1()
@@ -584,13 +645,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
 
     # expand back through the zero-edge contraction
     f = np.zeros(g.m, dtype=np.float64)
-    for j in range(gq.m):
-        i = int(emap[j])
-        u = int(g.eu[i])
-        if int(vmap[u]) == int(gq.eu[j]):
-            f[i] = fq[j]
-        else:
-            f[i] = -fq[j]
+    f[emap] = np.where(vmap[g.eu[emap]] == gq.eu, fq, -fq)
     # rebalance inside each zero-weight class along zero-weight tree edges
     resid = b - _apply_incidence(g, f)
     if np.any(np.abs(resid) > 1e-12):

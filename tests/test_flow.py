@@ -2,18 +2,22 @@
 and the composed min-cost-flow pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopflow.flow
+from hopflow.emulator import build_emulator, preprocess
 from hopflow.graphs import Graph
+from hopflow.metric import Embedding, bourgain_embed
 from hopflow.precond import matrix_vec
 from hopflow.flow import (
     _ETA_FLOOR_FRAC,
     _PLATEAU_PATIENCE,
+    _distortion,
     AllScalesFailed,
     MwuOutcome,
     SolverConfig,
@@ -220,11 +224,16 @@ def test_runtime_reads_distortion_rows_from_the_emulator(monkeypatch):
     assert np.array_equal(build_flow_runtime(g, seed=3).emb.points, rt.emb.points)
 
 
-def test_collapsed_embedding_gets_a_distance_column():
+def _collapsing_graph():
     # at seed 592 the Bourgain columns give two vertices at positive
-    # distance the same point; one exact distance column separates them
-    g = Graph(6, [(0, 1, 4), (1, 2, 4), (2, 3, 9), (3, 4, 7), (4, 5, 4), (1, 2, 8),
-                  (1, 4, 5), (3, 5, 6), (1, 3, 5), (0, 3, 9)])
+    # distance the same point
+    return Graph(6, [(0, 1, 4), (1, 2, 4), (2, 3, 9), (3, 4, 7), (4, 5, 4), (1, 2, 8),
+                     (1, 4, 5), (3, 5, 6), (1, 3, 5), (0, 3, 9)])
+
+
+def test_collapsed_embedding_gets_a_distance_column():
+    # one exact distance column separates the collapsed pair
+    g = _collapsing_graph()
     rt = build_flow_runtime(g, seed=592)
     bourgain_cols = 3 * 2  # ceil(log2 6) scales, t_rep = 2
     assert rt.emb.d > bourgain_cols
@@ -437,6 +446,75 @@ def test_min_cost_flow_identical_with_reference_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the distortion ratios against the per-pair loop
+
+
+def _reference_distortion(emb, rows):
+    """_distortion as it was before its numpy rows: one emb.l1 call and
+    one Python int / int per pair, kept as the reference."""
+    lo, hi = math.inf, 0.0
+    collapsed = []
+    for sidx, row in rows.items():
+        for v in range(len(row)):
+            if v == sidx:
+                continue
+            dist = int(row[v])
+            if dist == 0:
+                continue
+            l1 = emb.l1(sidx, v)
+            if l1 == 0 and (not collapsed or collapsed[-1] != sidx):
+                collapsed.append(sidx)
+            lo = min(lo, l1 / dist)
+            hi = max(hi, l1 / dist)
+    return lo, hi, collapsed
+
+
+@settings(max_examples=25, deadline=None)
+@given(_flow_case(), st.integers(0, 1000))
+@example((_collapsing_graph(), None), 592)
+def test_distortion_matches_reference_loop(case, seed):
+    g = case[0]
+    em = build_emulator(preprocess(g, seed=seed))
+    emb = bourgain_embed(em, t_rep=2, seed=seed)
+    rows = dict(zip(range(g.n), em.dist))
+    ref = _reference_distortion(emb, rows)
+    if seed == 592:
+        assert ref[2]  # the collapse the example is there for
+
+    # uint64 points and rows below 2^53 never reach the per-pair l1
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Embedding, "l1", None)
+        assert _distortion(emb, rows) == ref
+
+    def like(pts):
+        return Embedding(pts, emb.Delta, emb.seed, emb.t_rep, emb.scales)
+
+    # object points or rows, and shifted coordinates past 2^53 (same l1)
+    assert _distortion(like(emb.points.astype(object)), rows) == ref
+    obj_rows = {s: row.astype(object) for s, row in rows.items()}
+    assert _distortion(emb, obj_rows) == ref
+    assert _distortion(like(emb.points + np.uint64(2**53)), rows) == ref
+    # every other row times 2^50, past 2^53 once a distance reaches 8
+    big = {s: row * np.uint64(2**50 if s % 2 else 1) for s, row in rows.items()}
+    assert _distortion(emb, big) == _reference_distortion(emb, big)
+
+
+def test_distortion_exact_past_2_53():
+    # float64 would round 2^53 + 1 to 2^53 before dividing; both ratios
+    # must stay Python's correctly rounded int / int
+    def one_column(a, b):
+        return Embedding(np.array([[a], [b]], dtype=np.uint64), 2**55, 0, 1, [])
+
+    zero = np.uint64(0)
+    for emb, dist in ((one_column(1, 2**53 + 2), 3), (one_column(1, 4), 2**53 + 1)):
+        rows = {0: np.array([zero, np.uint64(dist)])}
+        l1 = emb.l1(0, 1)
+        assert _distortion(emb, rows) == _reference_distortion(emb, rows) == (
+            l1 / dist, l1 / dist, [])
+        assert l1 / dist != float(l1) / float(dist)
+
+
+# ---------------------------------------------------------------------------
 # scale search
 
 
@@ -461,6 +539,83 @@ def test_scale_search_all_scales_failed(mwu_instance):
     g, b, rt = mwu_instance
     with pytest.raises(AllScalesFailed):
         scale_search(rt, g, b, SolverConfig(epsilon=0.4, t_cap=0))
+
+
+def _grid_top(rt, cfg):
+    return math.ceil(math.log(max(rt.kappa_cert, 1.0 + cfg.epsilon)) / math.log1p(cfg.epsilon))
+
+
+def _chosen(probes):
+    """The j a search settled on: its smallest ok probe."""
+    return min(j for (j, status, _) in probes if status == "ok")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_flow_case(), st.integers(0, 1000), st.data())
+def test_warm_start_matches_cold_search(case, seed, data):
+    g, b = case
+    rt = build_flow_runtime(g, seed=seed)
+    cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
+    top = _grid_top(rt, cfg)
+    ok = [mwu_feasibility(rt, g, b, 1.1**j, cfg).status == "ok" for j in range(top + 1)]
+    starts = [-5, top + 5] + data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    if not any(ok):
+        for j0 in [None] + starts:
+            with pytest.raises(AllScalesFailed):
+                scale_search(rt, g, b, cfg, start=j0)
+        return
+    x, probes = scale_search(rt, g, b, cfg)
+    for j0 in starts:
+        xw, pw = scale_search(rt, g, b, cfg, start=j0)
+        assert all(0 <= j <= top for (j, _, _) in pw)
+        assert pw[0][0] == min(max(j0, 0), top)
+        # each search ends on an ok scale just above a failed one
+        j = _chosen(pw)
+        assert ok[j] and (j == 0 or not ok[j - 1])
+        if ok == sorted(ok):  # feasibility monotone in j
+            assert j == _chosen(probes) == ok.index(True)
+            assert xw.tobytes() == x.tobytes()
+
+
+def test_warm_start_at_the_answer_takes_two_probes(flow64_runtime):
+    g, rt = flow64_runtime
+    b = np.zeros(g.n)
+    b[0], b[63] = 1.0, -1.0
+    cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=3000)  # min_cost_flow's round 1
+    x, probes = scale_search(rt, g, b, cfg)
+    j = _chosen(probes)
+    xw, pw = scale_search(rt, g, b, cfg, start=j)
+    assert [(p[0], p[1]) for p in pw] == [(j, "ok"), (j - 1, "fail")]
+    assert xw.tobytes() == x.tobytes()
+
+
+def test_warm_start_from_every_start_stays_on_grid(mwu_instance, monkeypatch):
+    g, b, rt = mwu_instance
+    cfg = SolverConfig(epsilon=0.4)
+    top = _grid_top(rt, cfg)
+    grid = {1.4**j: j for j in range(top + 1)}
+    probed = []
+
+    def recording(rt_, g_, b_, s, cfg_):
+        probed.append(grid[s])  # KeyError off the grid
+        return mwu_feasibility(rt_, g_, b_, s, cfg_)
+
+    monkeypatch.setattr(hopflow.flow, "mwu_feasibility", recording)
+    x, probes = scale_search(rt, g, b, cfg)
+    starts = list(range(-3, top + 4))
+    for start in starts:
+        probed.clear()
+        xw, pw = scale_search(rt, g, b, cfg, start=start)
+        assert _chosen(pw) == _chosen(probes) and xw.tobytes() == x.tobytes()
+        assert all(0 <= j <= top for j in probed) and len(set(probed)) == len(probed)
+
+    # no scale is ok: top is probed once, then AllScalesFailed
+    for start in [None] + starts:
+        probed.clear()
+        with pytest.raises(AllScalesFailed):
+            scale_search(rt, g, b, replace(cfg, t_cap=0), start=start)
+        assert all(0 <= j <= top for j in probed)
+        assert probed.count(top) == 1 and len(set(probed)) == len(probed)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +693,41 @@ def test_min_cost_flow_zero_weight_edges_contracted():
     assert abs(sol.cost - 5.0) <= 0.5
     assert sol.f[1] == pytest.approx(1.0)
     assert sol.f[0] == pytest.approx(1.0)  # rides the free edge to vertex 1
+
+
+def test_min_cost_flow_warm_start_keeps_the_flow(monkeypatch):
+    # flow64's instance, then acceptance 07's unit instances 0 and 6
+    cases = []
+    for n, extra, gseed, fseed in ((64, 64, 1, 0), (31, 31, 500, 0), (37, 37, 506, 6)):
+        g = rand_connected_graph(n, extra, seed=gseed)
+        b = np.zeros(g.n)
+        b[0], b[int(np.argmax(sssp_oracle(g, 0)))] = 1.0, -1.0
+        cases.append((g, b, fseed))
+    warm = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed) in cases]
+    for sol in warm:
+        for prev, rnd in zip(sol.trace, sol.trace[1:]):
+            assert rnd[0][0] == min(j for (j, status, _) in prev if status == "ok")
+
+    cold_search = hopflow.flow.scale_search
+
+    def drop_start(rt, g, b, cfg, start=None):
+        return cold_search(rt, g, b, cfg)
+
+    monkeypatch.setattr(hopflow.flow, "scale_search", drop_start)
+    cold = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed) in cases]
+    for sol, ref in zip(warm, cold):
+        assert sol.f.tobytes() == ref.f.tobytes()
+        assert sol.cost == ref.cost
+    assert warm[0].iterations < cold[0].iterations
+
+
+def test_min_cost_flow_expands_reversed_contracted_edges():
+    # contracting 0-2 maps edge (1, 2) to the quotient edge (0, 1), so its
+    # flow changes sign on the way back
+    g = Graph(3, [(0, 2, 0), (1, 2, 5)])
+    sol = min_cost_flow(g, np.array([1.0, -1.0, 0.0]), epsilon=0.1)
+    assert sol.f.tolist() == [1.0, -1.0]
+    assert sol.residual == 0.0 and sol.cost == 5.0
 
 
 def test_min_cost_flow_trace_accounting():

@@ -195,6 +195,11 @@ def _run(args):
         clock("approx_sssp", lambda: approx_sssp(em, 0))
         clock("embed", lambda: bourgain_embed(em, t_rep=args.t_rep, seed=seed))
         clock("oracle_query", lambda: oracle_query(stack, 0, g.n - 1))
+        if g.n > 1:
+            demand = [0.0] * g.n
+            demand[0], demand[-1] = 1.0, -1.0
+            clock("min_cost_flow",
+                  lambda: min_cost_flow(g, demand, epsilon=args.eps, seed=seed))
         text = "".join(f"{a},{b}\n" for a, b in rows)
         if args.out:
             with open(args.out, "w") as fh:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .emulator import build_emulator, preprocess
 from .graphs import UnionFind, contract_zero_edges, distance_rows
@@ -111,9 +113,20 @@ class FlowSolution:
 
 
 def validate_demand(b, n):
-    b = np.asarray(b, dtype=np.float64)
+    """b as a float64 array of length n with finite entries summing to 0.
+
+    Raises ValueError for anything else, non-numeric input included: a
+    NaN would pass the zero-sum check and an infinite demand would drive
+    every scale of the search to its iteration cap.
+    """
+    try:
+        b = np.asarray(b, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"demand must be {n} numbers: {exc}") from None
     if b.shape != (n,):
         raise ValueError(f"demand must have length {n}")
+    if not np.isfinite(b).all():
+        raise ValueError("demand entries must be finite")
     if abs(float(b.sum())) > 1e-9:
         raise ValueError("demand must sum to zero")
     return b
@@ -193,14 +206,17 @@ class FlowRuntime:
     """Per-instance preconditioner bundle shared across MWU calls.
 
     `D` holds P's distinct nonzero rows, each scaled by its multiplicity
-    (see `distinct_rows`), and `M`/`MT` the precomposed (1/N)·D·A·W^-1
-    operator, so each MWU iteration is two small sparse matvecs.  `P`
-    stays for the demand norms ||Pb||_1 of the scale search.
+    (see `distinct_rows`), and `M` the precomposed (1/N)·D·A·W^-1
+    operator (CSC).  `MT2` stacks its transpose over its negation,
+    [Mᵀ; −Mᵀ] (CSR, 2m rows), so one matvec yields both halves of the
+    weight update at once; negation is exact, so its lower half is
+    bit-for-bit the negated upper one.  `P` stays for the demand norms
+    ||Pb||_1 of the scale search.
     """
 
-    __slots__ = ("P", "N", "alpha", "kappa_cert", "emb", "rescale", "D", "M", "MT")
+    __slots__ = ("P", "N", "alpha", "kappa_cert", "emb", "rescale", "D", "M", "MT2")
 
-    def __init__(self, P, N, alpha, kappa_cert, emb, rescale, D, M, MT):
+    def __init__(self, P, N, alpha, kappa_cert, emb, rescale, D, M, MT2):
         self.P = P
         self.N = N
         self.alpha = alpha
@@ -209,7 +225,7 @@ class FlowRuntime:
         self.rescale = rescale
         self.D = D
         self.M = M
-        self.MT = MT
+        self.MT2 = MT2
 
 
 def _distortion(emb, rows):
@@ -325,7 +341,21 @@ def build_flow_runtime(g, seed=0, t_rep=2):
     # ||PAW^-1||_(1->1): the largest column l1 norm, which D preserves
     norm = float(abs(M).sum(axis=0).max())
     M.data /= norm
-    return FlowRuntime(P, norm, alpha, kappa_cert, emb, rescale, D, M, M.T.tocsr())
+    MT = M.T.tocsr()
+    MT2 = sparse.vstack([MT, -MT], format="csr")
+    return FlowRuntime(P, norm, alpha, kappa_cert, emb, rescale, D, M, MT2)
+
+
+def _matvec(A):
+    """kernel(x, out): out += A @ x for a float64 CSR or CSC matrix A.
+
+    Binds the sparsetools kernel that A @ x dispatches to; run on a
+    zeroed out, it is bit-equal to A @ x without the dispatch's checks
+    and allocation.  The kernel checks no lengths: x and out must be
+    contiguous float64 vectors of A's column and row counts.
+    """
+    kernel = _sparsetools.csr_matvec if A.format == "csr" else _sparsetools.csc_matvec
+    return partial(kernel, *A.shape, A.indptr, A.indices, A.data)
 
 
 class MwuOutcome:
@@ -364,6 +394,12 @@ def mwu_feasibility(rt, g, b, s, cfg):
     Weights are held as an explicitly normalized distribution rather
     than in log-space: renormalizing every iteration gives the same
     overflow safety without per-iteration exp/log calls.
+
+    Each iteration is two kernel matvecs (`_matvec`): M y, and MT2 sz =
+    [dz; -dz] with dz = Mᵀ sz, which updates both halves of the weights
+    in one pass (wts[m:] gets exactly 1 + half·(dz + q)) and whose max
+    over the running sum is max_j |(Mᵀ zsum)_j|.  Every vector lives in a
+    buffer allocated once per call, so an iteration allocates nothing.
     """
     m = g.m
     eps = cfg.epsilon
@@ -379,20 +415,30 @@ def mwu_feasibility(rt, g, b, s, cfg):
     if pbn <= 0.0:
         raise ValueError("||Pb||_1 must be positive")
     c = pb / (s * pbn)
-    M, MT = rt.M, rt.MT
+    rows = len(c)
+    if rt.M.shape != (rows, m):
+        raise ValueError(f"runtime operator is {rt.M.shape}, graph needs ({rows}, {m})")
+    mv, mv2 = _matvec(rt.M), _matvec(rt.MT2)
     wts = np.full(2 * m, 1.0 / (2 * m))
-    zsum = np.zeros(len(c))
-    dzsum = np.zeros(m)
+    wpos, wneg = wts[:m], wts[m:]
+    y = np.empty(m)
+    z = np.empty(rows)
+    absz = np.empty(rows)
+    sz = np.empty(rows)
+    dz2 = np.empty(2 * m)
+    zsum = np.zeros(rows)
+    dz2sum = np.zeros(2 * m)
     qsum = 0.0
     eta0 = eta
     half = 0.5 * eta
     best = np.inf
     since = 0
     for it in range(1, T + 1):
-        y = wts[:m] - wts[m:]
-        z = M @ y
+        np.subtract(wpos, wneg, out=y)
+        z.fill(0.0)
+        mv(y, z)
         z -= c
-        r = float(np.abs(z).sum())
+        r = float(np.add.reduce(np.abs(z, out=absz)))
         if r <= thresh:
             return MwuOutcome("ok", y, it, zsum)
         if r < best - 1e-9:
@@ -405,16 +451,20 @@ def mwu_feasibility(rt, g, b, s, cfg):
                 eta = max(eta * 0.5, _ETA_FLOOR_FRAC * eta0)
                 half = 0.5 * eta
                 since = 0
-        sz = np.sign(z)
-        dz = MT @ sz
+        np.sign(z, out=sz)
+        dz2.fill(0.0)
+        mv2(sz, dz2)
         q = float(sz @ c)
-        wts[:m] *= 1.0 - half * (dz - q)
-        wts[m:] *= 1.0 + half * (dz + q)
-        wts /= wts.sum()
+        dz2sum += dz2
+        # wts *= 1 - half * (dz2 - q), computed in dz2's buffer
+        dz2 -= q
+        dz2 *= half
+        np.subtract(1.0, dz2, out=dz2)
+        wts *= dz2
+        wts /= np.add.reduce(wts)
         zsum += sz
-        dzsum += dz
         qsum += q
-        if abs(qsum) - float(np.abs(dzsum).max()) > it * cert_thresh:
+        if abs(qsum) - float(np.maximum.reduce(dz2sum)) > it * cert_thresh:
             return MwuOutcome("fail", None, it, zsum)
     status = "fail" if T >= T_formula else "cap"
     return MwuOutcome(status, None, T, zsum)

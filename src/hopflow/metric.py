@@ -85,12 +85,15 @@ def bourgain_embed(em, t_rep=None, seed=0):
 
     Uses ceil(log2 n) sampling scales with ``t_rep`` repetitions each
     (default 4*ceil(log2 n)).  A scale that samples an empty set is
-    redrawn once, then falls back to a single random vertex.
+    redrawn once, then falls back to a single random vertex.  Raises
+    ValueError for t_rep < 1.
     """
     n = em.graph.n
     scales = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     if t_rep is None:
         t_rep = max(1, 4 * math.ceil(math.log2(max(n, 2))))
+    elif t_rep < 1:
+        raise ValueError(f"t_rep must be at least 1, got {t_rep}")
 
     def column(ij):
         i, j = ij

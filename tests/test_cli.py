@@ -96,6 +96,27 @@ def test_flow_subcommand(graph_file, tmp_path, capsys):
     assert len(doc["edges"]) == 2 and doc["edges"][0][:2] == [0, 1]
 
 
+@pytest.mark.parametrize("text", ['{"a": 1}', "[NaN, 0, 0]", "[1e400, 0, -1e400]"])
+def test_flow_bad_demand_reports_error_json(graph_file, tmp_path, capsys, text):
+    # a dict is not a demand vector; NaN and +-inf (1e400 overflows) are
+    # not finite demands
+    dem = tmp_path / "b.json"
+    dem.write_text(text)
+    code, doc = run_json(capsys, ["flow", "--graph", graph_file,
+                                  "--demand", str(dem), "--seed", "3"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "version" in doc["provenance"]
+
+
+def test_embed_rejects_t_rep_zero(graph_file, capsys):
+    code, doc = run_json(capsys, ["embed", "--graph", graph_file, "--seed", "2",
+                                  "--t-rep", "0"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "t_rep" in doc["error"]["message"]
+
+
 def test_stpath_subcommand(graph_file, capsys):
     code, doc = run_json(capsys, ["stpath", "0", "2", "--graph", graph_file,
                                   "--seed", "3", "--eps", "0.2"])
@@ -112,8 +133,18 @@ def test_bench_csv(graph_file, capsys):
     stages = [ln.split(",")[0] for ln in lines[1:]]
     assert "dijkstra_baseline" in stages and "emulator_build" in stages
     assert stages.index("embed") == stages.index("approx_sssp") + 1
+    assert stages[-1] == "min_cost_flow"
     for ln in lines[1:]:
         float(ln.split(",")[1])  # parsable timings
+
+
+def test_bench_skips_flow_on_one_vertex(tmp_path, capsys):
+    one = tmp_path / "one.txt"
+    one.write_text("1 0\n")
+    code = main(["bench", "--graph", str(one), "--seed", "1"])
+    assert code == 0
+    stages = [ln.split(",")[0] for ln in capsys.readouterr().out.strip().splitlines()]
+    assert "oracle_query" in stages and "min_cost_flow" not in stages
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(graph_file, tmp_path, capsys):

@@ -18,6 +18,7 @@ from hopflow.flow import (
     _ETA_FLOOR_FRAC,
     _PLATEAU_PATIENCE,
     _distortion,
+    _matvec,
     AllScalesFailed,
     MwuOutcome,
     SolverConfig,
@@ -47,6 +48,30 @@ def test_validate_demand_wrong_length():
 def test_validate_demand_nonzero_sum():
     with pytest.raises(ValueError):
         validate_demand([1.0, 0.0, -0.5], 3)
+
+
+@pytest.mark.parametrize("demand", [
+    [math.nan, 0.0, 0.0],
+    [math.inf, 0.0, -math.inf],
+    [1.0, None, -1.0],  # None converts to NaN
+])
+def test_validate_demand_rejects_non_finite(demand):
+    with pytest.raises(ValueError, match="finite"):
+        validate_demand(demand, 3)
+
+
+@pytest.mark.parametrize("demand", [{"a": 1}, ["x", 0, 0]])
+def test_validate_demand_rejects_non_numeric(demand):
+    with pytest.raises(ValueError, match="numbers"):
+        validate_demand(demand, 3)
+
+
+def test_non_finite_demand_rejected_by_solvers(path4):
+    for solve in (mst_routing, min_cost_flow):
+        with pytest.raises(ValueError, match="finite"):
+            solve(path4, [math.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            solve(path4, [math.inf, 0.0, 0.0, -math.inf])
 
 
 def test_validate_demand_coerces_to_float64():
@@ -315,6 +340,14 @@ def test_mwu_compressed_path_matches_contract(mwu_instance):
     assert _contract_residual(rt2, g, b, 3.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
 
 
+def test_mwu_rejects_a_graph_the_runtime_was_not_built_for(mwu_instance):
+    # the loop's kernels check no lengths, so a mismatch must stop first
+    g, b, rt = mwu_instance
+    other = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5), (0, 2, 3)])
+    with pytest.raises(ValueError, match="runtime operator"):
+        mwu_feasibility(rt, other, b, 3.0, SolverConfig(epsilon=0.4))
+
+
 # ---------------------------------------------------------------------------
 # the averaged-dual stop against the loop that runs every probe to its end
 
@@ -336,7 +369,7 @@ def _reference_mwu(rt, g, b, s, cfg):
     if pbn <= 0.0:
         raise ValueError("||Pb||_1 must be positive")
     c = pb / (s * pbn)
-    M, MT = rt.M, rt.MT
+    M, MT = rt.M, rt.M.T
     wts = np.full(2 * m, 1.0 / (2 * m))
     eta0 = eta
     half = 0.5 * eta
@@ -443,6 +476,64 @@ def test_min_cost_flow_identical_with_reference_loop(monkeypatch):
     assert sol.iterations <= ref.iterations
     ok = [[(j, it) for (j, st_, it) in rnd if st_ == "ok"] for rnd in sol.trace]
     assert ok == [[(j, it) for (j, st_, it) in rnd if st_ == "ok"] for rnd in ref.trace]
+
+
+def test_step_halving_matches_reference(mwu_instance, monkeypatch):
+    """With a short plateau patience the step halves many times inside a
+    run; the loop must still match the reference at every scale."""
+    g, b, rt = mwu_instance
+    cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=1000)
+    top = math.ceil(math.log(rt.kappa_cert) / math.log1p(cfg.epsilon))
+
+    def outcomes():
+        return [(out.status, out.iters) for out in (
+            mwu_feasibility(rt, g, b, (1.0 + cfg.epsilon) ** j, cfg)
+            for j in range(top + 1))]
+
+    monkeypatch.setattr(hopflow.flow, "_PLATEAU_PATIENCE", 10**9)
+    never = outcomes()
+    monkeypatch.setattr(hopflow.flow, "_PLATEAU_PATIENCE", 20)
+    monkeypatch.setitem(globals(), "_PLATEAU_PATIENCE", 20)
+    # the halving changes most of the runs, so it fires in them
+    assert sum(x != y for x, y in zip(never, outcomes())) > top // 2
+    _assert_probes_match_reference(rt, g, b, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the loop's kernel matvecs against scipy's operators
+
+
+def _assert_kernels_match_operators(rt, rng):
+    """_matvec's kernels, run on zeroed outputs, equal M @ y and Mᵀ @ v
+    bit for bit, and the two halves of MT2 @ v are exact negatives of
+    each other."""
+    rows, m = rt.M.shape
+    assert rt.MT2.shape == (2 * m, rows)
+    y = rng.standard_normal(m)
+    z = np.zeros(rows)
+    _matvec(rt.M)(y, z)
+    assert z.tobytes() == (rt.M @ y).tobytes()
+    for v in (rng.standard_normal(rows), rng.integers(-1, 2, rows).astype(float)):
+        dz = np.zeros(m)
+        _matvec(rt.M.T)(v, dz)
+        assert dz.tobytes() == (rt.M.T @ v).tobytes()
+        dz2 = np.zeros(2 * m)
+        _matvec(rt.MT2)(v, dz2)
+        assert dz2[:m].tobytes() == dz.tobytes()
+        assert np.array_equal(dz2[m:], -dz)  # equal up to the sign of zeros
+
+
+def test_kernels_match_operators_on_benchmark_graph(flow64_runtime):
+    _, rt = flow64_runtime
+    _assert_kernels_match_operators(rt, np.random.default_rng(5))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_flow_case(), st.integers(0, 1000))
+def test_kernels_match_operators(case, seed):
+    g, _ = case
+    rt = build_flow_runtime(g, seed=seed)
+    _assert_kernels_match_operators(rt, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Embedding and decomposition layered on the emulator."""
 
 import numpy as np
+import pytest
 
 from hopflow import (
     Graph,
@@ -75,6 +76,13 @@ def test_embedding_deterministic_and_serializable():
     back = Embedding.from_dict(a.to_dict())
     assert np.array_equal(back.points, a.points)
     assert back.Delta == a.Delta
+
+
+def test_embedding_rejects_t_rep_below_one():
+    _, em = _emulator(n=8, extra=4, seed=5)
+    for t_rep in (0, -1):
+        with pytest.raises(ValueError, match="t_rep"):
+            bourgain_embed(em, t_rep=t_rep, seed=0)
 
 
 def test_decomposition_is_partition():

@@ -147,7 +147,9 @@ def preprocess(g, k=None, seed=0, b0=None):
     rows = list(rows)
     all_ids = np.arange(h.n, dtype=np.int64)
     ball_ids = [all_ids] * h.n
-    top_leader_dist = np.array([rows[v][0] for v in range(h.n)], dtype=np.uint64)
+    # object rows hold distances past uint64
+    top_leader_dist = np.array([rows[v][0] for v in range(h.n)],
+                               dtype=np.uint64 if dist is not None else object)
     levels.append(Level(h, vertices, b, ball_ids, rows,
                         top_leader_dist, np.full(h.n, -1, dtype=np.int64), dist))
 

@@ -15,7 +15,7 @@ Everything here is deterministic given (graph, demand, epsilon, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy.sparse import _sparsetools
 from .emulator import build_emulator, preprocess
 from .graphs import UnionFind, contract_zero_edges, distance_rows
 from .metric import Embedding, bourgain_embed, next_pow2
-from .precond import build_preconditioner, distinct_rows, matrix_vec
+from .precond import build_preconditioner, distinct_rows
 
 
 class AllScalesFailed(RuntimeError):
@@ -56,6 +56,9 @@ _CERT_GUARD = 1e-9
 # many times, each with kappa_cap and t_cap four times larger.
 _ESCALATIONS = 3
 
+# Bourgain repetitions per sampling scale of the flow's embedding.
+_T_REP = 2
+
 
 @dataclass
 class SolverConfig:
@@ -85,6 +88,7 @@ class SolverConfig:
             raise ValueError("epsilon must be in (0, 0.5)")
 
 
+@dataclass(slots=True, eq=False)
 class FlowSolution:
     """Signed per-edge flow; positive means u -> v for the stored u < v.
 
@@ -94,14 +98,11 @@ class FlowSolution:
     starts at the j the previous round chose, its smallest ok probe.
     """
 
-    __slots__ = ("f", "cost", "residual", "iterations", "trace")
-
-    def __init__(self, f, cost, residual, iterations, trace=None):
-        self.f = f
-        self.cost = cost
-        self.residual = residual
-        self.iterations = iterations
-        self.trace = trace or []
+    f: np.ndarray
+    cost: float
+    residual: float
+    iterations: int
+    trace: list = field(default_factory=list)
 
     def to_dict(self, g):
         return {
@@ -150,25 +151,24 @@ def mst_routing(g, b):
     """Exactly feasible flow supported on a minimum spanning tree."""
     b = validate_demand(b, g.n)
     order = sorted(range(g.m), key=lambda i: (int(g.ew[i]), int(g.eu[i]), int(g.ev[i])))
-    sets = UnionFind(g.n)
-    tree = []
-    for i in order:
-        u, v = int(g.eu[i]), int(g.ev[i])
-        if sets.union(u, v):
-            tree.append((u, v, i))
     f = np.zeros(g.m, dtype=np.float64)
-    for idx, val in _route_forest(g.n, tree, b).items():
+    for idx, val in _route_forest(g, order, b).items():
         f[idx] = val
     cost, residual = _flow_stats(g, f, b)
     return FlowSolution(f, cost, residual, 0)
 
 
-def _route_forest(n, tree, b):
-    """Subtree-sum routing of b on a forest; {edge_idx: signed flow}."""
+def _route_forest(g, edges, b):
+    """Subtree-sum routing of b on the Kruskal forest of `edges` (edge
+    indices in the order they are tried); {edge_idx: signed flow}."""
+    n = g.n
+    sets = UnionFind(n)
     adj = [[] for _ in range(n)]
-    for (u, v, idx) in tree:
-        adj[u].append((v, idx, +1))
-        adj[v].append((u, idx, -1))
+    for idx in edges:
+        u, v = int(g.eu[idx]), int(g.ev[idx])
+        if sets.union(u, v):
+            adj[u].append((v, idx, +1))
+            adj[v].append((u, idx, -1))
     flows = {}
     seen = [False] * n
     for root in range(n):
@@ -202,6 +202,7 @@ def _route_forest(n, tree, b):
     return flows
 
 
+@dataclass(slots=True, eq=False)
 class FlowRuntime:
     """Per-instance preconditioner bundle shared across MWU calls.
 
@@ -210,22 +211,19 @@ class FlowRuntime:
     operator (CSC).  `MT2` stacks its transpose over its negation,
     [Mᵀ; −Mᵀ] (CSR, 2m rows), so one matvec yields both halves of the
     weight update at once; negation is exact, so its lower half is
-    bit-for-bit the negated upper one.  `P` stays for the demand norms
-    ||Pb||_1 of the scale search.
+    bit-for-bit the negated upper one.  P itself is not kept: D gives
+    every demand norm ||Pb||_1 as ||Db||_1 (`_demand_norm`), and
+    `build_preconditioner(emb)` rebuilds P where it is wanted.
     """
 
-    __slots__ = ("P", "N", "alpha", "kappa_cert", "emb", "rescale", "D", "M", "MT2")
-
-    def __init__(self, P, N, alpha, kappa_cert, emb, rescale, D, M, MT2):
-        self.P = P
-        self.N = N
-        self.alpha = alpha
-        self.kappa_cert = kappa_cert
-        self.emb = emb
-        self.rescale = rescale
-        self.D = D
-        self.M = M
-        self.MT2 = MT2
+    N: float
+    alpha: float
+    kappa_cert: float
+    emb: Embedding
+    rescale: int
+    D: sparse.csr_matrix
+    M: sparse.csc_matrix
+    MT2: sparse.csr_matrix
 
 
 def _distortion(emb, rows):
@@ -284,7 +282,7 @@ def _with_distance_columns(emb, cols):
     return Embedding(pts, delta, emb.seed, emb.t_rep, emb.scales)
 
 
-def build_flow_runtime(g, seed=0, t_rep=2):
+def build_flow_runtime(g, seed=0):
     """Embed g's metric and build the preconditioned flow operator + norms.
 
     The distortion ratios are read from exact distance rows: the
@@ -295,7 +293,7 @@ def build_flow_runtime(g, seed=0, t_rep=2):
     """
     stack = preprocess(g, seed=seed)
     em = build_emulator(stack)
-    emb = bourgain_embed(em, t_rep=t_rep, seed=seed)
+    emb = bourgain_embed(em, t_rep=_T_REP, seed=seed)
 
     n = g.n
     if n <= 160:
@@ -314,14 +312,13 @@ def build_flow_runtime(g, seed=0, t_rep=2):
     else:
         rescale = 1 if ratios_lo >= 1.0 else math.ceil(1.0 / ratios_lo)
     if rescale > 1:
-        if emb.points.dtype == object:
-            pts = np.array([[int(x) * rescale for x in row] for row in emb.points],
-                           dtype=object)
-            delta = next_pow2(max(int(x) for x in pts.flat))
-        else:
-            pts = emb.points * np.uint64(rescale)
-            delta = next_pow2(int(pts.max()))
-        emb = Embedding(pts, delta, emb.seed, emb.t_rep, emb.scales)
+        # checked before the uint64 product can wrap; build_preconditioner
+        # refuses coordinates from 2^60 on in any case
+        top = int(emb.points.max()) * rescale
+        if top >= 1 << 60:
+            raise ValueError("coordinates too large for flow preconditioning")
+        pts = emb.points.astype(np.uint64) * np.uint64(rescale)
+        emb = Embedding(pts, next_pow2(top), emb.seed, emb.t_rep, emb.scales)
     alpha = max(1.0, ratios_hi * rescale)
 
     P = build_preconditioner(emb)
@@ -343,7 +340,12 @@ def build_flow_runtime(g, seed=0, t_rep=2):
     M.data /= norm
     MT = M.T.tocsr()
     MT2 = sparse.vstack([MT, -MT], format="csr")
-    return FlowRuntime(P, norm, alpha, kappa_cert, emb, rescale, D, M, MT2)
+    return FlowRuntime(norm, alpha, kappa_cert, emb, rescale, D, M, MT2)
+
+
+def _demand_norm(rt, b):
+    """||Pb||_1, read as ||Db||_1 (D's rows carry P's multiplicities)."""
+    return float(np.abs(rt.D @ b).sum())
 
 
 def _matvec(A):
@@ -358,6 +360,7 @@ def _matvec(A):
     return partial(kernel, *A.shape, A.indptr, A.indices, A.data)
 
 
+@dataclass(slots=True, eq=False)
 class MwuOutcome:
     """One MWU run: its status, solution and averaged-dual sum.
 
@@ -367,13 +370,10 @@ class MwuOutcome:
     iteration exits before its update.
     """
 
-    __slots__ = ("status", "x", "iters", "zsum")
-
-    def __init__(self, status, x, iters, zsum):
-        self.status = status  # "ok" | "fail" | "cap"
-        self.x = x
-        self.iters = iters
-        self.zsum = zsum
+    status: str  # "ok" | "fail" | "cap"
+    x: np.ndarray | None
+    iters: int
+    zsum: np.ndarray | None
 
 
 def mwu_feasibility(rt, g, b, s, cfg):
@@ -475,51 +475,52 @@ def _cancel_cycles(g, f, tol=1e-12):
 
     Uncapacitated optimal flows are forest-supported, so any directed
     cycle in the positive-flow digraph is pure waste (all weights here
-    are positive).  Repeatedly cancel the bottleneck along a cycle
-    until the support is acyclic.  Af is unchanged.
+    are positive).  One depth-first pass cancels the bottleneck of each
+    cycle as it closes, so Af is unchanged.  A cancellation only drops
+    edges (|f| falls to <= tol; the scan skips them), so finished
+    vertices stay finished and the pass resumes below the lowest tree
+    edge it saturated: it cancels the cycles, in order, that a search
+    restarted after each cancellation would.
     """
     f = f.copy()
-    for _ in range(4 * g.m + 4):
-        adj = [[] for _ in range(g.n)]
-        for i in range(g.m):
-            if f[i] > tol:
-                adj[int(g.eu[i])].append((int(g.ev[i]), i, 1.0))
-            elif f[i] < -tol:
-                adj[int(g.ev[i])].append((int(g.eu[i]), i, -1.0))
-        color = np.zeros(g.n, dtype=np.int8)  # 0 white, 1 on stack, 2 done
-        cycle = None
-        for start in range(g.n):
-            if cycle is not None:
-                break
-            if color[start]:
+    adj = [[] for _ in range(g.n)]
+    for i in np.flatnonzero(np.abs(f) > tol).tolist():
+        u, v, sgn = (g.eu[i], g.ev[i], 1.0) if f[i] > 0 else (g.ev[i], g.eu[i], -1.0)
+        adj[int(u)].append((int(v), i, sgn))
+    WHITE, DONE = -1, -2
+    depth = [WHITE] * g.n  # else the vertex's position on the stack
+    for start in range(g.n):
+        if depth[start] != WHITE:
+            continue
+        # frame: [vertex, next adjacency slot, entering edge, entering sign]
+        stack = [[start, 0, -1, 0.0]]
+        depth[start] = 0
+        while stack:
+            frame = stack[-1]
+            v = frame[0]
+            if frame[1] == len(adj[v]):
+                depth[v] = DONE
+                stack.pop()
                 continue
-            # frame: [vertex, next adjacency slot, entering edge, entering sign]
-            stack = [[start, 0, -1, 0.0]]
-            color[start] = 1
-            while stack and cycle is None:
-                frame = stack[-1]
-                v = frame[0]
-                if frame[1] < len(adj[v]):
-                    u, ei, sgn = adj[v][frame[1]]
-                    frame[1] += 1
-                    if color[u] == 1:  # closes a cycle through the stack
-                        edges = [(ei, sgn)]
-                        for fr in reversed(stack):
-                            if fr[0] == u:
-                                break
-                            edges.append((fr[2], fr[3]))
-                        cycle = edges
-                    elif color[u] == 0:
-                        color[u] = 1
-                        stack.append([u, 0, ei, sgn])
-                else:
-                    color[v] = 2
-                    stack.pop()
-        if cycle is None:
-            return f
-        delta = min(abs(float(f[ei])) for (ei, _) in cycle)
-        for (ei, sgn) in cycle:
-            f[ei] -= sgn * delta
+            u, ei, sgn = adj[v][frame[1]]
+            frame[1] += 1
+            if depth[u] == DONE or abs(f[ei]) <= tol:
+                continue
+            if depth[u] == WHITE:
+                depth[u] = len(stack)
+                stack.append([u, 0, ei, sgn])
+                continue
+            # v -> u closes a cycle through the stack
+            cycle = [(ei, sgn)] + [(fr[2], fr[3]) for fr in stack[depth[u] + 1:]]
+            delta = min(abs(float(f[e])) for (e, _) in cycle)
+            for (e, sg) in cycle:
+                f[e] -= sg * delta
+            for j in range(depth[u] + 1, len(stack)):
+                if abs(f[stack[j][2]]) <= tol:
+                    for fr in stack[j:]:
+                        depth[fr[0]] = WHITE
+                    del stack[j:]
+                    break
     return f
 
 
@@ -541,7 +542,7 @@ def certificate_rejects_all(g, rt, b, s, outcome, cfg):
     if outcome.iters == 0:
         return False
     zt = rt.D.T @ (outcome.zsum / outcome.iters)
-    q = abs(float(zt @ b)) / (s * matrix_vec(rt.P, b).norm1())
+    q = abs(float(zt @ b)) / (s * _demand_norm(rt, b))
     dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
     thresh = cfg.epsilon / (2.0 * effective_kappa(rt, cfg))
     return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
@@ -566,8 +567,7 @@ def scale_search(rt, g, b, cfg, start=None):
     monotone in j both searches end at the same j with the same run.
     Neither probes outside [0, top].
     """
-    pb = matrix_vec(rt.P, b)
-    pbn = pb.norm1()
+    pbn = _demand_norm(rt, b)
     if pbn <= 0.0:
         return np.zeros(g.m, dtype=np.float64), []
     eps = cfg.epsilon
@@ -642,7 +642,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     run_cfg = SolverConfig(epsilon=inner_eps, eta=min(0.125, 6.0 * inner_eps))
 
     if not np.any(np.abs(b) > 1e-12):
-        return FlowSolution(np.zeros(g.m), 0.0, 0.0, 0, [])
+        return FlowSolution(np.zeros(g.m), 0.0, 0.0, 0)
 
     gq, vmap, emap = contract_zero_edges(g)
     bq = np.bincount(vmap, weights=b, minlength=gq.n)
@@ -655,7 +655,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         depth = 1 + math.ceil(math.log2(max(gq.n, 2)))
         wq = gq.ew.astype(np.float64)
         b_res = bq.copy()
-        pbn0 = matrix_vec(rt.P, b_res).norm1()
+        pbn0 = _demand_norm(rt, b_res)
         pbn_prev = pbn0
         start = None
         for round_no in range(depth):
@@ -681,7 +681,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
             start = min((j for (j, status, _) in probes if status == "ok"), default=start)
             f_round = x_r / wq
             b_new = b_res - _apply_incidence(gq, f_round)
-            pbn_new = matrix_vec(rt.P, b_new).norm1()
+            pbn_new = _demand_norm(rt, b_new)
             if pbn_new > pbn_prev:
                 break  # the round did not help; stop and repair
             fq += f_round
@@ -699,14 +699,8 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     # rebalance inside each zero-weight class along zero-weight tree edges
     resid = b - _apply_incidence(g, f)
     if np.any(np.abs(resid) > 1e-12):
-        sets = UnionFind(g.n)
-        ztree = []
-        for i in range(g.m):
-            if int(g.ew[i]) == 0:
-                u, v = int(g.eu[i]), int(g.ev[i])
-                if sets.union(u, v):
-                    ztree.append((u, v, i))
-        for idx, val in _route_forest(g.n, ztree, resid).items():
+        zero = np.flatnonzero(g.ew == 0).tolist()
+        for idx, val in _route_forest(g, zero, resid).items():
             f[idx] += val
     cost, residual = _flow_stats(g, f, b)
     return FlowSolution(f, cost, residual, total_iters, trace)

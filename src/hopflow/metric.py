@@ -46,12 +46,9 @@ class Embedding:
         return self.points.shape[1]
 
     def l1(self, u, v):
-        pu, pv = self.points[u], self.points[v]
-        if self.points.dtype == object:
-            return sum(abs(int(a) - int(b)) for a, b in zip(pu, pv))
-        hi = np.maximum(pu, pv)
-        lo = np.minimum(pu, pv)
-        return int(np.sum(hi - lo))
+        """Exact l1 distance of two points, summed in Python ints."""
+        pu, pv = self.points[u].tolist(), self.points[v].tolist()
+        return sum(abs(int(a) - int(b)) for a, b in zip(pu, pv))
 
     def to_dict(self):
         return {
@@ -145,15 +142,20 @@ def low_diameter_decomposition(em, beta, seed=0):
     Every vertex draws delta_v ~ Exp(beta) (quantized to 1e-12) and
     joins the center u minimizing dist(v, u) - delta_u, ties broken by
     the smaller center id.  Cluster labels are center vertex ids.
+    Raises ValueError for a beta that is not positive and finite, or so
+    small that the quantized shifts overflow.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     g = em.graph
     n = g.n
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 13]))
     u = rng.random(n)
-    delta = -np.log1p(-u) / beta
-    delta = np.round(delta * 1e12) / 1e12
+    with np.errstate(over="ignore"):
+        delta = -np.log1p(-u) / beta
+        delta = np.round(delta * 1e12) / 1e12
+    if not np.isfinite(delta).all():
+        raise ValueError(f"beta={beta} is too small: the shifts overflow")
 
     # minimizing dist(v,u) - delta_u equals a multi-source scan where
     # source u starts at (max delta) - delta_u >= 0

@@ -92,10 +92,9 @@ class CompressedMatrix:
     """Per-column compressed representation of the preconditioner."""
 
     __slots__ = ("col_ptr", "seg_a", "seg_b", "seg_c", "r", "n", "d", "L",
-                 "Delta", "level_cells", "level_offsets")
+                 "Delta", "level_offsets")
 
-    def __init__(self, col_ptr, seg_a, seg_b, seg_c, r, n, d, L, Delta,
-                 level_cells, level_offsets):
+    def __init__(self, col_ptr, seg_a, seg_b, seg_c, r, n, d, L, Delta, level_offsets):
         self.col_ptr = col_ptr
         self.seg_a = seg_a
         self.seg_b = seg_b
@@ -105,7 +104,6 @@ class CompressedMatrix:
         self.d = d
         self.L = L
         self.Delta = Delta
-        self.level_cells = level_cells
         self.level_offsets = level_offsets
 
     def column(self, v):
@@ -128,16 +126,16 @@ class CompressedMatrix:
 
 
 def build_preconditioner(emb):
-    """Compressed P for an embedding (coordinates already min-normalized to 1)."""
+    """Compressed P for an embedding (coordinates already min-normalized to 1).
+
+    Raises ValueError for a coordinate at or above 2^60, or when P would
+    have 2^63 - 1 rows or more, past which its int64 row ids wrap.
+    """
     pts = emb.points
     n, d = pts.shape
-    if pts.dtype == object:
-        coords = [[int(x) for x in row] for row in pts]
-        if max(x for row in coords for x in row) >= (1 << 60):
-            raise ValueError("coordinates too large for flow preconditioning")
-        pts = np.array(coords, dtype=np.int64)
-    else:
-        pts = pts.astype(np.int64)
+    if max((int(x) for x in pts.flat), default=0) >= (1 << 60):
+        raise ValueError("coordinates too large for flow preconditioning")
+    pts = pts.astype(np.int64)
     if int(pts.min()) < 1:
         raise ValueError("embedding coordinates must start at 1")
     delta = int(emb.Delta)
@@ -170,6 +168,8 @@ def build_preconditioner(emb):
     for l in range(L):
         level_offsets.append(level_offsets[-1] + (1 << l) * len(level_cells[l]))
     r = level_offsets[-1]
+    if r >= (1 << 63) - 1:
+        raise ValueError(f"preconditioner would have {r} rows, past int64 row ids")
 
     col_ptr = np.zeros(n + 1, dtype=np.int64)
     seg_a, seg_b, seg_c = [], [], []
@@ -193,9 +193,7 @@ def build_preconditioner(emb):
         np.array(seg_a, dtype=np.int64),
         np.array(seg_b, dtype=np.int64),
         np.array(seg_c, dtype=np.float64),
-        r, n, d, L, delta,
-        [sorted(cells) for cells in level_cells],
-        level_offsets,
+        r, n, d, L, delta, level_offsets,
     )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import hopflow
 from hopflow.graphs import Graph, bellman_ford_hops
 from hopflow.subemulator import build_subemulator
 from hopflow.emulator import (build_emulator, default_k, oracle_query,
@@ -364,9 +365,12 @@ def test_10_determinism(tmp_path):
     gfile.write_text(rand_connected_graph(24, 20, seed=2424).to_text())
     dfile = tmp_path / "b.json"
     dfile.write_text(json.dumps([1, 0, -1] + [0] * 21))
+    # the CLI subprocesses import the same hopflow as this process
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(hopflow.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
     outputs = {}
     for threads in ("1", "8"):
-        env = dict(os.environ, HOPFLOW_THREADS=threads)
+        env = dict(os.environ, HOPFLOW_THREADS=threads, PYTHONPATH=pythonpath)
         chunks = []
         for argv in (["emulator", "build", "--graph", str(gfile), "--seed", "5"],
                      ["flow", "--graph", str(gfile), "--demand", str(dfile),

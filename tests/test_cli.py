@@ -85,6 +85,15 @@ def test_ldd_document(graph_file, capsys):
     assert len(doc["shifts"]) == 3
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "1e-300"])
+def test_ldd_bad_beta_reports_error_json(graph_file, capsys, beta):
+    code, doc = run_json(capsys, ["ldd", "--graph", graph_file,
+                                  "--seed", "2", "--beta", beta])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "beta" in doc["error"]["message"]
+
+
 def test_flow_subcommand(graph_file, tmp_path, capsys):
     dem = tmp_path / "b.json"
     dem.write_text("[1, 0, -1]")

@@ -13,10 +13,11 @@ import hopflow.flow
 from hopflow.emulator import build_emulator, preprocess
 from hopflow.graphs import Graph
 from hopflow.metric import Embedding, bourgain_embed
-from hopflow.precond import matrix_vec
+from hopflow.precond import build_preconditioner, matrix_vec
 from hopflow.flow import (
     _ETA_FLOOR_FRAC,
     _PLATEAU_PATIENCE,
+    _cancel_cycles,
     _distortion,
     _matvec,
     AllScalesFailed,
@@ -32,7 +33,7 @@ from hopflow.flow import (
     validate_demand,
 )
 
-from conftest import rand_connected_graph, sssp_oracle, transportation_oracle
+from conftest import grid_graph, rand_connected_graph, sssp_oracle, transportation_oracle
 from test_precond import assert_distinct_rows_match_dense
 
 
@@ -141,18 +142,19 @@ def test_mst_routing_exact_and_tree_bounded():
 def mwu_instance():
     g = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5)])
     b = np.array([1.0, 0.0, 0.0, -1.0])
-    rt = build_flow_runtime(g, seed=1, t_rep=2)
+    rt = build_flow_runtime(g, seed=1)
     return g, b, rt
 
 
 def _per_edge_norm(rt, g):
     """||PAW^-1||_(1->1) as the largest ||P col||_1 over the m edge columns."""
+    P = build_preconditioner(rt.emb)
     norm = 0.0
     for i in range(g.m):
         col = np.zeros(g.n)
         col[g.eu[i]] = 1.0 / float(g.ew[i])
         col[g.ev[i]] = -1.0 / float(g.ew[i])
-        norm = max(norm, matrix_vec(rt.P, col).norm1())
+        norm = max(norm, matrix_vec(P, col).norm1())
     return norm
 
 
@@ -167,19 +169,20 @@ def test_runtime_norms_and_kappa(mwu_instance):
 def _contract_residual(rt, g, b, s, x):
     """||(PAW^-1/N) x - Pb/(s ||Pb||_1)||_1 on all r rows of P, by the
     reference kernel rather than the operator the solver runs on."""
+    P = build_preconditioner(rt.emb)
     inv_w = 1.0 / g.ew.astype(np.float64)
     gv = np.bincount(g.eu, weights=x * inv_w, minlength=g.n)
     gv -= np.bincount(g.ev, weights=x * inv_w, minlength=g.n)
     gv /= rt.N
-    gv -= b / (s * matrix_vec(rt.P, b).norm1())
-    return matrix_vec(rt.P, gv).norm1()
+    gv -= b / (s * matrix_vec(P, b).norm1())
+    return matrix_vec(P, gv).norm1()
 
 
 def _dense_certificate(rt, g):
     """margin(b, s, out) = |zbar.c| - max_j |(M^T zbar)_j| on all r rows of
     P.to_dense(), where zbar spreads each of D's averaged sign sums over
     the rows of P that D's row stands for (zero rows get 0)."""
-    dense = rt.P.to_dense()
+    dense = build_preconditioner(rt.emb).to_dense()
     uniq, inverse, counts = np.unique(dense, axis=0, return_inverse=True,
                                       return_counts=True)
     # D's rows are the distinct nonzero rows of P, each times its count
@@ -215,8 +218,10 @@ def flow64_runtime():
 
 def test_distinct_row_operator_on_benchmark_graph(flow64_runtime):
     g, rt = flow64_runtime
-    D = assert_distinct_rows_match_dense(rt.P, np.random.default_rng(3))
-    assert D.shape[0] == 262 and rt.P.r == 11940
+    P = build_preconditioner(rt.emb)
+    D = assert_distinct_rows_match_dense(P, np.random.default_rng(3))
+    assert D.shape[0] == 262 and P.r == 11940
+    assert (D != rt.D).nnz == 0
     assert rt.N == 768.0 == _per_edge_norm(rt, g)
 
 
@@ -333,7 +338,7 @@ def test_mwu_compressed_path_matches_contract(mwu_instance):
     differently seeded runtime (t_rep=2) it must still meet the residual
     contract, measured with the reference matrix_vec on all r rows."""
     g, b, _ = mwu_instance
-    rt2 = build_flow_runtime(g, seed=1, t_rep=2)
+    rt2 = build_flow_runtime(g, seed=1)
     out = mwu_feasibility(rt2, g, b, 3.0, SolverConfig(epsilon=0.4))
     assert out.status == "ok"
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
@@ -710,6 +715,127 @@ def test_warm_start_from_every_start_stays_on_grid(mwu_instance, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# cycle cancelling against the search restarted after every cycle
+
+
+def _reference_cancel_cycles(g, f, tol=1e-12):
+    """_cancel_cycles as it was before its single pass, kept as the
+    reference: rebuild the positive-flow digraph and restart the search
+    after every cancelled cycle."""
+    f = f.copy()
+    for _ in range(4 * g.m + 4):
+        adj = [[] for _ in range(g.n)]
+        for i in range(g.m):
+            if f[i] > tol:
+                adj[int(g.eu[i])].append((int(g.ev[i]), i, 1.0))
+            elif f[i] < -tol:
+                adj[int(g.ev[i])].append((int(g.eu[i]), i, -1.0))
+        color = np.zeros(g.n, dtype=np.int8)
+        cycle = None
+        for start in range(g.n):
+            if cycle is not None:
+                break
+            if color[start]:
+                continue
+            stack = [[start, 0, -1, 0.0]]
+            color[start] = 1
+            while stack and cycle is None:
+                frame = stack[-1]
+                v = frame[0]
+                if frame[1] < len(adj[v]):
+                    u, ei, sgn = adj[v][frame[1]]
+                    frame[1] += 1
+                    if color[u] == 1:
+                        edges = [(ei, sgn)]
+                        for fr in reversed(stack):
+                            if fr[0] == u:
+                                break
+                            edges.append((fr[2], fr[3]))
+                        cycle = edges
+                    elif color[u] == 0:
+                        color[u] = 1
+                        stack.append([u, 0, ei, sgn])
+                else:
+                    color[v] = 2
+                    stack.pop()
+        if cycle is None:
+            return f
+        delta = min(abs(float(f[ei])) for (ei, _) in cycle)
+        for (ei, sgn) in cycle:
+            f[ei] -= sgn * delta
+    return f
+
+
+def _assert_cancels_like_reference(g, f, tol=1e-12):
+    """Byte-identical to the reference; Af kept, cost not raised and the
+    positive-flow digraph left acyclic.  Returns how many edges changed."""
+    out = _cancel_cycles(g, f)
+    assert out.tobytes() == _reference_cancel_cycles(g, f).tobytes()
+    af = np.bincount(g.eu, weights=f, minlength=g.n) - np.bincount(g.ev, weights=f, minlength=g.n)
+    aout = np.bincount(g.eu, weights=out, minlength=g.n) - np.bincount(
+        g.ev, weights=out, minlength=g.n)
+    assert np.abs(aout - af).max() <= 1e-9 * max(1.0, np.abs(f).max())
+    w = g.ew.astype(np.float64)
+    assert float(w @ np.abs(out)) <= float(w @ np.abs(f)) * (1 + 1e-12)
+    # Kahn's algorithm removes every vertex only from an acyclic digraph
+    tail = np.where(out > 0, g.eu, g.ev)[np.abs(out) > tol]
+    head = np.where(out > 0, g.ev, g.eu)[np.abs(out) > tol]
+    indeg = np.bincount(head, minlength=g.n)
+    ready = [v for v in range(g.n) if indeg[v] == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for u in head[tail == v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                ready.append(u)
+    assert removed == g.n
+    return int(np.count_nonzero(out != f))
+
+
+def test_cancel_cycles_matches_restarted_search():
+    # integer flows tie often, so one cancellation saturates several edges
+    changed = 0
+    for seed in range(300):
+        n = 3 + seed % 27
+        g = rand_connected_graph(n, n, seed=seed)
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            f = rng.integers(-3, 4, size=g.m).astype(np.float64)
+        else:
+            f = rng.standard_normal(g.m) * (rng.random(g.m) < 0.9)
+        changed += _assert_cancels_like_reference(g, f) > 0
+    assert changed > 150
+
+
+def test_cancel_cycles_matches_restarted_search_on_face_circulations():
+    side = 32
+    g = grid_graph(side, seed=4, wmax=10)
+    index = {(int(u), int(v)): i for i, (u, v) in enumerate(zip(g.eu, g.ev))}
+    rng = np.random.default_rng(8)
+    f = np.zeros(g.m)
+    for r in range(side - 1):
+        for c in range(side - 1):
+            a = r * side + c
+            x = float(rng.random())
+            # clockwise a -> a+1 -> a+side+1 -> a+side -> a
+            f[index[(a, a + 1)]] += x
+            f[index[(a + 1, a + side + 1)]] += x
+            f[index[(a + side, a + side + 1)]] -= x
+            f[index[(a, a + side)]] -= x
+    assert _assert_cancels_like_reference(g, f) > g.m // 2
+
+
+def test_min_cost_flow_output_has_no_cycle_to_cancel():
+    g = rand_connected_graph(64, 64, seed=1)
+    b = np.zeros(g.n)
+    b[0], b[63] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1)
+    assert _assert_cancels_like_reference(g, sol.f) == 0
+
+
+# ---------------------------------------------------------------------------
 # the composed solver
 
 
@@ -837,6 +963,35 @@ def test_min_cost_flow_deterministic():
     c = min_cost_flow(g, b, epsilon=0.2, seed=4)
     assert np.array_equal(a.f, c.f)
     assert a.cost == c.cost and a.iterations == c.iterations
+
+
+def _shifted_weights(g, e):
+    return Graph(g.n, [(int(u), int(v), int(w) << e) for u, v, w in zip(g.eu, g.ev, g.ew)])
+
+
+@pytest.mark.parametrize("e", [56, 59, 60])
+def test_min_cost_flow_huge_weights_raise_value_error(e):
+    # past the 2^60 coordinate bound or 2^63 preconditioner rows; before,
+    # these wrapped into OverflowError, ZeroDivisionError or a misleading
+    # "coordinates must start at 1"
+    b = np.zeros(12)
+    b[0], b[11] = 1.0, -1.0
+    for seed in range(4):
+        g = _shifted_weights(rand_connected_graph(12, 10, seed=seed), e)
+        with pytest.raises(ValueError):
+            min_cost_flow(g, b, epsilon=0.1, seed=seed)
+
+
+def test_min_cost_flow_large_weights_still_solve():
+    g = _shifted_weights(rand_connected_graph(12, 10, seed=3), 50)
+    b = np.zeros(12)
+    b[0], b[11] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1, seed=3)
+    af = np.bincount(g.eu, weights=sol.f, minlength=g.n) - np.bincount(
+        g.ev, weights=sol.f, minlength=g.n)
+    assert float(np.abs(af - b).sum()) <= 1e-6
+    dist = float(sssp_oracle(g, 0)[11])
+    assert dist * (1 - 1e-9) <= sol.cost <= 1.1 * dist
 
 
 def test_flow_solution_to_dict_shape():

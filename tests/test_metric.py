@@ -57,6 +57,15 @@ def test_embedding_identity_and_two_vertices():
     assert np.max(np.abs(pts[0] - pts[1])) <= 5
 
 
+def test_embedding_l1_exact_past_uint64():
+    # the per-coordinate gaps sum past 2^64, where a uint64 sum wraps
+    pts = np.array([[1, 1, 1], [2**63, 2**63, 2**63]], dtype=np.uint64)
+    emb = Embedding(pts, 2**63, seed=0, t_rep=1, scales=None)
+    assert emb.l1(0, 1) == emb.l1(1, 0) == 3 * (2**63 - 1)
+    wide = Embedding(pts.astype(object) * 4, 2**65, seed=0, t_rep=1, scales=None)
+    assert wide.l1(0, 1) == 3 * (2**65 - 4)
+
+
 def test_embedding_distortion_recorded_within_stretch():
     g, em = _emulator(n=32, seed=3)
     emb = bourgain_embed(em, t_rep=4, seed=3)
@@ -94,6 +103,14 @@ def test_decomposition_is_partition():
     # cluster centers name themselves
     for c in set(dec.cluster.tolist()):
         assert dec.cluster[c] == c
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), 1e-300])
+def test_decomposition_rejects_bad_beta(beta):
+    # 1e-300 is finite, but its quantized shifts overflow to infinity
+    _, em = _emulator(n=8, extra=4, seed=5)
+    with pytest.raises(ValueError, match="beta"):
+        low_diameter_decomposition(em, beta=beta, seed=0)
 
 
 def test_decomposition_single_vertex():

@@ -35,7 +35,7 @@ def _matrix_from_columns(columns, r):
         np.array(seg_a, dtype=np.int64),
         np.array(seg_b, dtype=np.int64),
         np.array(seg_c, dtype=np.float64),
-        r, len(columns), 0, 0, 0, [], [])
+        r, len(columns), 0, 0, 0, [])
 
 
 def _random_columns(rng, n, r, max_segs=4):
@@ -152,6 +152,21 @@ def test_rejects_bad_inputs():
         build_preconditioner(_embedding([[0, 1]], 2))  # coordinate < 1
     with pytest.raises(ValueError):
         build_preconditioner(_embedding([[1, 1]], 3))  # Delta not a power of 2
+
+
+def test_rejects_coordinates_past_int64_rows():
+    # uint64 coordinates face the same 2^60 bound as object ones, not a
+    # wrap to negative int64
+    for pts in ([[1, 2**63]], [[1, 2**60]]):
+        with pytest.raises(ValueError, match="too large"):
+            build_preconditioner(_embedding(pts, 2**64))
+    # four corners of a 2^59 square need more than 2^63 rows; three
+    # points on a line at the same scale stay below
+    pts = [[1, 1], [2**59, 1], [1, 2**59], [2**59, 2**59]]
+    with pytest.raises(ValueError, match="rows"):
+        build_preconditioner(_embedding(pts, 2**60))
+    P = build_preconditioner(_embedding([[1], [2**59], [3 * 2**58]], 2**60))
+    assert 2**62 < P.r < 2**63
 
 
 # --- kernels vs dense oracles -------------------------------------------

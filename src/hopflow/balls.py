@@ -23,47 +23,48 @@ from .graphs import INF, GraphError
 
 
 class BallData:
-    """b-nearest lists and closed balls for every vertex.
+    """Closed balls and radii for every vertex, in one CSR form.
 
-    ids[v] / dist[v] are the b nearest vertices of v sorted by
-    (distance, id); unused slots (only when n < b) hold -1 / INF, and
-    radius[v] is the largest distance in the list.  The closed ball of v,
-    sorted the same way, is ball_ids / ball_dist[ball_ptr[v]:ball_ptr[v + 1]].
+    The closed ball of v, sorted by (distance, id), is
+    ball_ids / ball_dist[ball_ptr[v]:ball_ptr[v + 1]]; its first
+    min(b, |ball|) members are the b nearest vertices of v, and
+    radius[v] is the largest distance among them.
     """
 
-    __slots__ = ("b", "ids", "dist", "radius", "ball_ptr", "ball_ids", "ball_dist")
+    __slots__ = ("b", "radius", "ball_ptr", "ball_ids", "ball_dist")
 
-    def __init__(self, b, ids, dist, radius, ball_ptr, ball_ids, ball_dist):
+    def __init__(self, b, radius, ball_ptr, ball_ids, ball_dist):
         self.b = b
-        self.ids = ids
-        self.dist = dist
         self.radius = radius
         self.ball_ptr = ball_ptr
         self.ball_ids = ball_ids
         self.ball_dist = ball_dist
-
-    def open_ball(self, v):
-        """(ids, dists) strictly inside r_b(v), sorted by (dist, id)."""
-        keep = (self.dist[v] < self.radius[v]) & (self.ids[v] >= 0)
-        return self.ids[v][keep], self.dist[v][keep]
-
-    def list_members(self, v):
-        keep = self.ids[v] >= 0
-        return self.ids[v][keep], self.dist[v][keep]
 
     def closed_members(self, v):
         """(ids, dists) within r_b(v), sorted by (dist, id)."""
         lo, hi = self.ball_ptr[v], self.ball_ptr[v + 1]
         return self.ball_ids[lo:hi], self.ball_dist[lo:hi]
 
+    def open_ball(self, v):
+        """(ids, dists) strictly inside r_b(v), sorted by (dist, id)."""
+        ids, ds = self.closed_members(v)
+        inside = np.searchsorted(ds, self.radius[v])
+        return ids[:inside], ds[:inside]
+
+    def open_members(self):
+        """Every open-ball membership as flat (owner, member, distance)
+        arrays, by owner, each ball in ``open_ball``'s order."""
+        owner = np.repeat(np.arange(len(self.radius)), np.diff(self.ball_ptr))
+        inside = self.ball_dist < self.radius[owner]
+        return owner[inside], self.ball_ids[inside], self.ball_dist[inside]
+
 
 def compute_balls(g, b):
-    """Exact b-nearest lists and closed balls for all vertices (BallData)."""
+    """Exact closed b-balls and radii for all vertices (BallData)."""
     n = g.n
     b = int(b)
     if b < 1:
         raise ValueError("ball size must be >= 1")
-    width = min(b, n)
     # Python lists: indexing a numpy array one scalar at a time is slower
     adj = (g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist())
     found = [closed_ball(g, v, b, adj) for v in range(n)]
@@ -77,18 +78,9 @@ def compute_balls(g, b):
                            dtype=np.int64, count=total)
     ball_dist = np.fromiter(chain.from_iterable(ds for _, ds in found),
                             dtype=np.uint64, count=total)
-
-    # the list of v is the first min(b, |ball|) members of its closed ball
-    counts = np.minimum(sizes, width)
-    owner = np.repeat(np.arange(n), sizes)
-    rank = np.arange(total) - ptr[owner]
-    head = rank < counts[owner]
-    ids = np.full((n, width), -1, dtype=np.int64)
-    dist = np.full((n, width), INF, dtype=np.uint64)
-    ids[owner[head], rank[head]] = ball_ids[head]
-    dist[owner[head], rank[head]] = ball_dist[head]
-    radius = ball_dist[ptr[:-1] + counts - 1]
-    return BallData(b, ids, dist, radius, ptr, ball_ids, ball_dist)
+    # r_b(v) is the distance of the last of v's b nearest vertices
+    radius = ball_dist[ptr[:-1] + np.minimum(sizes, b) - 1]
+    return BallData(b, radius, ptr, ball_ids, ball_dist)
 
 
 def closed_ball(g, v, b, adj=None):

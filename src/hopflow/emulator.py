@@ -1,31 +1,31 @@
 """Level tower, distance oracle, and the low-hop emulator graph.
 
 The tower repeatedly compresses the graph: level i holds graph H_i, a
-ball size b_i, and for every vertex its truncated ball (open ball plus
+ball size b_i, and for every vertex its stored ball (open ball plus
 leader, with exact H_i distances) and its leader in the next level.
 Ball sizes grow as b^(5/4), so the tower has O(log k) levels; the final
-level keeps all pairwise distances of what is left.  ``distance_rows``
-computes them: one ``scipy.sparse.csgraph.dijkstra`` call while
-(n-1) * max weight < 2^53, where float64 sums are exact, and one
-Python Dijkstra per vertex otherwise.
+level keeps only the pairwise distances of what is left, as one matrix.
+``distance_rows`` computes it: one ``scipy.sparse.csgraph.dijkstra``
+call while (n-1) * max weight < 2^53, where float64 sums are exact, and
+one Python Dijkstra per vertex otherwise.
 
 Two consumers sit on top:
 
 * ``oracle_query`` walks a pair of vertices up the tower, charging both
   leader hops, and stops at the first level where one endpoint lies in
-  the other's stored ball.
+  the other's stored ball; at the top every pair is one matrix read.
 * ``build_emulator`` flattens the whole tower into a single graph on
   the original vertices whose 16*ceil(log2(k)+1)-hop distances already
   equal its true distances, at bounded multiplicative stretch.
 
 When the tower has one level, which the default ball size gives for any
-graph that fits in memory, that level stores the exact all-pairs
-distances as one (n, n) uint64 matrix.  The emulator is then the metric
-closure of the input graph, so its distances are that matrix's rows, and
+graph that fits in memory, that level's matrix is the exact all-pairs
+distances of the input graph.  The emulator is then the metric closure
+of the input graph, so its distances are that matrix's rows, and
 ``set_distance`` reads them (min over sources of offset + row) instead
-of scanning the closure's n(n-1)/2 edges.  Deeper towers, emulators read
-back by ``load_emulator`` and sums that would reach INF take the
-hop-limited scan.
+of scanning the closure's n(n-1)/2 edges.  Deeper towers, matrices past
+uint64, emulators read back by ``load_emulator`` and sums that would
+reach INF take the hop-limited scan.
 """
 
 from __future__ import annotations
@@ -43,21 +43,25 @@ class Level:
     __slots__ = ("graph", "vertices", "b", "ball_ids", "ball_dist",
                  "leader_dist", "leader_next", "dist")
 
-    def __init__(self, graph, vertices, b, ball_ids, ball_dist, leader_dist, leader_next,
-                 dist=None):
+    def __init__(self, graph, vertices, b, ball_ids=None, ball_dist=None, leader_dist=None,
+                 leader_next=None, dist=None):
         self.graph = graph          # H_i on local ids
         self.vertices = vertices    # original id of each local vertex
         self.b = b
-        self.ball_ids = ball_ids    # per local v: stored ball, local ids sorted
-        self.ball_dist = ball_dist  # aligned exact H_i distances
+        # below the top, per local v: views of its stored ball (local ids
+        # sorted, exact H_i distances), its leader's distance and local id
+        # in level i+1; the top holds only dist, H_t's all-pairs matrix
+        # (uint64, or Python ints past uint64)
+        self.ball_ids = ball_ids
+        self.ball_dist = ball_dist
         self.leader_dist = leader_dist
-        self.leader_next = leader_next  # local index in level i+1, -1 at top
-        # top level only: its (n, n) uint64 all-pairs matrix, whose rows
-        # ball_dist views; None below the top or when a row left uint64
+        self.leader_next = leader_next
         self.dist = dist
 
     def ball_lookup(self, v, u):
         """Stored distance d_{H_i}(v, u) if u is in the ball of v, else None."""
+        if self.dist is not None:
+            return int(self.dist[v, u])
         ids = self.ball_ids[v]
         pos = np.searchsorted(ids, u)
         if pos < len(ids) and ids[pos] == u:
@@ -66,14 +70,13 @@ class Level:
 
 
 class LevelStack:
-    __slots__ = ("levels", "k", "seed", "n", "b0")
+    __slots__ = ("levels", "k", "seed", "n")
 
-    def __init__(self, levels, k, seed, n, b0):
+    def __init__(self, levels, k, seed, n):
         self.levels = levels
         self.k = k
         self.seed = seed
         self.n = n
-        self.b0 = b0
 
     @property
     def t(self):
@@ -94,15 +97,19 @@ def level_bound(k):
     return 4 * max(0, math.ceil(math.log2(k) + 1))
 
 
-def _stored_ball(sub, v):
-    """v's open ball plus its leader, sorted by id, from a Subemulator."""
-    ids, ds = sub.balls.open_ball(v)
-    q, qd = int(sub.leader[v]), int(sub.leader_dist[v])
-    if q not in set(int(x) for x in ids):
-        ids = np.append(ids, q)
-        ds = np.append(ds, np.uint64(qd))
-    order = np.argsort(ids)
-    return ids[order].astype(np.int64), ds[order]
+def _stored_balls(sub):
+    """Every vertex's open ball plus its leader, sorted by id, as
+    per-vertex views (ids, dists) of two flat arrays."""
+    n = len(sub.leader)
+    owner, ids, ds = sub.balls.open_members()
+    # one (owner, id) key per membership; a leader inside the open ball
+    # appears twice, at the same distance, and unique keeps one of them
+    key, first = np.unique(np.concatenate([owner, np.arange(n)]) * n
+                           + np.concatenate([ids, sub.leader]), return_index=True)
+    ds = np.concatenate([ds, sub.leader_dist])[first]
+    # every vertex holds at least its leader, so no view is empty
+    cuts = np.searchsorted(key, np.arange(1, n) * n)
+    return np.split(key % n, cuts), np.split(ds, cuts)
 
 
 def preprocess(g, k=None, seed=0, b0=None):
@@ -120,7 +127,6 @@ def preprocess(g, k=None, seed=0, b0=None):
         raise ValueError(f"k={k} outside [0.5, max(0.5, log2(n)/2)]")
     b = int(b0) if b0 is not None else initial_ball_size(n, k)
     b = max(2, b)
-    first_b = b
 
     levels = []
     h = g
@@ -130,11 +136,11 @@ def preprocess(g, k=None, seed=0, b0=None):
             break
         level_seed = np.random.SeedSequence(entropy=[int(seed), len(levels)])
         sub = build_subemulator(h, b, level_seed)
-        stored = [_stored_ball(sub, v) for v in range(h.n)]
+        ball_ids, ball_dist = _stored_balls(sub)
         # leaders are kept vertices, so each one's local id is its rank
         leader_next = np.searchsorted(sub.vertices, sub.leader)
-        levels.append(Level(h, vertices, b, [ids for ids, _ in stored],
-                            [ds for _, ds in stored], sub.leader_dist, leader_next))
+        levels.append(Level(h, vertices, b, ball_ids, ball_dist, sub.leader_dist,
+                            leader_next))
         h = sub.graph
         vertices = vertices[sub.vertices]
         b = min(math.ceil(b ** 1.25), max(n, 2))
@@ -142,18 +148,9 @@ def preprocess(g, k=None, seed=0, b0=None):
         raise RuntimeError("level tower failed to terminate")
 
     # top level: exact all-pairs on what is left
-    rows = distance_rows(h)
-    dist = rows if rows.dtype == np.uint64 else None
-    rows = list(rows)
-    all_ids = np.arange(h.n, dtype=np.int64)
-    ball_ids = [all_ids] * h.n
-    # object rows hold distances past uint64
-    top_leader_dist = np.array([rows[v][0] for v in range(h.n)],
-                               dtype=np.uint64 if dist is not None else object)
-    levels.append(Level(h, vertices, b, ball_ids, rows,
-                        top_leader_dist, np.full(h.n, -1, dtype=np.int64), dist))
+    levels.append(Level(h, vertices, b, dist=distance_rows(h)))
 
-    stack = LevelStack(levels, k, seed, n, first_b)
+    stack = LevelStack(levels, k, seed, n)
     if b0 is None and stack.t > level_bound(k):
         raise AssertionError(f"tower depth {stack.t} exceeds bound {level_bound(k)}")
     return stack
@@ -207,24 +204,23 @@ def stretch_bound_for(k):
 def _edge_families(stack):
     """Each leader map and ball table as (a, b, level distance, scale).
 
-    Endpoints are original ids; pairs with a == b are dropped, and on the
-    top level so are pairs with a > b.
+    Endpoints are original ids; pairs with a == b are dropped.  The top
+    level's matrix is symmetric, so each pair is read once, a < b.
     """
     t = stack.t
-    for i, lvl in enumerate(stack.levels):
+    for i, lvl in enumerate(stack.levels[:-1]):
         orig = lvl.vertices
-        families = []
-        if i < t:
-            nxt = stack.levels[i + 1].vertices
-            families.append((orig, nxt[lvl.leader_next], lvl.leader_dist, 27 ** (t - i - 1)))
+        nxt = stack.levels[i + 1].vertices
         sizes = [len(ids) for ids in lvl.ball_ids]
-        families.append((np.repeat(orig, sizes), orig[np.concatenate(lvl.ball_ids)],
-                         np.concatenate(lvl.ball_dist), 27 ** (t - i)))
-        for (a, b, d, scale) in families:
-            # the top level's balls hold every vertex at symmetric exact
-            # distances, so each unordered pair is kept once there
-            keep = a < b if i == t else a != b
+        for (a, b, d, scale) in (
+                (orig, nxt[lvl.leader_next], lvl.leader_dist, 27 ** (t - i - 1)),
+                (np.repeat(orig, sizes), orig[np.concatenate(lvl.ball_ids)],
+                 np.concatenate(lvl.ball_dist), 27 ** (t - i))):
+            keep = a != b
             yield a[keep], b[keep], d[keep], scale
+    top = stack.levels[-1]
+    a, b = np.triu_indices(top.graph.n, 1)
+    yield top.vertices[a], top.vertices[b], top.dist[a, b], 1
 
 
 def _emulator_edges(stack, hop_bound):
@@ -250,7 +246,8 @@ def build_emulator(stack):
     hop_bound = hop_bound_for(stack.k)
     edges, wide = _emulator_edges(stack, hop_bound)
     graph = Graph(stack.n, edges, check_connected=False, wide=wide)
-    dist = stack.levels[0].dist if stack.t == 0 else None
+    top = stack.levels[-1].dist
+    dist = top if stack.t == 0 and top.dtype == np.uint64 else None
     return Emulator(graph, stack.k, stack.t, hop_bound, stretch_bound_for(stack.k),
                     stack.seed, dist)
 

@@ -34,7 +34,7 @@ class AllScalesFailed(RuntimeError):
     Either the iteration budget is too small or kappa underestimates the
     true condition number.  min_cost_flow raises it only after retrying
     with larger kappa_cap and t_cap; scale_search callers can raise
-    SolverConfig.kappa / t_cap and retry.
+    SolverConfig.kappa_cap / t_cap and retry.
     """
 
 
@@ -64,10 +64,10 @@ _T_REP = 2
 class SolverConfig:
     """Knobs for the MWU flow solver.
 
-    kappa=None uses the preconditioner's own 2*L*d*alpha certificate,
-    clamped by kappa_cap: the certificate is a sound but enormous bound
-    and drives the early-exit threshold eps/(2*kappa), so the working
-    value trades certified residuals for tractable iteration counts.
+    kappa_cap clamps the preconditioner's own 2*L*d*alpha certificate:
+    the certificate is a sound but enormous bound and drives the
+    early-exit threshold eps/(2*kappa), so the working value trades
+    certified residuals for tractable iteration counts.
     The scale-search grid always spans the full certificate.  t_cap
     bounds iterations per MWU call (the formula value T = ceil(64 kappa^2
     ln(2m)/eps^2) is used when smaller).  A run stops as infeasible as
@@ -78,9 +78,8 @@ class SolverConfig:
     """
 
     epsilon: float = 0.1
-    kappa: float | None = None
     kappa_cap: float = 2.0
-    t_cap: int | None = 12000
+    t_cap: int = 12000
     eta: float | None = None
 
     def __post_init__(self):
@@ -285,14 +284,12 @@ def _with_distance_columns(emb, cols):
 def build_flow_runtime(g, seed=0):
     """Embed g's metric and build the preconditioned flow operator + norms.
 
-    The distortion ratios are read from exact distance rows: the
-    emulator's stored rows on a one-level tower, one ``distance_rows``
-    call otherwise.  Should the embedding collapse a pair at positive
-    distance, each collapsing source's distance row is appended as a
-    column, which separates the pair.
+    The distortion ratios are read from g's exact distance rows, which
+    one ``distance_rows`` call gives.  Should the embedding collapse a
+    pair at positive distance, each collapsing source's distance row is
+    appended as a column, which separates the pair.
     """
-    stack = preprocess(g, seed=seed)
-    em = build_emulator(stack)
+    em = build_emulator(preprocess(g, seed=seed))
     emb = bourgain_embed(em, t_rep=_T_REP, seed=seed)
 
     n = g.n
@@ -301,8 +298,7 @@ def build_flow_runtime(g, seed=0):
     else:
         step = max(1, n // 64)
         sources = range(0, n, step)
-    rows = em.dist[sources] if em.dist is not None else distance_rows(g, sources)
-    rows = dict(zip(sources, rows))
+    rows = dict(zip(sources, distance_rows(g, sources)))
     ratios_lo, ratios_hi, collapsed = _distortion(emb, rows)
     if collapsed:
         emb = _with_distance_columns(emb, [rows[sidx] for sidx in collapsed])
@@ -405,7 +401,7 @@ def mwu_feasibility(rt, g, b, s, cfg):
     eps = cfg.epsilon
     kappa = effective_kappa(rt, cfg)
     T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
-    T = T_formula if cfg.t_cap is None else min(T_formula, cfg.t_cap)
+    T = min(T_formula, cfg.t_cap)
     eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
     thresh = eps / (2.0 * kappa)
     cert_thresh = thresh * (1.0 + _CERT_GUARD)
@@ -525,8 +521,6 @@ def _cancel_cycles(g, f, tol=1e-12):
 
 
 def effective_kappa(rt, cfg):
-    if cfg.kappa is not None:
-        return max(1.0, cfg.kappa)
     return max(1.0, min(rt.kappa_cert, cfg.kappa_cap))
 
 
@@ -616,7 +610,7 @@ def scale_search(rt, g, b, cfg, start=None):
     if out is None or out.status != "ok":
         raise AllScalesFailed(
             f"MWU failed at every scale up to (1+eps)^{top}; "
-            "raise kappa/t_cap or loosen epsilon")
+            "raise kappa_cap/t_cap or loosen epsilon")
     s = (1.0 + eps) ** lo
     x = out.x * (s * pbn / rt.N)
     return x, probes

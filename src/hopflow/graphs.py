@@ -125,23 +125,33 @@ def _merged_edges(n, edges, wide):
     """Validated (eu, ev, ew) with eu < ev, sorted, parallel edges merged.
 
     ``edges`` is a sequence of (u, v, w) or an (m, 3) array.  Integer
-    arrays keep their dtype; anything else becomes int64 when every value
-    fits, else exact Python ints through ``int()``.  The weights are
-    object arrays when ``wide`` or when a weight reaches 2^63, else uint64.
+    arrays, and sequences numpy reads as one, keep their dtype; other
+    values become exact Python ints when equal to one (2.0), and 1.5,
+    NaN, inf or "3" raise MalformedLine naming the first such edge.  The
+    weights are object when ``wide`` or past 2^63, else uint64.
     """
     arr = edges
     if not isinstance(arr, np.ndarray):
-        arr = list(arr)
+        rows = list(edges)
         try:
-            arr = np.array(arr, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            arr = np.array(arr, dtype=object)
+            arr = np.array(rows)
+        except ValueError:
+            arr = None
+        if arr is None or arr.dtype.kind not in "iu":
+            # read the values as given: a float64 reading rounds ints past 2^53
+            arr = np.array(rows, dtype=object)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise MalformedLine("edges must be (u, v, w) triples")
     if arr.dtype.kind not in "iu":
-        arr = np.frompyfunc(int, 1, 1)(arr.astype(object))
+        with np.errstate(invalid="ignore"):  # int(nan) sets the flag as it raises
+            ints = np.frompyfunc(_exact_int, 1, 1)(arr.astype(object))
+        bad = np.equal(ints, None).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise MalformedLine(f"non-integer value in edge {i}: {tuple(arr[i].tolist())!r}")
+        arr = ints
     u, v, w = arr[:, 0], arr[:, 1], arr[:, 2]
     bad = (u == v) | (w < 0) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
@@ -162,6 +172,15 @@ def _merged_edges(n, edges, wide):
     first = np.ones(len(lo), dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     return lo[first], hi[first], w[first]
+
+
+def _exact_int(x):
+    """x as a Python int when it equals one ("3" does not), else None."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
 
 
 def load_graph(text):

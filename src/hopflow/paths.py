@@ -353,11 +353,10 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
     probability at most (1+eps) times it.  A seedless engine (`exact`)
     extracts the same path on every trial, so it runs one trial
     whatever `trials` is; `mwu` and callable engines run all of them.
+    find_path checks the endpoints and answers s == t itself.
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must be in (0, 0.5)")
-    if s == t:
-        return Path([s], 0)
     log_n = max(1.0, math.log2(g.n))
     inner_eps = epsilon / (20.0 * log_n)
     if isinstance(flow_engine, str) and _ENGINES[flow_engine][1]:

@@ -1,7 +1,7 @@
 """One compression level: a smaller graph that coarsely preserves distances.
 
-A level is built in three steps, all reading the b-nearest lists and
-closed b-balls that one ``compute_balls`` call finds for every vertex:
+A level is built in three steps, all reading the closed b-balls that
+one ``compute_balls`` call finds for every vertex:
 
 1. sample a vertex subset S at rate min(50 ln(n)/b, 1/2) and keep, in
    addition, every vertex whose closed b-ball misses S entirely;
@@ -102,10 +102,8 @@ def connect_edges(g, balls, leader, leader_dist, categories=("original", "ball")
     if "original" in categories:
         families.append((g.eu, g.ev, g.ew))
     if "ball" in categories:
-        owner = np.repeat(np.arange(g.n), np.diff(balls.ball_ptr))
-        # strictly inside r_b(v): exactly the open ball of v
-        inside = balls.ball_dist < balls.radius[owner]
-        families.append((balls.ball_ids[inside], owner[inside], balls.ball_dist[inside]))
+        owner, member, d = balls.open_members()
+        families.append((member, owner, d))
     if not families:
         return np.empty((0, 3), dtype=np.uint64)
     u, v, d = (np.concatenate(x) for x in zip(*families))

@@ -63,8 +63,6 @@ def test_matches_brute_force(n, extra, b, seed):
         assert sorted(zip(ds.tolist(), ids.tolist())) == \
             sorted((d, u) for u, d in members)
         closed = _brute_closed_ball(dist[v], radius)
-        # the b-nearest list is the head of the closed ball
-        assert list(zip(balls.ids[v].tolist(), balls.dist[v].tolist())) == closed[:b]
         ids, ds = balls.closed_members(v)
         assert list(zip(ids.tolist(), ds.tolist())) == closed
 
@@ -83,7 +81,6 @@ def test_sphere_ties_beyond_b():
     # a star: from the center b=2 fixes radius 1, and all five leaves tie
     g = Graph(6, [(0, i, 1) for i in range(1, 6)])
     balls = compute_balls(g, 2)
-    assert balls.ids[0].tolist() == [0, 1] and balls.dist[0].tolist() == [0, 1]
     assert balls.radius[0] == 1
     ids, ds = balls.closed_members(0)
     assert ids.tolist() == [0, 1, 2, 3, 4, 5] and ds.tolist() == [0, 1, 1, 1, 1, 1]
@@ -96,7 +93,6 @@ def test_zero_weight_tie_settled_late_sorts_first():
     # edge), after 2 and 3 are settled, yet it leads the tie by id
     g = Graph(4, [(0, 2, 1), (0, 3, 1), (1, 3, 0)])
     balls = compute_balls(g, 2)
-    assert balls.ids[0].tolist() == [0, 1] and balls.dist[0].tolist() == [0, 1]
     ids, ds = balls.closed_members(0)
     assert ids.tolist() == [0, 1, 2, 3] and ds.tolist() == [0, 1, 1, 1]
 

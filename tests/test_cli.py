@@ -134,6 +134,13 @@ def test_stpath_subcommand(graph_file, capsys):
     assert doc["length"] == 3
 
 
+def test_stpath_rejects_equal_endpoints_out_of_range(graph_file, capsys):
+    code, doc = run_json(capsys, ["stpath", "7", "7", "--graph", graph_file, "--seed", "3"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "out of range" in doc["error"]["message"]
+
+
 def test_bench_csv(graph_file, capsys):
     code = main(["bench", "--graph", graph_file, "--seed", "1"])
     assert code == 0

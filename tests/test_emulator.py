@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopflow import (
@@ -22,7 +22,8 @@ from hopflow import (
     set_distance,
 )
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
-from hopflow.graphs import INF, W_MAX, bellman_ford_hops
+from hopflow.graphs import INF, W_MAX, GraphError, bellman_ford_hops
+from hopflow.subemulator import build_subemulator
 
 from conftest import all_pairs_oracle, grid_graph, rand_connected_graph
 
@@ -185,6 +186,104 @@ def test_one_level_closure_pinned():
     text = build_emulator(stack).graph.to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c959c9bd5b066171a69725b0cdb47de493152362b726e23355a052dd62e5b918")
+
+
+def _oracle_digest(stack):
+    n = stack.n
+    lines = [f"{u} {v} {d} {visits}" for u in range(0, n, 7) for v in range(0, n, 11)
+             for (d, visits) in [oracle_query(stack, u, v)]]
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+def test_oracle_answers_pinned():
+    # pinned when every level stored its balls one vertex at a time and the
+    # top level kept a row view per vertex
+    stack = preprocess(grid_graph(32, 7, 10), b0=16)
+    assert stack.t == 3
+    assert _oracle_digest(stack) == (
+        "c3e1146435da5b36b809864912e4c9027d4db4514b604b5c5d373d0f8f488ee4")
+    stack = preprocess(rand_connected_graph(300, 300, seed=3))
+    assert stack.t == 0
+    assert _oracle_digest(stack) == (
+        "ef7b0058dfd77a610143a315c1d7274bc431bb3bce49f0c70c1da9d00193217b")
+
+
+def _reference_stored_ball(sub, v):
+    """v's open ball plus its leader, sorted by id: the per-vertex loop
+    that each level's one-pass build replaced."""
+    ids, ds = sub.balls.open_ball(v)
+    q, qd = int(sub.leader[v]), int(sub.leader_dist[v])
+    if q not in set(int(x) for x in ids):
+        ids = np.append(ids, q)
+        ds = np.append(ds, np.uint64(qd))
+    order = np.argsort(ids)
+    return ids[order].astype(np.int64), ds[order]
+
+
+def _wide_graph(g, shift):
+    return Graph(g.n, [(u, v, w + shift) for (u, v, w) in g.edge_list()])
+
+
+@st.composite
+def _deep_tower_case(draw):
+    """A connected graph with weights 0..9, often shifted by 2^61 or 2^62
+    so the top level's rows leave uint64, and a small first ball."""
+    n = draw(st.integers(2, 40))
+    weight = st.integers(0, 9)
+    edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=50))
+    edges += [(u, v, w) for (u, v, w) in chords if u != v]
+    g = _wide_graph(Graph(n, edges), draw(st.sampled_from([0, 1 << 61, 1 << 62])))
+    return g, draw(st.integers(2, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_deep_tower_case(), st.integers(0, 1000))
+@example((_wide_graph(rand_connected_graph(40, 40, seed=4), 1 << 62), 4), 0)
+def test_stored_balls_match_per_vertex_reference(case, seed):
+    g, b0 = case
+    try:
+        stack = preprocess(g, seed=seed, b0=b0)
+    except GraphError:
+        return  # a ball distance past uint64, which compute_balls refuses
+    except AssertionError as exc:
+        # the zero-weight defect that the xfail test below names
+        assert "ball lists incomplete" in str(exc)
+        return
+    for i, lvl in enumerate(stack.levels[:-1]):
+        sub = build_subemulator(lvl.graph, lvl.b, np.random.SeedSequence(entropy=[seed, i]))
+        assert len(lvl.ball_ids) == len(lvl.ball_dist) == lvl.graph.n
+        for v in range(lvl.graph.n):
+            ids, ds = _reference_stored_ball(sub, v)
+            assert (lvl.ball_ids[v].dtype, lvl.ball_dist[v].dtype) == (ids.dtype, ds.dtype)
+            assert lvl.ball_ids[v].tolist() == ids.tolist()
+            assert lvl.ball_dist[v].tolist() == ds.tolist()
+    # the top level is one matrix of exact distances, object past uint64
+    top = stack.levels[-1]
+    rows = [dijkstra(top.graph, v) for v in range(top.graph.n)]
+    wide = any(r.dtype == object for r in rows)
+    assert top.dist.dtype == (object if wide else np.uint64)
+    assert top.dist.tolist() == [[int(d) for d in r] for r in rows]
+    assert top.ball_ids is None and top.leader_dist is None
+    em = build_emulator(stack)
+    assert (em.dist is not None) == (stack.t == 0 and not wide)
+
+
+def test_wide_deep_tower_keeps_an_object_top_matrix():
+    g = _wide_graph(rand_connected_graph(40, 40, seed=4), 1 << 62)
+    stack = preprocess(g, b0=4)
+    assert stack.t == 2 and stack.levels[-1].dist.dtype == object
+    assert build_emulator(stack).dist is None
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a kept vertex whose zero-distance tie to a smaller kept id "
+                          "makes that vertex its leader is left without edges")
+def test_zero_weight_tie_between_kept_vertices_builds_a_tower():
+    # both vertices are kept at seed 1; vertex 0 leads them both, so the
+    # next level has two vertices and no edge, and its balls are refused
+    preprocess(Graph(2, [(0, 1, 0)]), seed=1, b0=2)
 
 
 def test_deterministic_per_seed():

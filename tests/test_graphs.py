@@ -66,6 +66,27 @@ def test_parse_rejects_garbage():
         load_graph("2 2\n0 1 1")  # header promises more edges
 
 
+@pytest.mark.parametrize("bad", [1.5, 0.7, float("nan"), float("inf"), "3", None])
+def test_constructor_rejects_non_integer_values(bad):
+    # the first bad edge is named, whichever column holds the value
+    for edge in ((0, 1, bad), (bad, 1, 2)):
+        with pytest.raises(MalformedLine, match=r"edge 1: "):
+            Graph(3, [(1, 2, 4), edge])
+    if isinstance(bad, float):
+        with pytest.raises(MalformedLine, match=r"edge 0: "):
+            Graph(3, np.array([[0, 1, bad], [1, 2, 4]]))
+
+
+def test_constructor_keeps_integral_floats():
+    # a float beside an int past 2^53 must not round the int
+    want = [(0, 1, 2), (1, 2, (1 << 60) + 1)]
+    assert Graph(3, [(0, 1, 2.0), (1, 2, (1 << 60) + 1)]).edge_list() == want
+    assert Graph(3, [(0.0, 1, 2), (1, 2, (1 << 60) + 1)]).edge_list() == want
+    assert Graph(3, np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 2.0 ** 60]])).edge_list() == \
+        [(0, 1, 2), (1, 2, 1 << 60)]
+    assert Graph(2, [(0, 1, 1e20)]).edge_list() == [(0, 1, 10 ** 20)]
+
+
 def test_comments_and_blank_lines_ignored():
     g = load_graph("# hello\n\n2 1\n# mid\n0 1 7\n")
     assert g.edge_list() == [(0, 1, 7)]

@@ -224,6 +224,14 @@ def test_approx_shortest_path_trivial_pair():
     assert p.vertices == [0] and p.length == 0
 
 
+def test_approx_shortest_path_rejects_equal_endpoints_out_of_range():
+    # s == t must not skip the range check that find_path makes
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    for v in (99, -1):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            approx_shortest_path(g, v, v, 0.2)
+
+
 def test_path_to_dict():
     assert Path([0, 3, 2], 11).to_dict() == {"vertices": [0, 3, 2], "length": 11}
 

@@ -14,18 +14,21 @@ Two consumers sit on top:
 * ``oracle_query`` walks a pair of vertices up the tower, charging both
   leader hops, and stops at the first level where one endpoint lies in
   the other's stored ball; at the top every pair is one matrix read.
-* ``build_emulator`` flattens the whole tower into a single graph on
-  the original vertices whose 16*ceil(log2(k)+1)-hop distances already
-  equal its true distances, at bounded multiplicative stretch.
+* ``build_emulator`` returns the emulator: a single graph on the
+  original vertices, flattened from the whole tower, whose
+  16*ceil(log2(k)+1)-hop distances already equal its true distances,
+  at bounded multiplicative stretch.  The graph is built on the first
+  read of ``Emulator.graph``, so a caller that never scans its edges
+  never pays for them.
 
 When the tower has one level, which the default ball size gives for any
 graph that fits in memory, that level's matrix is the exact all-pairs
 distances of the input graph.  The emulator is then the metric closure
 of the input graph, so its distances are that matrix's rows, and
-``set_distance`` reads them (min over sources of offset + row) instead
-of scanning the closure's n(n-1)/2 edges.  Deeper towers, matrices past
-uint64, emulators read back by ``load_emulator`` and sums that would
-reach INF take the hop-limited scan.
+``set_distance`` reads them (min over sources of offset + row); the
+closure's n(n-1)/2 edges are never built on that path.  Deeper towers,
+matrices past uint64, emulators read back by ``load_emulator`` and sums
+that would reach INF take the hop-limited scan, which builds the graph.
 """
 
 from __future__ import annotations
@@ -179,10 +182,24 @@ def oracle_query(stack, u, v):
 
 
 class Emulator:
-    __slots__ = ("graph", "k", "t", "hop_bound", "stretch_bound", "seed", "dist")
+    """The low-hop emulator of a tower: a graph on its ``n`` vertices whose
+    ``hop_bound``-hop distances are its shortest-path distances.
 
-    def __init__(self, graph, k, t, hop_bound, stretch_bound, seed, dist=None):
-        self.graph = graph
+    ``build_emulator`` keeps the tower and builds the graph on the first
+    read of ``graph``, which then caches it.  Only the readers that scan
+    edges read it: ``set_distance``'s hop-limited fallback (deep towers,
+    object rows, loaded emulators), ``low_diameter_decomposition``,
+    ``save_emulator`` and the CLI's edge count.  ``set_distance`` on a
+    one-level tower and ``bourgain_embed`` never do.  ``load_emulator``
+    passes a built graph.
+    """
+
+    __slots__ = ("n", "k", "t", "hop_bound", "stretch_bound", "seed", "dist",
+                 "_graph", "_stack")
+
+    def __init__(self, n, k, t, hop_bound, stretch_bound, seed, dist=None,
+                 graph=None, stack=None):
+        self.n = n
         self.k = k
         self.t = t
         self.hop_bound = hop_bound
@@ -191,6 +208,17 @@ class Emulator:
         # exact uint64 distance matrix of the graph, when one is known:
         # the rows of a one-level tower, shared with the tower
         self.dist = dist
+        # a built graph, or the tower it is built from on first read
+        self._graph = graph
+        self._stack = stack
+
+    @property
+    def graph(self):
+        if self._graph is None:
+            edges, wide = _emulator_edges(self._stack, self.hop_bound)
+            self._graph = Graph(self.n, edges, check_connected=False, wide=wide)
+            self._stack = None
+        return self._graph
 
 
 def hop_bound_for(k):
@@ -242,14 +270,15 @@ def _emulator_edges(stack, hop_bound):
 
 
 def build_emulator(stack):
-    """Flatten the tower into one low-hop graph on the original vertices."""
-    hop_bound = hop_bound_for(stack.k)
-    edges, wide = _emulator_edges(stack, hop_bound)
-    graph = Graph(stack.n, edges, check_connected=False, wide=wide)
+    """The low-hop emulator of a tower, on the original vertices.
+
+    Returns at once: the graph that flattens the tower is built on the
+    first read of ``graph``.
+    """
     top = stack.levels[-1].dist
     dist = top if stack.t == 0 and top.dtype == np.uint64 else None
-    return Emulator(graph, stack.k, stack.t, hop_bound, stretch_bound_for(stack.k),
-                    stack.seed, dist)
+    return Emulator(stack.n, stack.k, stack.t, hop_bound_for(stack.k),
+                    stretch_bound_for(stack.k), stack.seed, dist, stack=stack)
 
 
 def set_distance(em, sources):
@@ -267,7 +296,7 @@ def set_distance(em, sources):
     if isinstance(sources, dict):
         sources = sources.items()
     sources = [(int(v), int(off)) for (v, off) in sources]
-    n = em.graph.n
+    n = em.n
     for v, off in sources:
         if not 0 <= v < n:
             raise ValueError(f"source vertex {v} out of range 0..{n - 1}")
@@ -316,5 +345,5 @@ def load_emulator(path):
             edges.append((int(u), int(v), int(w)))
     wide = any(w * (header["hop_bound"] + 2) >= (1 << 63) for (_, _, w) in edges)
     graph = Graph(n, edges, check_connected=False, wide=wide)
-    return Emulator(graph, header["k"], header["t"], header["hop_bound"],
-                    header["stretch_bound"], header["seed"])
+    return Emulator(n, header["k"], header["t"], header["hop_bound"],
+                    header["stretch_bound"], header["seed"], graph=graph)

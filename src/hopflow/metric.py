@@ -85,7 +85,7 @@ def bourgain_embed(em, t_rep=None, seed=0):
     redrawn once, then falls back to a single random vertex.  Raises
     ValueError for t_rep < 1.
     """
-    n = em.graph.n
+    n = em.n
     scales = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     if t_rep is None:
         t_rep = max(1, 4 * math.ceil(math.log2(max(n, 2))))

@@ -6,7 +6,8 @@ one ``compute_balls`` call finds for every vertex:
 1. sample a vertex subset S at rate min(50 ln(n)/b, 1/2) and keep, in
    addition, every vertex whose closed b-ball misses S entirely;
 2. assign each vertex v the leader q(v): the kept vertex closest to v
-   within its closed b-ball (ties to the smaller id);
+   within its closed b-ball (ties to the smaller id), and v itself when
+   v is kept;
 3. connect leaders: each original edge {u, v} becomes
    {q(u), q(v)} with weight d(u,q(u)) + w(u,v) + d(v,q(v)), and each
    open-ball membership u in B(v) becomes {q(u), q(v)} with weight
@@ -68,10 +69,14 @@ def sample_vertices(g, balls, seed):
 
 
 def assign_leaders(g, balls, kept):
-    """q(v) = nearest kept vertex in the closed ball of v, ties to small id.
+    """q(v) = nearest kept vertex in the closed ball of v, ties to small id;
+    a kept vertex is its own leader.
 
     The stored closed balls are sorted by (dist, id), so q(v) is the
-    first kept member of v's ball.
+    first kept member of v's ball.  For a kept v that member lies at
+    distance 0, but it is a smaller kept id when a zero-weight path ties
+    the two; v then leads itself anyway, or it would get no edge in the
+    next level.
     """
     kept = np.asarray(kept, dtype=bool)
     starts, ends = balls.ball_ptr[:-1], balls.ball_ptr[1:]
@@ -81,7 +86,8 @@ def assign_leaders(g, balls, kept):
     missing = first >= ends
     if missing.any():
         raise ValueError(f"vertex {int(np.argmax(missing))} has no kept vertex in its ball")
-    return balls.ball_ids[first], balls.ball_dist[first]
+    leader = np.where(kept, np.arange(len(kept)), balls.ball_ids[first])
+    return leader, balls.ball_dist[first]
 
 
 def connect_edges(g, balls, leader, leader_dist, categories=("original", "ball")):

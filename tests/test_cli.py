@@ -2,9 +2,11 @@
 and thread-count independence."""
 
 import json
+import time
 
 import pytest
 
+import hopflow.emulator
 from hopflow.cli import main
 
 PATH_GRAPH = "3 2\n0 1 1\n1 2 2\n"
@@ -141,13 +143,24 @@ def test_stpath_rejects_equal_endpoints_out_of_range(graph_file, capsys):
     assert "out of range" in doc["error"]["message"]
 
 
-def test_bench_csv(graph_file, capsys):
+def test_bench_csv(graph_file, capsys, monkeypatch):
+    # a slow graph build shows in the emulator_build row: the row times
+    # the emulator graph, which is built on its first read
+    real = hopflow.emulator.Graph
+
+    def slow_graph(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hopflow.emulator, "Graph", slow_graph)
     code = main(["bench", "--graph", graph_file, "--seed", "1"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "stage,seconds"
     stages = [ln.split(",")[0] for ln in lines[1:]]
     assert "dijkstra_baseline" in stages and "emulator_build" in stages
+    assert stages.index("emulator_build") == stages.index("preprocess") + 1
+    assert float(dict(ln.split(",") for ln in lines[1:])["emulator_build"]) >= 0.05
     assert stages.index("embed") == stages.index("approx_sssp") + 1
     assert stages[-1] == "min_cost_flow"
     for ln in lines[1:]:

@@ -21,8 +21,11 @@ from hopflow import (
     save_emulator,
     set_distance,
 )
+from hopflow import emulator as emulator_module
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
+from hopflow.flow import build_flow_runtime
 from hopflow.graphs import INF, W_MAX, GraphError, bellman_ford_hops
+from hopflow.metric import bourgain_embed
 from hopflow.subemulator import build_subemulator
 
 from conftest import all_pairs_oracle, grid_graph, rand_connected_graph
@@ -247,10 +250,6 @@ def test_stored_balls_match_per_vertex_reference(case, seed):
         stack = preprocess(g, seed=seed, b0=b0)
     except GraphError:
         return  # a ball distance past uint64, which compute_balls refuses
-    except AssertionError as exc:
-        # the zero-weight defect that the xfail test below names
-        assert "ball lists incomplete" in str(exc)
-        return
     for i, lvl in enumerate(stack.levels[:-1]):
         sub = build_subemulator(lvl.graph, lvl.b, np.random.SeedSequence(entropy=[seed, i]))
         assert len(lvl.ball_ids) == len(lvl.ball_dist) == lvl.graph.n
@@ -277,13 +276,13 @@ def test_wide_deep_tower_keeps_an_object_top_matrix():
     assert build_emulator(stack).dist is None
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a kept vertex whose zero-distance tie to a smaller kept id "
-                          "makes that vertex its leader is left without edges")
 def test_zero_weight_tie_between_kept_vertices_builds_a_tower():
-    # both vertices are kept at seed 1; vertex 0 leads them both, so the
-    # next level has two vertices and no edge, and its balls are refused
-    preprocess(Graph(2, [(0, 1, 0)]), seed=1, b0=2)
+    # both vertices are kept at seed 1 and tie at distance 0; were vertex 0
+    # to lead them both, the next level would have two vertices and no edge
+    stack = preprocess(Graph(2, [(0, 1, 0)]), seed=1, b0=2)
+    assert stack.t >= 1
+    for lvl in stack.levels:
+        assert lvl.graph.n == 1 or int(dijkstra(lvl.graph, 0).max()) < int(INF)
 
 
 def test_deterministic_per_seed():
@@ -359,3 +358,41 @@ def test_set_distance_rejects_bad_sources():
                 set_distance(em, sources)
         with pytest.raises(ValueError):
             approx_sssp(em, -1)
+
+
+def test_default_path_never_builds_the_closure(monkeypatch):
+    g = rand_connected_graph(60, 80, seed=17)
+    stack = preprocess(g, seed=17)
+    assert stack.t == 0
+    built = []
+    real = emulator_module.Graph
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(emulator_module, "Graph", counting)
+    em = build_emulator(stack)
+    approx_sssp(em, 3)
+    set_distance(em, [(5, 2), (40, 0)])
+    bourgain_embed(em, t_rep=2, seed=17)
+    oracle_query(stack, 0, 59)
+    build_flow_runtime(g, seed=17)
+    assert built == []
+    # the first read builds the closure once, through the counted name
+    assert em.graph.m == 60 * 59 // 2
+    assert em.graph is em.graph
+    assert built == [60]
+
+
+def test_deep_tower_graph_built_on_first_read():
+    g = rand_connected_graph(80, 90, seed=18)
+    stack = preprocess(g, seed=18, b0=4)
+    assert stack.t >= 1
+    # the scan reads the graph itself; reading it first changes nothing
+    before = approx_sssp(build_emulator(stack), 11)
+    em = build_emulator(stack)
+    graph = em.graph
+    assert em.graph is graph
+    assert approx_sssp(em, 11).tolist() == before.tolist()
+    assert em.graph is graph

@@ -25,10 +25,11 @@ When the tower has one level, which the default ball size gives for any
 graph that fits in memory, that level's matrix is the exact all-pairs
 distances of the input graph.  The emulator is then the metric closure
 of the input graph, so its distances are that matrix's rows, and
-``set_distance`` reads them (min over sources of offset + row); the
-closure's n(n-1)/2 edges are never built on that path.  Deeper towers,
-matrices past uint64, emulators read back by ``load_emulator`` and sums
-that would reach INF take the hop-limited scan, which builds the graph.
+``set_distance`` reads them (min over sources of offset + row, in uint64
+while the sums fit and in Python ints past that); the closure's
+n(n-1)/2 edges are never built on that path.  Deeper towers and
+emulators read back by ``load_emulator`` take the hop-limited scan,
+which builds the graph.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import math
 
 import numpy as np
 
-from .graphs import INF, Graph, bellman_ford_hops, distance_rows
+from .graphs import (INF, Graph, NotConnected, bellman_ford_hops, distance_array,
+                     distance_rows, exact_int)
 from .subemulator import build_subemulator
 
 
@@ -121,8 +123,11 @@ def preprocess(g, k=None, seed=0, b0=None):
     ``b0`` overrides the first ball size; the default formula exceeds n
     for any graph that fits in memory, which collapses the tower to its
     single exact level, so small overrides are how deep towers are
-    exercised.
+    exercised.  Raises NotConnected for a disconnected graph, whose
+    distances no tower represents.
     """
+    if not g.is_connected():
+        raise NotConnected("graph is not connected")
     n = g.n
     if k is None:
         k = default_k(n)
@@ -167,8 +172,10 @@ def oracle_query(stack, u, v):
     n = stack.n
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("query vertex out of range")
-    total = 0
     uu, vv = int(u), int(v)
+    if uu != u or vv != v:
+        raise ValueError(f"query vertices {u!r}, {v!r} are not both integers")
+    total = 0
     for visits, lvl in enumerate(stack.levels, start=1):
         d = lvl.ball_lookup(uu, vv)
         if d is None:
@@ -187,11 +194,10 @@ class Emulator:
 
     ``build_emulator`` keeps the tower and builds the graph on the first
     read of ``graph``, which then caches it.  Only the readers that scan
-    edges read it: ``set_distance``'s hop-limited fallback (deep towers,
-    object rows, loaded emulators), ``low_diameter_decomposition``,
-    ``save_emulator`` and the CLI's edge count.  ``set_distance`` on a
-    one-level tower and ``bourgain_embed`` never do.  ``load_emulator``
-    passes a built graph.
+    edges read it: ``set_distance``'s hop-limited scan (deep towers and
+    loaded emulators), ``low_diameter_decomposition``, ``save_emulator``
+    and the CLI's edge count.  ``set_distance`` on a one-level tower and
+    ``bourgain_embed`` never do.  ``load_emulator`` passes a built graph.
     """
 
     __slots__ = ("n", "k", "t", "hop_bound", "stretch_bound", "seed", "dist",
@@ -205,8 +211,9 @@ class Emulator:
         self.hop_bound = hop_bound
         self.stretch_bound = stretch_bound
         self.seed = seed
-        # exact uint64 distance matrix of the graph, when one is known:
-        # the rows of a one-level tower, shared with the tower
+        # exact distance matrix of the graph, when one is known: the rows
+        # of a one-level tower (uint64, or Python ints past uint64),
+        # shared with the tower
         self.dist = dist
         # a built graph, or the tower it is built from on first read
         self._graph = graph
@@ -275,8 +282,7 @@ def build_emulator(stack):
     Returns at once: the graph that flattens the tower is built on the
     first read of ``graph``.
     """
-    top = stack.levels[-1].dist
-    dist = top if stack.t == 0 and top.dtype == np.uint64 else None
+    dist = stack.levels[-1].dist if stack.t == 0 else None
     return Emulator(stack.n, stack.k, stack.t, hop_bound_for(stack.k),
                     stretch_bound_for(stack.k), stack.seed, dist, stack=stack)
 
@@ -288,28 +294,46 @@ def set_distance(em, sources):
     already yields its true shortest-path distances.  An emulator built
     from a one-level tower is the metric closure of its input graph, so
     its distances are the tower's exact all-pairs rows: then the result
-    is min over sources of offset + row, computed in uint64 whenever that
-    stays below INF, and the scan runs only otherwise.
+    is min over sources of offset + row, computed in uint64 while that
+    stays below INF and in Python ints otherwise, and the scan never runs.
+    An empty source set gives INF everywhere.
 
-    Raises ValueError for a vertex outside [0, n) or a negative offset.
+    Raises ValueError for a vertex outside [0, n), a negative offset, or
+    a vertex or offset that is not an integer.
     """
     if isinstance(sources, dict):
         sources = sources.items()
-    sources = [(int(v), int(off)) for (v, off) in sources]
-    n = em.n
+    vs, offsets = _checked_sources(sources, em.n)
+    if not vs:
+        return np.full(em.n, INF, dtype=np.uint64)
+    if em.dist is None:
+        return bellman_ford_hops(em.graph, zip(vs, offsets), em.hop_bound)
+    rows = em.dist[vs]
+    if rows.dtype == np.uint64 and max(offsets) + int(rows.max()) < int(INF):
+        if any(offsets):
+            rows += np.array(offsets, dtype=np.uint64)[:, None]
+        return rows.min(axis=0)
+    return distance_array((rows.astype(object) + np.array(offsets, dtype=object)[:, None])
+                          .min(axis=0))
+
+
+def _checked_sources(sources, n):
+    """(vertices, offsets) of (vertex, offset) pairs, as lists of Python
+    ints.  Raises ValueError unless each vertex equals an int in [0, n)
+    and each offset a non-negative int (2.0 does; 1.5, "1" and NaN do not).
+    """
+    vs, offsets = [], []
     for v, off in sources:
-        if not 0 <= v < n:
-            raise ValueError(f"source vertex {v} out of range 0..{n - 1}")
-        if off < 0:
-            raise ValueError(f"negative offset {off} at source {v}")
-    if em.dist is not None and sources:
-        offsets = [off for (_, off) in sources]
-        rows = em.dist[[v for (v, _) in sources]]
-        if max(offsets) + int(rows.max()) < int(INF):
-            if any(offsets):
-                rows += np.array(offsets, dtype=np.uint64)[:, None]
-            return rows.min(axis=0)
-    return bellman_ford_hops(em.graph, sources, em.hop_bound)
+        i, o = exact_int(v), exact_int(off)
+        if i is None or o is None:
+            raise ValueError(f"source ({v!r}, {off!r}) is not a pair of integers")
+        if not 0 <= i < n:
+            raise ValueError(f"source vertex {i} out of range 0..{n - 1}")
+        if o < 0:
+            raise ValueError(f"negative offset {o} at source {i}")
+        vs.append(i)
+        offsets.append(o)
+    return vs, offsets
 
 
 def approx_sssp(em, source):

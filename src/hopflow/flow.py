@@ -229,39 +229,30 @@ def _distortion(emb, rows):
     """(min, max) of l1/dist over the pairs (source, v) at positive
     distance, and the sources whose embedding collapses such a pair.
 
-    While every coordinate sum and distance stays below 2^53, a source's
-    l1 row is one uint64 numpy reduction and its ratios float64
-    divisions, which are then bit-equal to Python's int / int.  Object
-    points or rows, and values past that bound, take the per-pair loop.
+    Each source's l1 row is one numpy reduction and its ratios one
+    division.  While every coordinate sum and distance stays below 2^53
+    they run in uint64 and float64, which is then bit-equal to Python's
+    int / int; past that bound they run on Python ints, whose int / int
+    is correctly rounded.
     """
+    pts = emb.points
+    top = max([int(pts.max(initial=0)) * pts.shape[1]]
+              + [int(row.max(initial=0)) for row in rows.values()])
+    if top >= 2**53:
+        pts = pts.astype(object)  # l1 and l1 / dist in Python ints
     lo, hi = math.inf, 0.0
     collapsed = []
-    pts = emb.points
-    exact_pts = pts.dtype != object and int(pts.max(initial=0)) * pts.shape[1] < 2**53
     for sidx, row in rows.items():
-        if exact_pts and row.dtype != object and int(row.max(initial=0)) < 2**53:
-            l1 = (np.maximum(pts, pts[sidx]) - np.minimum(pts, pts[sidx])).sum(axis=1)
-            keep = row != 0
-            keep[sidx] = False
-            l1, dist = l1[keep], row[keep]
-            if l1.size:
-                if not l1.all():
-                    collapsed.append(sidx)
-                ratios = l1 / dist
-                lo = min(lo, float(ratios.min()))
-                hi = max(hi, float(ratios.max()))
-            continue
-        for v in range(len(row)):
-            if v == sidx:
-                continue
-            dist = int(row[v])
-            if dist == 0:
-                continue
-            l1 = emb.l1(sidx, v)
-            if l1 == 0 and (not collapsed or collapsed[-1] != sidx):
+        l1 = (np.maximum(pts, pts[sidx]) - np.minimum(pts, pts[sidx])).sum(axis=1)
+        keep = row != 0
+        keep[sidx] = False
+        l1, dist = l1[keep], row[keep]
+        if l1.size:
+            if not l1.all():
                 collapsed.append(sidx)
-            lo = min(lo, l1 / dist)
-            hi = max(hi, l1 / dist)
+            ratios = l1 / dist
+            lo = min(lo, float(ratios.min()))
+            hi = max(hi, float(ratios.max()))
     return lo, hi, collapsed
 
 
@@ -271,14 +262,8 @@ def _with_distance_columns(emb, cols):
     Each such column is 1-Lipschitz, keeps the minimum coordinate at 1
     and separates s from every vertex at positive distance from it.
     """
-    extra = np.stack(cols, axis=1)
-    if emb.points.dtype == object or extra.dtype == object:
-        pts = np.concatenate([emb.points.astype(object), extra.astype(object) + 1], axis=1)
-        delta = next_pow2(max(int(x) for x in pts.flat))
-    else:
-        pts = np.concatenate([emb.points, extra + np.uint64(1)], axis=1)
-        delta = next_pow2(int(pts.max()))
-    return Embedding(pts, delta, emb.seed, emb.t_rep, emb.scales)
+    pts = np.concatenate([emb.points, np.stack(cols, axis=1) + 1], axis=1)
+    return Embedding(pts, next_pow2(int(pts.max())), emb.seed, emb.t_rep, emb.scales)
 
 
 def build_flow_runtime(g, seed=0):

@@ -4,8 +4,11 @@ Graphs are undirected, connected, with non-negative integer weights.
 Distances are computed in unsigned 64-bit arithmetic with a dedicated
 infinity sentinel; weights are validated against W_MAX on load so that
 path sums cannot overflow.  Graphs built through the API may carry
-larger weights: where a distance could leave the uint64 range, the
-distance functions switch to exact Python integers (object arrays).
+larger weights: where a distance could leave the uint64 range, the same
+numpy expressions run on object arrays of exact Python ints, with
+math.inf as the sentinel.  ``distance_array`` fixes the returned format:
+uint64 with INF while every finite distance is below INF, object with
+math.inf otherwise.
 
 ``dijkstra`` is the one search written in Python.  ``distance_rows``
 gives many sources' rows at once: while (n-1) * max weight < 2^53 every
@@ -94,19 +97,10 @@ class Graph:
         return self.adj_v[lo:hi], self.adj_w[lo:hi]
 
     def is_connected(self):
-        if self.n == 1:
-            return True
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            lo, hi = self.indptr[v], self.indptr[v + 1]
-            for u in self.adj_v[lo:hi]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        return bool(seen.all())
+        # the adjacency lists hold both directions of every edge
+        mat = csr_matrix((np.ones(len(self.adj_v)), self.adj_v, self.indptr),
+                         shape=(self.n, self.n))
+        return len(csgraph.breadth_first_order(mat, 0, return_predecessors=False)) == self.n
 
     def edge_list(self):
         """Edges as (u, v, w) int tuples with u < v, sorted."""
@@ -146,7 +140,7 @@ def _merged_edges(n, edges, wide):
         raise MalformedLine("edges must be (u, v, w) triples")
     if arr.dtype.kind not in "iu":
         with np.errstate(invalid="ignore"):  # int(nan) sets the flag as it raises
-            ints = np.frompyfunc(_exact_int, 1, 1)(arr.astype(object))
+            ints = np.frompyfunc(exact_int, 1, 1)(arr.astype(object))
         bad = np.equal(ints, None).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -174,7 +168,7 @@ def _merged_edges(n, edges, wide):
     return lo[first], hi[first], w[first]
 
 
-def _exact_int(x):
+def exact_int(x):
     """x as a Python int when it equals one ("3" does not), else None."""
     try:
         i = int(x)
@@ -255,11 +249,24 @@ def dijkstra(g, source):
             if dist[u] is None or nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
-    if max(d for d in dist if d is not None) >= int(INF):
-        out = np.empty(g.n, dtype=object)
-        out[:] = [math.inf if d is None else d for d in dist]
-        return out
-    return np.array([int(INF) if d is None else d for d in dist], dtype=np.uint64)
+    return distance_array(np.array([math.inf if d is None else d for d in dist], dtype=object))
+
+
+def distance_array(dist):
+    """The library's format for exact distances ``dist``.
+
+    ``dist`` is uint64 with the INF sentinel, or an object array of
+    Python ints with math.inf for unreachable vertices.  The result is
+    uint64 with INF while every finite value is below INF, else the
+    object array.
+    """
+    if dist.dtype != object:
+        return dist
+    unreached = dist == math.inf
+    finite = dist[~unreached]
+    if finite.size and finite.max() >= int(INF):
+        return dist
+    return np.where(unreached, int(INF), dist).astype(np.uint64)
 
 
 def distance_rows(g, sources=None):
@@ -305,65 +312,35 @@ def bellman_ford_hops(g, sources, hops):
 
     ``sources`` is an iterable of (vertex, offset).  The result at v is
     min over sources (u, o) and paths u->v with at most ``hops`` edges of
-    o + path weight (INF when unreachable within the hop budget).
+    o + path weight (INF when unreachable within the hop budget), in the
+    format ``distance_array`` gives.
     """
     sources = list(sources)
     # every value the scan forms is an offset plus at most n edge weights;
-    # uint64 holds it exactly only while that stays below INF
+    # uint64 holds it exactly only while that stays below INF, and past
+    # that the same scan runs on Python ints
     reach = max((int(off) for (_, off) in sources), default=0)
     if g.m and hops > 0:
         reach += min(hops, g.n) * int(g.ew.max())
-    if g.ew.dtype == object or reach >= int(INF):
-        return _bf_hops_object(g, sources, hops)
-    dist = np.full(g.n, INF, dtype=np.uint64)
+    wide = g.ew.dtype == object or reach >= int(INF)
+    dtype, inf = (object, math.inf) if wide else (np.uint64, INF)
+    dist = np.full(g.n, inf, dtype=dtype)
     for (v, off) in sources:
-        o = np.uint64(int(off))
-        if o < dist[v]:
-            dist[v] = o
-    if g.m == 0 or hops <= 0:
-        return dist
-    eu, ev, ew = g.eu, g.ev, g.ew
-    for _ in range(hops):
+        dist[v] = min(dist[v], int(off))
+    eu, ev, ew = g.eu, g.ev, g.ew.astype(dtype, copy=False)
+    for _ in range(hops if g.m else 0):
         du, dv = dist[eu], dist[ev]
         cand_v = du + ew
-        cand_v[du == INF] = INF
+        cand_v[du == inf] = inf
         cand_u = dv + ew
-        cand_u[dv == INF] = INF
+        cand_u[dv == inf] = inf
         new = dist.copy()
         np.minimum.at(new, ev, cand_v)
         np.minimum.at(new, eu, cand_u)
         if np.array_equal(new, dist):
             break
         dist = new
-    return dist
-
-
-def _bf_hops_object(g, sources, hops):
-    dist = [math.inf] * g.n
-    for (v, off) in sources:
-        dist[v] = min(dist[v], int(off))
-    eu, ev, ew = g.eu, g.ev, g.ew
-    for _ in range(hops):
-        new = list(dist)
-        for i in range(g.m):
-            u, v, w = int(eu[i]), int(ev[i]), int(ew[i])
-            if dist[u] + w < new[v]:
-                new[v] = dist[u] + w
-            if dist[v] + w < new[u]:
-                new[u] = dist[v] + w
-        if new == dist:
-            break
-        dist = new
-    finite = [d for d in dist if d != math.inf]
-    if finite and max(finite) >= int(INF):
-        out = np.empty(g.n, dtype=object)
-        for v in range(g.n):
-            out[v] = dist[v]
-        return out
-    out = np.empty(g.n, dtype=np.uint64)
-    for v in range(g.n):
-        out[v] = INF if dist[v] == float("inf") else np.uint64(dist[v])
-    return out
+    return distance_array(dist)
 
 
 class UnionFind:

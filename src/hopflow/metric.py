@@ -104,17 +104,10 @@ def bourgain_embed(em, t_rep=None, seed=0):
 
     pairs = [(i, j) for i in range(1, scales + 1) for j in range(t_rep)]
     cols = [column(ij) for ij in pairs]
+    # uint64, or Python ints once one column is past uint64
     pts = np.stack(cols, axis=1)
-    if pts.dtype == object:
-        mins = [min(int(pts[v, c]) for v in range(n)) for c in range(pts.shape[1])]
-        for c, mn in enumerate(mins):
-            for v in range(n):
-                pts[v, c] = int(pts[v, c]) - mn + 1
-        delta = next_pow2(max(int(x) for x in pts.flat))
-    else:
-        pts = pts - pts.min(axis=0) + np.uint64(1)
-        delta = next_pow2(int(pts.max()))
-    return Embedding(pts, delta, seed, t_rep, scales)
+    pts = pts - pts.min(axis=0) + 1
+    return Embedding(pts, next_pow2(int(pts.max())), seed, t_rep, scales)
 
 
 class Decomposition:

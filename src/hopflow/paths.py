@@ -277,6 +277,16 @@ def _mwu_unit_flow(g, s, t, epsilon, seed):
 _ENGINES = {"exact": (_exact_unit_flow, True), "mwu": (_mwu_unit_flow, False)}
 
 
+def _engine(flow_engine):
+    """(unit-flow engine, seedless) for an engine name or a callable."""
+    if callable(flow_engine):
+        return flow_engine, False
+    if flow_engine not in _ENGINES:
+        raise ValueError(f"unknown flow_engine {flow_engine!r}; known engines: "
+                         + ", ".join(sorted(_ENGINES)))
+    return _ENGINES[flow_engine]
+
+
 def _chain_to_target(pointers, s, t):
     """s's pointer chain if it reaches t, else None (it closed a cycle)."""
     seq = [s]
@@ -301,9 +311,9 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("endpoint out of range")
+    engine = _engine(flow_engine)[0]
     if s == t:
         return Path([s], 0)
-    engine = _ENGINES[flow_engine][0] if isinstance(flow_engine, str) else flow_engine
 
     b = np.zeros(g.n)
     b[s], b[t] = 1.0, -1.0
@@ -353,13 +363,16 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
     probability at most (1+eps) times it.  A seedless engine (`exact`)
     extracts the same path on every trial, so it runs one trial
     whatever `trials` is; `mwu` and callable engines run all of them.
-    find_path checks the endpoints and answers s == t itself.
+    find_path checks the endpoints and answers s == t itself.  Raises
+    ValueError for trials < 1 or an unknown engine name.
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must be in (0, 0.5)")
     log_n = max(1.0, math.log2(g.n))
     inner_eps = epsilon / (20.0 * log_n)
-    if isinstance(flow_engine, str) and _ENGINES[flow_engine][1]:
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if _engine(flow_engine)[1]:
         trials = 1
     elif trials is None:
         trials = max(1, math.ceil(4.0 * log_n / epsilon))
@@ -377,8 +390,11 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
 
     Walks start at a source drawn by supply, step proportionally to
     positive outflow, and stop at the unique sink.  Returns summary
-    statistics including the exact target value.
+    statistics including the exact target value.  Raises ValueError for
+    trials < 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     f = _flow_values(f)
     b = np.asarray(demand, dtype=np.float64)
     sinks = np.flatnonzero(b < -1e-12)

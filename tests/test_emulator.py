@@ -24,7 +24,7 @@ from hopflow import (
 from hopflow import emulator as emulator_module
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
 from hopflow.flow import build_flow_runtime
-from hopflow.graphs import INF, W_MAX, GraphError, bellman_ford_hops
+from hopflow.graphs import INF, W_MAX, GraphError, NotConnected, bellman_ford_hops
 from hopflow.metric import bourgain_embed
 from hopflow.subemulator import build_subemulator
 
@@ -266,7 +266,7 @@ def test_stored_balls_match_per_vertex_reference(case, seed):
     assert top.dist.tolist() == [[int(d) for d in r] for r in rows]
     assert top.ball_ids is None and top.leader_dist is None
     em = build_emulator(stack)
-    assert (em.dist is not None) == (stack.t == 0 and not wide)
+    assert (em.dist is not None) == (stack.t == 0)
 
 
 def test_wide_deep_tower_keeps_an_object_top_matrix():
@@ -295,7 +295,8 @@ def test_deterministic_per_seed():
 @st.composite
 def _one_level_case(draw):
     """A connected graph with weights 0..W_MAX, and (vertex, offset) sources
-    whose offsets reach past INF often enough to force the scan."""
+    whose offsets often push a sum past INF, where the rows are read in
+    Python ints."""
     n = draw(st.integers(1, 40))
     weight = st.integers(0, W_MAX)
     edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
@@ -310,6 +311,11 @@ def _one_level_case(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_one_level_case(), st.integers(0, 1000))
+# weights + 2^62: the top matrix holds Python ints, past uint64
+@example((_wide_graph(rand_connected_graph(20, 20, seed=21), 1 << 62), [(3, 0), (7, 5)]), 0)
+@example((_wide_graph(rand_connected_graph(20, 20, seed=22), 1 << 62),
+          [(0, 1 << 66), (5, 0), (5, 9)]), 1)
+@example((_wide_graph(rand_connected_graph(3, 0, seed=23), 1 << 62), [(0, 0)]), 2)
 def test_set_distance_rows_match_scan(case, seed):
     g, sources = case
     em = build_emulator(preprocess(g, seed=seed))
@@ -324,7 +330,8 @@ def test_set_distance_one_level_skips_scan(monkeypatch):
     g = rand_connected_graph(30, 40, seed=14)
     em = build_emulator(preprocess(g, seed=14))
     want = [bellman_ford_hops(em.graph, [(7, 0)], em.hop_bound),
-            bellman_ford_hops(em.graph, [(2, 3), (19, 0)], em.hop_bound)]
+            bellman_ford_hops(em.graph, [(2, 3), (19, 0)], em.hop_bound),
+            bellman_ford_hops(em.graph, [(7, int(INF) - 1)], em.hop_bound)]
 
     def scan(*args):
         raise AssertionError("one-level emulator scanned its graph")
@@ -332,9 +339,10 @@ def test_set_distance_one_level_skips_scan(monkeypatch):
     monkeypatch.setattr("hopflow.emulator.bellman_ford_hops", scan)
     assert approx_sssp(em, 7).tolist() == want[0].tolist()
     assert set_distance(em, {2: 3, 19: 0}).tolist() == want[1].tolist()
-    # a sum that would reach INF still takes the exact scan
-    with pytest.raises(AssertionError, match="scanned"):
-        set_distance(em, [(7, int(INF) - 1)])
+    # a sum that would reach INF is read in Python ints, equal to the scan
+    got = set_distance(em, [(7, int(INF) - 1)])
+    assert got.dtype == want[2].dtype == object
+    assert got.tolist() == want[2].tolist()
 
 
 def test_set_distance_returns_fresh_array():
@@ -353,17 +361,36 @@ def test_set_distance_rejects_bad_sources():
     for b0 in (None, 4):  # stored rows, and the scan of a deep tower
         em = build_emulator(preprocess(g, seed=16, b0=b0))
         assert (em.dist is None) == (b0 is not None)
-        for sources in ([(-1, 0)], [(12, 0)], [(0, 0), (3, -1)]):
+        for sources in ([(-1, 0)], [(12, 0)], [(0, 0), (3, -1)], [(1.5, 0)], [(1, 2.7)],
+                        [("1", 0)], [(1, math.nan)], [(1, math.inf)]):
             with pytest.raises(ValueError):
                 set_distance(em, sources)
         with pytest.raises(ValueError):
             approx_sssp(em, -1)
+        # a value equal to an int is that int
+        assert (set_distance(em, [(np.int64(1), 2.0)]).tolist()
+                == set_distance(em, [(1, 2)]).tolist())
+    stack = preprocess(g, seed=16)
+    for u, v in ((1.9, 3), (1, 3.5), (12, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            oracle_query(stack, u, v)
+    assert oracle_query(stack, 1.0, np.uint8(3)) == oracle_query(stack, 1, 3)
+
+
+def test_preprocess_rejects_disconnected_graphs():
+    # one-level: the matrix would hold INF, read back as a distance; deep
+    # (b0=2): the balls would miss the other component
+    two = Graph(4, [(0, 1, 3), (2, 3, 5)], check_connected=False)
+    six = Graph(6, [(0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 2)], check_connected=False)
+    for g, b0 in ((two, None), (six, 2)):
+        with pytest.raises(NotConnected):
+            preprocess(g, b0=b0)
 
 
 def test_default_path_never_builds_the_closure(monkeypatch):
-    g = rand_connected_graph(60, 80, seed=17)
-    stack = preprocess(g, seed=17)
-    assert stack.t == 0
+    narrow = rand_connected_graph(60, 80, seed=17)
+    deep = build_emulator(preprocess(narrow, seed=17, b0=4))
+    assert deep.t >= 1
     built = []
     real = emulator_module.Graph
 
@@ -372,13 +399,22 @@ def test_default_path_never_builds_the_closure(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(emulator_module, "Graph", counting)
-    em = build_emulator(stack)
-    approx_sssp(em, 3)
-    set_distance(em, [(5, 2), (40, 0)])
-    bourgain_embed(em, t_rep=2, seed=17)
-    oracle_query(stack, 0, 59)
-    build_flow_runtime(g, seed=17)
-    assert built == []
+    assert set_distance(deep, []).tolist() == [int(INF)] * 60
+    # weights + 2^62: the rows are Python ints, read all the same
+    for shift in (1 << 62, 0):
+        g = _wide_graph(narrow, shift)
+        stack = preprocess(g, seed=17)
+        assert stack.t == 0
+        assert stack.levels[-1].dist.dtype == (object if shift else np.uint64)
+        em = build_emulator(stack)
+        approx_sssp(em, 3)
+        set_distance(em, [(5, 2), (40, 0)])
+        assert set_distance(em, []).tolist() == [int(INF)] * 60
+        bourgain_embed(em, t_rep=2, seed=17)
+        oracle_query(stack, 0, 59)
+        if not shift:  # coordinates past 2^60 are too large for the flow
+            build_flow_runtime(g, seed=17)
+        assert built == []
     # the first read builds the closure once, through the counted name
     assert em.graph.m == 60 * 59 // 2
     assert em.graph is em.graph

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hopflow.flow
 from hopflow.emulator import build_emulator, preprocess
-from hopflow.graphs import Graph
+from hopflow.graphs import Graph, NotConnected
 from hopflow.metric import Embedding, bourgain_embed
 from hopflow.precond import build_preconditioner, matrix_vec
 from hopflow.flow import (
@@ -73,6 +73,14 @@ def test_non_finite_demand_rejected_by_solvers(path4):
             solve(path4, [math.nan, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             solve(path4, [math.inf, 0.0, 0.0, -math.inf])
+
+
+def test_min_cost_flow_rejects_disconnected_graphs():
+    # the demand stays inside one component; the embedding of the other
+    # used to read INF as a distance
+    g = Graph(4, [(0, 1, 3), (2, 3, 5)], check_connected=False)
+    with pytest.raises(NotConnected):
+        min_cost_flow(g, [1.0, -1.0, 0.0, 0.0])
 
 
 def test_validate_demand_coerces_to_float64():

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopflow.graphs
@@ -180,6 +182,55 @@ def test_distances_past_uint64_are_exact():
         assert bellman_ford_hops(g, [(2, 0)], 4).tolist() == mid
         assert dijkstra(g, 2).tolist() == mid
         assert dijkstra(g, 2).dtype == np.uint64
+
+
+def _reference_bf_hops(g, sources, hops):
+    """The per-edge Python-int scan bellman_ford_hops once used past
+    uint64, kept as the reference: (dtype, values) with uint64 and INF
+    unless a finite value reaches INF."""
+    dist = [math.inf] * g.n
+    for (v, off) in sources:
+        dist[v] = min(dist[v], int(off))
+    edges = g.edge_list()
+    for _ in range(hops):
+        new = list(dist)
+        for (u, v, w) in edges:
+            new[v] = min(new[v], dist[u] + w)
+            new[u] = min(new[u], dist[v] + w)
+        if new == dist:
+            break
+        dist = new
+    if max((d for d in dist if d != math.inf), default=0) >= int(INF):
+        return object, dist
+    return np.uint64, [int(INF) if d == math.inf else d for d in dist]
+
+
+@st.composite
+def _bf_case(draw):
+    """A connected graph with weights 1..9 shifted by up to 2^63, either
+    dtype, and (vertex, offset) sources with offsets up to 2^66."""
+    n, extra, seed = draw(st.integers(1, 12)), draw(st.integers(0, 15)), draw(st.integers(0, 999))
+    shift = draw(st.sampled_from([0, 1 << 58, 1 << 61, 1 << 62, 1 << 63]))
+    g = Graph(n, [(u, v, w + shift) for (u, v, w) in rand_connected_graph(n, extra, seed)
+                  .edge_list()], wide=draw(st.booleans()))
+    offset = st.one_of(st.integers(0, 20), st.integers(0, 1 << 66))
+    sources = draw(st.lists(st.tuples(st.integers(0, n - 1), offset), max_size=4))
+    return g, sources, draw(st.integers(0, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bf_case())
+# four hops of 2^62 reach 2^64; an offset past 2^64; a wide graph whose
+# distances fit in uint64
+@example((Graph(5, [(i, i + 1, 1 << 62) for i in range(4)]), [(0, 0)], 4))
+@example((Graph(3, [(0, 1, 5), (1, 2, 7)]), [(0, (1 << 64) + 1), (2, 3)], 2))
+@example((Graph(3, [(0, 1, 5), (1, 2, 7)], wide=True), [(1, int(INF) - 8)], 1))
+def test_bf_hops_matches_python_int_reference(case):
+    g, sources, hops = case
+    dtype, want = _reference_bf_hops(g, sources, hops)
+    got = bellman_ford_hops(g, sources, hops)
+    assert got.dtype == dtype
+    assert got.tolist() == want
 
 
 def _stacked(g, sources):

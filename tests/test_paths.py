@@ -232,6 +232,19 @@ def test_approx_shortest_path_rejects_equal_endpoints_out_of_range():
             approx_shortest_path(g, v, v, 0.2)
 
 
+def test_bad_path_arguments_raise_value_errors():
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        approx_shortest_path(g, 0, 2, 0.2, trials=0, flow_engine="mwu")
+    for call in (approx_shortest_path, find_path):
+        for t in (2, 0):
+            with pytest.raises(ValueError, match="flow_engine 'nope'; known engines: exact, mwu"):
+                call(g, 0, t, 0.2, flow_engine="nope")
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        random_walk_length_check(g, np.array([1.0, 1.0]), np.array([1.0, 0.0, -1.0]),
+                                 trials=0)
+
+
 def test_path_to_dict():
     assert Path([0, 3, 2], 11).to_dict() == {"vertices": [0, 3, 2], "length": 11}
 

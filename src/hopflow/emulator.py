@@ -39,8 +39,8 @@ import math
 
 import numpy as np
 
-from .graphs import (INF, Graph, NotConnected, bellman_ford_hops, distance_array,
-                     distance_rows, exact_int)
+from .graphs import (INF, Graph, NotConnected, bellman_ford_hops, checked_int,
+                     checked_sources, distance_array, distance_rows)
 from .subemulator import build_subemulator
 
 
@@ -124,7 +124,8 @@ def preprocess(g, k=None, seed=0, b0=None):
     for any graph that fits in memory, which collapses the tower to its
     single exact level, so small overrides are how deep towers are
     exercised.  Raises NotConnected for a disconnected graph, whose
-    distances no tower represents.
+    distances no tower represents, and ValueError for a k outside its
+    range or a b0 that is not an integer.
     """
     if not g.is_connected():
         raise NotConnected("graph is not connected")
@@ -133,7 +134,7 @@ def preprocess(g, k=None, seed=0, b0=None):
         k = default_k(n)
     if not (0.5 <= k <= max(0.5, 0.5 * math.log2(max(n, 2)))):
         raise ValueError(f"k={k} outside [0.5, max(0.5, log2(n)/2)]")
-    b = int(b0) if b0 is not None else initial_ball_size(n, k)
+    b = checked_int(b0, "b0") if b0 is not None else initial_ball_size(n, k)
     b = max(2, b)
 
     levels = []
@@ -222,8 +223,7 @@ class Emulator:
     @property
     def graph(self):
         if self._graph is None:
-            edges, wide = _emulator_edges(self._stack, self.hop_bound)
-            self._graph = Graph(self.n, edges, check_connected=False, wide=wide)
+            self._graph = Graph(self.n, _emulator_edges(self._stack), check_connected=False)
             self._stack = None
         return self._graph
 
@@ -258,13 +258,13 @@ def _edge_families(stack):
     yield top.vertices[a], top.vertices[b], top.dist[a, b], 1
 
 
-def _emulator_edges(stack, hop_bound):
-    """All emulator edges as one (m, 3) array, and whether its weights are
-    exact Python ints (``wide``) because a hop-limited sum could pass 2^63."""
+def _emulator_edges(stack):
+    """All emulator edges as one (m, 3) array: uint64, or exact Python
+    ints when some weight reaches 2^63."""
     families = list(_edge_families(stack))
     # exact Python ints: a uint64 product could wrap before the check
     max_w = max((scale * int(d.max()) for (_, _, d, scale) in families if len(d)), default=0)
-    wide = max_w * (hop_bound + 2) >= (1 << 63)
+    wide = max_w >= (1 << 63)
     edges = np.empty((sum(len(a) for (a, _, _, _) in families), 3),
                      dtype=object if wide else np.uint64)
     pos = 0
@@ -273,7 +273,7 @@ def _emulator_edges(stack, hop_bound):
         rows[:, 0], rows[:, 1] = a, b
         rows[:, 2] = d.astype(object) * scale if wide else d.astype(np.uint64) * np.uint64(scale)
         pos += len(a)
-    return edges, wide
+    return edges
 
 
 def build_emulator(stack):
@@ -303,7 +303,7 @@ def set_distance(em, sources):
     """
     if isinstance(sources, dict):
         sources = sources.items()
-    vs, offsets = _checked_sources(sources, em.n)
+    vs, offsets = checked_sources(sources, em.n)
     if not vs:
         return np.full(em.n, INF, dtype=np.uint64)
     if em.dist is None:
@@ -315,25 +315,6 @@ def set_distance(em, sources):
         return rows.min(axis=0)
     return distance_array((rows.astype(object) + np.array(offsets, dtype=object)[:, None])
                           .min(axis=0))
-
-
-def _checked_sources(sources, n):
-    """(vertices, offsets) of (vertex, offset) pairs, as lists of Python
-    ints.  Raises ValueError unless each vertex equals an int in [0, n)
-    and each offset a non-negative int (2.0 does; 1.5, "1" and NaN do not).
-    """
-    vs, offsets = [], []
-    for v, off in sources:
-        i, o = exact_int(v), exact_int(off)
-        if i is None or o is None:
-            raise ValueError(f"source ({v!r}, {off!r}) is not a pair of integers")
-        if not 0 <= i < n:
-            raise ValueError(f"source vertex {i} out of range 0..{n - 1}")
-        if o < 0:
-            raise ValueError(f"negative offset {o} at source {i}")
-        vs.append(i)
-        offsets.append(o)
-    return vs, offsets
 
 
 def approx_sssp(em, source):
@@ -367,7 +348,6 @@ def load_emulator(path):
                 continue
             u, v, w = line.split()
             edges.append((int(u), int(v), int(w)))
-    wide = any(w * (header["hop_bound"] + 2) >= (1 << 63) for (_, _, w) in edges)
-    graph = Graph(n, edges, check_connected=False, wide=wide)
+    graph = Graph(n, edges, check_connected=False)
     return Emulator(n, header["k"], header["t"], header["hop_bound"],
                     header["stretch_bound"], header["seed"], graph=graph)

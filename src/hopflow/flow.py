@@ -149,7 +149,8 @@ def _flow_stats(g, f, b):
 def mst_routing(g, b):
     """Exactly feasible flow supported on a minimum spanning tree."""
     b = validate_demand(b, g.n)
-    order = sorted(range(g.m), key=lambda i: (int(g.ew[i]), int(g.eu[i]), int(g.ev[i])))
+    # edges are stored sorted by (u, v), so this is the (w, u, v) order
+    order = np.argsort(g.ew, kind="stable").tolist()
     f = np.zeros(g.m, dtype=np.float64)
     for idx, val in _route_forest(g, order, b).items():
         f[idx] = val

@@ -64,16 +64,15 @@ class Graph:
     edges : sequence of (u, v, w), or an (m, 3) integer array
         Undirected edges. Parallel edges are merged keeping the minimum
         weight; the merge is deterministic (sorted by endpoints, then
-        weight). Self loops are rejected.
+        weight). Self loops are rejected. The weights are uint64 unless
+        a given weight reaches 2^63, and then exact Python ints.
     """
 
     __slots__ = ("n", "m", "eu", "ev", "ew", "indptr", "adj_v", "adj_w", "adj_e")
 
-    def __init__(self, n, edges, check_connected=True, wide=False):
-        if n < 1:
-            raise GraphError("graph needs at least one vertex")
-        self.n = int(n)
-        self.eu, self.ev, self.ew = _merged_edges(self.n, edges, wide)
+    def __init__(self, n, edges, check_connected=True):
+        self.n = checked_int(n, "vertex count", 1, GraphError)
+        self.eu, self.ev, self.ew = _merged_edges(self.n, edges)
         self.m = len(self.eu)
         self._build_csr()
         if check_connected and not self.is_connected():
@@ -115,14 +114,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _merged_edges(n, edges, wide):
+def _merged_edges(n, edges):
     """Validated (eu, ev, ew) with eu < ev, sorted, parallel edges merged.
 
     ``edges`` is a sequence of (u, v, w) or an (m, 3) array.  Integer
     arrays, and sequences numpy reads as one, keep their dtype; other
     values become exact Python ints when equal to one (2.0), and 1.5,
     NaN, inf or "3" raise MalformedLine naming the first such edge.  The
-    weights are object when ``wide`` or past 2^63, else uint64.
+    weights are object when one reaches 2^63, else uint64.
     """
     arr = edges
     if not isinstance(arr, np.ndarray):
@@ -156,8 +155,7 @@ def _merged_edges(n, edges, wide):
         if c < 0:
             raise NegativeWeight(f"negative weight {c} on edge ({a}, {b})")
         raise MalformedLine(f"vertex out of range on edge ({a}, {b})")
-    wide = wide or bool((w >= (1 << 63)).any())
-    w = w.astype(object if wide else np.uint64)
+    w = w.astype(object if (w >= (1 << 63)).any() else np.uint64)
     lo = np.minimum(u, v).astype(np.int64)
     hi = np.maximum(u, v).astype(np.int64)
     # sorted by (u, v, w): the first edge of each (u, v) run has the min weight
@@ -175,6 +173,37 @@ def exact_int(x):
     except (TypeError, ValueError, OverflowError):
         return None
     return i if i == x else None
+
+
+def checked_int(x, name, low=None, error=ValueError):
+    """x as a Python int.  Raises ``error`` naming ``name`` unless x
+    equals one (2.0 and numpy ints do, 1.5 and "3" do not) that is at
+    least ``low``."""
+    i = exact_int(x)
+    if i is None:
+        raise error(f"{name} must be an integer, got {x!r}")
+    if low is not None and i < low:
+        raise error(f"{name} must be at least {low}, got {i}")
+    return i
+
+
+def checked_sources(sources, n):
+    """(vertices, offsets) of (vertex, offset) pairs, as lists of Python
+    ints.  Raises ValueError unless each vertex equals an int in [0, n)
+    and each offset a non-negative int (2.0 does; 1.5, "1" and NaN do not).
+    """
+    vs, offsets = [], []
+    for v, off in sources:
+        i, o = exact_int(v), exact_int(off)
+        if i is None or o is None:
+            raise ValueError(f"source ({v!r}, {off!r}) is not a pair of integers")
+        if not 0 <= i < n:
+            raise ValueError(f"source vertex {i} out of range 0..{n - 1}")
+        if o < 0:
+            raise ValueError(f"negative offset {o} at source {i}")
+        vs.append(i)
+        offsets.append(o)
+    return vs, offsets
 
 
 def load_graph(text):
@@ -232,6 +261,7 @@ def dijkstra(g, source):
     When a distance does not fit below INF the result is an object array
     of Python ints, with math.inf for unreachable vertices.
     """
+    source = checked_int(source, "source", error=GraphError)
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range")
     dist = [None] * g.n
@@ -278,10 +308,14 @@ def distance_rows(g, sources=None):
     as ``dijkstra``'s rows do.
     """
     n = g.n
-    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    sources = np.arange(n) if sources is None else np.asarray(sources)
+    if sources.dtype.kind not in "iu":
+        sources = np.array([checked_int(s, "source", error=GraphError)
+                            for s in sources.tolist()], dtype=object)
     bad = (sources < 0) | (sources >= n)
     if bad.any():
         raise GraphError(f"source {int(sources[np.argmax(bad)])} out of range")
+    sources = sources.astype(np.int64, copy=False)
     max_w = int(g.ew.max()) if g.m else 0
     if (n - 1) * max_w >= 1 << 53:
         return _stacked_rows(g, sources)
@@ -313,20 +347,21 @@ def bellman_ford_hops(g, sources, hops):
     ``sources`` is an iterable of (vertex, offset).  The result at v is
     min over sources (u, o) and paths u->v with at most ``hops`` edges of
     o + path weight (INF when unreachable within the hop budget), in the
-    format ``distance_array`` gives.
+    format ``distance_array`` gives.  Raises ValueError for a source that
+    ``checked_sources`` rejects.
     """
-    sources = list(sources)
+    vs, offsets = checked_sources(sources, g.n)
     # every value the scan forms is an offset plus at most n edge weights;
     # uint64 holds it exactly only while that stays below INF, and past
     # that the same scan runs on Python ints
-    reach = max((int(off) for (_, off) in sources), default=0)
+    reach = max(offsets, default=0)
     if g.m and hops > 0:
         reach += min(hops, g.n) * int(g.ew.max())
     wide = g.ew.dtype == object or reach >= int(INF)
     dtype, inf = (object, math.inf) if wide else (np.uint64, INF)
     dist = np.full(g.n, inf, dtype=dtype)
-    for (v, off) in sources:
-        dist[v] = min(dist[v], int(off))
+    for v, off in zip(vs, offsets):
+        dist[v] = min(dist[v], off)
     eu, ev, ew = g.eu, g.ev, g.ew.astype(dtype, copy=False)
     for _ in range(hops if g.m else 0):
         du, dv = dist[eu], dist[ev]
@@ -374,29 +409,25 @@ def contract_zero_edges(g):
 
     Returns (quotient graph, vmap, emap) where vmap[v] is the quotient
     vertex of v and emap[j] is the original edge index witnessing the
-    j-th quotient edge (the minimum-weight representative).  Distances
-    between any two vertices are preserved exactly.
+    j-th quotient edge (the minimum-weight representative, the smaller
+    index on ties).  Quotient vertices are numbered in the order of
+    their smallest members.  Distances between any two vertices are
+    preserved exactly.
     """
-    sets = UnionFind(g.n)
-    for i in range(g.m):
-        if int(g.ew[i]) == 0:
-            sets.union(int(g.eu[i]), int(g.ev[i]))
-    roots = sorted({sets.find(v) for v in range(g.n)})
-    index = {r: i for i, r in enumerate(roots)}
-    vmap = np.fromiter((index[sets.find(v)] for v in range(g.n)), dtype=np.int64, count=g.n)
-    best = {}
-    for i in range(g.m):
-        a, b = int(vmap[g.eu[i]]), int(vmap[g.ev[i]])
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        w = int(g.ew[i])
-        cur = best.get((a, b))
-        if cur is None or (w, i) < cur:
-            best[(a, b)] = (w, i)
-    edges = [(a, b, w) for ((a, b), (w, _)) in sorted(best.items())]
-    emap = np.fromiter((i for ((_, _), (_, i)) in sorted(best.items())), dtype=np.int64,
-                       count=len(best))
-    q = Graph(len(roots), edges, check_connected=False)
-    return q, vmap, emap
+    zero = np.flatnonzero(g.ew == 0)
+    # connected_components labels classes in the order of their first vertex
+    k, vmap = csgraph.connected_components(
+        csr_matrix((np.ones(len(zero)), (g.eu[zero], g.ev[zero])), shape=(g.n, g.n)),
+        directed=False)
+    a, b = vmap[g.eu], vmap[g.ev]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    idx = np.flatnonzero(lo != hi)
+    # sorted by (class pair, weight, index): each pair's first edge wins
+    idx = idx[np.lexsort((idx, g.ew[idx], hi[idx], lo[idx]))]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = (lo[idx[1:]] != lo[idx[:-1]]) | (hi[idx[1:]] != hi[idx[:-1]])
+    emap = idx[first]
+    edges = np.empty((len(emap), 3), dtype=g.ew.dtype)
+    edges[:, 0], edges[:, 1], edges[:, 2] = lo[emap], hi[emap], g.ew[emap]
+    q = Graph(k, edges, check_connected=False)
+    return q, vmap.astype(np.int64), emap

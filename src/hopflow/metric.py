@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .emulator import set_distance
+from .graphs import checked_int
 
 
 class Embedding:
@@ -83,14 +84,14 @@ def bourgain_embed(em, t_rep=None, seed=0):
     Uses ceil(log2 n) sampling scales with ``t_rep`` repetitions each
     (default 4*ceil(log2 n)).  A scale that samples an empty set is
     redrawn once, then falls back to a single random vertex.  Raises
-    ValueError for t_rep < 1.
+    ValueError unless t_rep is an integer of at least 1.
     """
     n = em.n
     scales = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     if t_rep is None:
         t_rep = max(1, 4 * math.ceil(math.log2(max(n, 2))))
-    elif t_rep < 1:
-        raise ValueError(f"t_rep must be at least 1, got {t_rep}")
+    else:
+        t_rep = checked_int(t_rep, "t_rep", 1)
 
     def column(ij):
         i, j = ij

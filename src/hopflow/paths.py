@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .flow import min_cost_flow, _apply_incidence
-from .graphs import Graph
+from .graphs import Graph, checked_int
 
 _FLOW_TOL = 1e-12
 
@@ -307,8 +307,10 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
     When s's pointer chain reaches t it is the path.  When it closes a
     cycle instead (a cyclic flow, which only a custom engine returns),
     the pointer forest is contracted, the extraction recurses on the
-    contracted graph, and the lifted walk is de-cycled.
+    contracted graph, and the lifted walk is de-cycled.  Raises ValueError
+    for an endpoint that is not a vertex id.
     """
+    s, t = checked_int(s, "endpoint"), checked_int(t, "endpoint")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("endpoint out of range")
     engine = _engine(flow_engine)[0]
@@ -364,14 +366,15 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
     extracts the same path on every trial, so it runs one trial
     whatever `trials` is; `mwu` and callable engines run all of them.
     find_path checks the endpoints and answers s == t itself.  Raises
-    ValueError for trials < 1 or an unknown engine name.
+    ValueError for trials that are not an integer of at least 1, or an
+    unknown engine name.
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must be in (0, 0.5)")
     log_n = max(1.0, math.log2(g.n))
     inner_eps = epsilon / (20.0 * log_n)
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials is not None:
+        trials = checked_int(trials, "trials", 1)
     if _engine(flow_engine)[1]:
         trials = 1
     elif trials is None:
@@ -390,11 +393,10 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
 
     Walks start at a source drawn by supply, step proportionally to
     positive outflow, and stop at the unique sink.  Returns summary
-    statistics including the exact target value.  Raises ValueError for
-    trials < 1.
+    statistics including the exact target value.  Raises ValueError
+    unless trials is an integer of at least 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = checked_int(trials, "trials", 1)
     f = _flow_values(f)
     b = np.asarray(demand, dtype=np.float64)
     sinks = np.flatnonzero(b < -1e-12)

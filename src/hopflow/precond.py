@@ -54,13 +54,6 @@ class CompressedVector:
         lengths = (self.b - self.a + 1).astype(np.float64)
         return float(np.dot(lengths, np.abs(self.c)))
 
-    def sign(self):
-        c = np.where(self.c >= 0.0, 1.0, -1.0)  # sign(0) := +1
-        return CompressedVector(self.a.copy(), self.b.copy(), c, self.r)
-
-    def scale(self, s):
-        return CompressedVector(self.a.copy(), self.b.copy(), self.c * float(s), self.r)
-
     def to_dense(self):
         if self.r > 1 << 22:
             raise ValueError("refusing to densify a huge vector")

@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 import hopflow.graphs
 from hopflow import (
     Graph,
+    approx_shortest_path,
+    bourgain_embed,
+    build_emulator,
     contract_zero_edges,
     dijkstra,
     distance_rows,
+    find_path,
     load_graph,
+    preprocess,
+    random_walk_length_check,
 )
 from hopflow.graphs import (
     INF,
@@ -22,6 +28,7 @@ from hopflow.graphs import (
     SelfLoop,
     WeightTooLarge,
     W_MAX,
+    UnionFind,
     bellman_ford_hops,
 )
 
@@ -172,16 +179,32 @@ def test_bf_hops_full_budget_equals_dijkstra():
 def test_distances_past_uint64_are_exact():
     # API-built graphs skip load_graph's W_MAX check; 4 * 2^62 = 2^64
     # used to wrap to 0 in bellman_ford_hops and overflow in dijkstra
-    w = 1 << 62
-    for wide in (False, True):
-        g = Graph(5, [(i, i + 1, w) for i in range(4)], wide=wide)
+    for w in (1 << 62, 1 << 63):  # uint64 weights, then Python-int weights
+        g = Graph(5, [(i, i + 1, w) for i in range(4)])
+        assert g.ew.dtype == (np.uint64 if w < 1 << 63 else object)
         exact = [i * w for i in range(5)]
         assert bellman_ford_hops(g, [(0, 0)], 4).tolist() == exact
         assert dijkstra(g, 0).tolist() == exact
-        mid = [2 * w, w, 0, w, 2 * w]  # fits: stays uint64
-        assert bellman_ford_hops(g, [(2, 0)], 4).tolist() == mid
-        assert dijkstra(g, 2).tolist() == mid
-        assert dijkstra(g, 2).dtype == np.uint64
+    # distances that fit stay uint64, whatever the weights' dtype
+    w = 1 << 62
+    g = Graph(5, [(i, i + 1, w) for i in range(4)])
+    mid = [2 * w, w, 0, w, 2 * w]
+    g_obj = Graph(3, [(0, 1, 1 << 63), (1, 2, 5)])
+    for g, s, want in ((g, 2, mid), (g_obj, 2, [(1 << 63) + 5, 5, 0])):
+        for got in (bellman_ford_hops(g, [(s, 0)], g.n), dijkstra(g, s)):
+            assert got.dtype == np.uint64
+            assert got.tolist() == want
+
+
+def test_bf_hops_rejects_bad_sources():
+    # numpy indexing would read -1 as vertex 2, and int() would cut 2.7 to 2
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    for sources in ([(-1, 0)], [(3, 0)], [(0, 2.7)], [("1", 0)], [(0, -1)], [(0, math.nan)]):
+        with pytest.raises(ValueError):
+            bellman_ford_hops(g, sources, 2)
+    # a value equal to an int is that int
+    assert (bellman_ford_hops(g, [(np.int64(0), 2.0)], 2).tolist()
+            == bellman_ford_hops(g, [(0, 2)], 2).tolist() == [2, 3, 4])
 
 
 def _reference_bf_hops(g, sources, hops):
@@ -207,12 +230,12 @@ def _reference_bf_hops(g, sources, hops):
 
 @st.composite
 def _bf_case(draw):
-    """A connected graph with weights 1..9 shifted by up to 2^63, either
-    dtype, and (vertex, offset) sources with offsets up to 2^66."""
+    """A connected graph with weights 1..9 shifted by up to 2^63 (Python-int
+    weights at 2^63), and (vertex, offset) sources with offsets up to 2^66."""
     n, extra, seed = draw(st.integers(1, 12)), draw(st.integers(0, 15)), draw(st.integers(0, 999))
     shift = draw(st.sampled_from([0, 1 << 58, 1 << 61, 1 << 62, 1 << 63]))
     g = Graph(n, [(u, v, w + shift) for (u, v, w) in rand_connected_graph(n, extra, seed)
-                  .edge_list()], wide=draw(st.booleans()))
+                  .edge_list()])
     offset = st.one_of(st.integers(0, 20), st.integers(0, 1 << 66))
     sources = draw(st.lists(st.tuples(st.integers(0, n - 1), offset), max_size=4))
     return g, sources, draw(st.integers(0, n))
@@ -220,11 +243,11 @@ def _bf_case(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_bf_case())
-# four hops of 2^62 reach 2^64; an offset past 2^64; a wide graph whose
-# distances fit in uint64
+# four hops of 2^62 reach 2^64; an offset past 2^64; a graph with
+# Python-int weights whose distances fit in uint64
 @example((Graph(5, [(i, i + 1, 1 << 62) for i in range(4)]), [(0, 0)], 4))
 @example((Graph(3, [(0, 1, 5), (1, 2, 7)]), [(0, (1 << 64) + 1), (2, 3)], 2))
-@example((Graph(3, [(0, 1, 5), (1, 2, 7)], wide=True), [(1, int(INF) - 8)], 1))
+@example((Graph(3, [(0, 1, 1 << 63), (1, 2, 7)]), [(0, (1 << 63) - 8)], 1))
 def test_bf_hops_matches_python_int_reference(case):
     g, sources, hops = case
     dtype, want = _reference_bf_hops(g, sources, hops)
@@ -296,11 +319,13 @@ def test_distance_rows_exact_past_float64(monkeypatch):
     assert rows.tolist() == [[0, 1 << 63, 1 << 64], [1 << 63, 0, 1 << 63]]
 
 
-def _reference_graph(n, edges, wide=False):
+def _reference_graph(n, edges):
     """The per-edge constructor Graph replaced: validate, merge, CSR.
 
-    Returns (eu, ev, ew, indptr, adj_v, adj_w, adj_e) as lists.
+    Returns (eu, ev, ew, indptr, adj_v, adj_w, adj_e) as lists, and
+    whether a weight reaches 2^63, which makes the weights Python ints.
     """
+    wide = False
     norm = []
     for (u, v, w) in edges:
         u, v, w = int(u), int(v), int(w)
@@ -341,22 +366,21 @@ _weight = st.one_of(st.integers(0, 20), st.integers(0, W_MAX),
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12),
                                                st.one_of(_weight, st.integers(-3, -1))),
-                                     max_size=40),
-       st.booleans())
-def test_graph_matches_reference_constructor(n, edges, wide):
+                                     max_size=40))
+def test_graph_matches_reference_constructor(n, edges):
     # parallel edges and both orientations of one edge are common at n <= 12
     forms = [edges]
     if all(w < (1 << 63) for (_, _, w) in edges):
         forms.append(np.array(edges, dtype=np.int64).reshape(-1, 3))
     try:
-        want, want_wide = _reference_graph(n, edges, wide)
+        want, want_wide = _reference_graph(n, edges)
     except GraphError as exc:
         for form in forms:
             with pytest.raises(type(exc)):
-                Graph(n, form, check_connected=False, wide=wide)
+                Graph(n, form, check_connected=False)
         return
     for form in forms:
-        g = Graph(n, form, check_connected=False, wide=wide)
+        g = Graph(n, form, check_connected=False)
         got = (g.eu, g.ev, g.ew, g.indptr, g.adj_v, g.adj_w, g.adj_e)
         assert [a.tolist() for a in got] == list(want)
         assert g.m == len(want[0])
@@ -393,3 +417,76 @@ def test_contract_preserves_distances():
     dh = dijkstra(h, int(remap[0]))
     for v in range(g.n):
         assert dg[v] == dh[int(remap[v])]
+
+
+def _reference_contract_zero_edges(g):
+    """The union-find and per-edge dict loop contract_zero_edges replaced:
+    (quotient edge list, vmap, emap) as lists."""
+    sets = UnionFind(g.n)
+    for i in range(g.m):
+        if int(g.ew[i]) == 0:
+            sets.union(int(g.eu[i]), int(g.ev[i]))
+    roots = sorted({sets.find(v) for v in range(g.n)})
+    index = {r: i for i, r in enumerate(roots)}
+    vmap = [index[sets.find(v)] for v in range(g.n)]
+    best = {}
+    for i in range(g.m):
+        a, b = sorted((vmap[int(g.eu[i])], vmap[int(g.ev[i])]))
+        if a == b:
+            continue
+        w = int(g.ew[i])
+        if (a, b) not in best or (w, i) < best[(a, b)]:
+            best[(a, b)] = (w, i)
+    pairs = sorted(best.items())
+    return [(a, b, w) for ((a, b), (w, _)) in pairs], vmap, [i for (_, (_, i)) in pairs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20), st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19),
+                                               st.sampled_from([0, 0, 1, 2, 1 << 63])),
+                                     max_size=40))
+def test_contract_zero_edges_matches_reference(n, edges):
+    g = Graph(n, [(u, v, w) for (u, v, w) in edges if u != v and max(u, v) < n],
+              check_connected=False)
+    q, vmap, emap = contract_zero_edges(g)
+    want_edges, want_vmap, want_emap = _reference_contract_zero_edges(g)
+    assert q.n == max(want_vmap) + 1
+    assert q.edge_list() == want_edges
+    assert q.ew.dtype == (object if any(w >= 1 << 63 for (_, _, w) in want_edges) else np.uint64)
+    assert (vmap.dtype, emap.dtype) == (np.int64, np.int64)
+    assert vmap.tolist() == want_vmap
+    assert emap.tolist() == want_emap
+
+
+_PATH2 = Graph(2, [(0, 1, 1)])
+_PATH3 = Graph(3, [(0, 1, 1), (1, 2, 1)])
+
+# name: (call of one integer argument, the error a non-integer raises, a
+# valid value); each call's result is compared with ==
+_INT_ARGS = {
+    "Graph n": (lambda x: Graph(x, [(0, 1, 1)]).edge_list(), GraphError, 2),
+    "dijkstra source": (lambda x: dijkstra(_PATH3, x).tolist(), GraphError, 1),
+    "distance_rows sources": (lambda x: distance_rows(_PATH3, [0, x]).tolist(), GraphError, 1),
+    "find_path s": (lambda x: find_path(_PATH3, x, 2, 0.2).vertices, ValueError, 0),
+    "approx_shortest_path t": (lambda x: approx_shortest_path(_PATH3, 0, x, 0.2).vertices,
+                               ValueError, 2),
+    "preprocess b0": (lambda x: [lvl.b for lvl in preprocess(rand_connected_graph(12, 10, 3),
+                                                             b0=x).levels], ValueError, 3),
+    "bourgain_embed t_rep": (lambda x: bourgain_embed(build_emulator(preprocess(_PATH3)),
+                                                      t_rep=x).points.tolist(), ValueError, 2),
+    "approx_shortest_path trials": (lambda x: approx_shortest_path(
+        _PATH2, 0, 1, 0.2, trials=x, flow_engine="mwu").vertices, ValueError, 2),
+    "random_walk_length_check trials": (lambda x: random_walk_length_check(
+        _PATH3, np.ones(2), np.array([1.0, 0.0, -1.0]), trials=x), ValueError, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INT_ARGS))
+def test_integer_arguments_follow_exact_int(name):
+    call, error, x = _INT_ARGS[name]
+    want = call(x)
+    for same in (float(x), np.int64(x), np.uint8(x)):
+        assert call(same) == want
+    for bad in (x + 0.5, str(x), math.nan):
+        with pytest.raises(error):
+            call(bad)

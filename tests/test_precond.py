@@ -66,19 +66,6 @@ def test_norm1():
     assert x.norm1() == 7.0
 
 
-def test_sign_rule_zero_is_positive():
-    x = CompressedVector([1, 4, 6], [2, 4, 8], [3.0, 0.0, -2.5], 8)
-    s = x.sign()
-    assert s.c.tolist() == [1.0, 1.0, -1.0]
-
-
-def test_scale_by_zero():
-    x = CompressedVector([2], [4], [3.0], 6)
-    z = x.scale(0.0)
-    assert z.norm1() == 0.0
-    assert np.array_equal(z.to_dense(), np.zeros(6))
-
-
 def test_dense_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(50):

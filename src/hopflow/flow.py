@@ -23,19 +23,9 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .emulator import build_emulator, preprocess
-from .graphs import UnionFind, contract_zero_edges, distance_rows
+from .graphs import UnionFind, checked_int, contract_zero_edges, distance_rows
 from .metric import Embedding, bourgain_embed, next_pow2
 from .precond import build_preconditioner, distinct_rows
-
-
-class AllScalesFailed(RuntimeError):
-    """No scale in the search grid produced a feasible MWU run.
-
-    Either the iteration budget is too small or kappa underestimates the
-    true condition number.  min_cost_flow raises it only after retrying
-    with larger kappa_cap and t_cap; scale_search callers can raise
-    SolverConfig.kappa_cap / t_cap and retry.
-    """
 
 
 # Plateau-triggered step decay inside an MWU run: when the residual
@@ -52,9 +42,11 @@ _ETA_FLOOR_FRAC = 1.0 / 64.0
 # scale that exact arithmetic would not.
 _CERT_GUARD = 1e-9
 
-# When every scale of a round fails, min_cost_flow retries the round this
-# many times, each with kappa_cap and t_cap four times larger.
-_ESCALATIONS = 3
+# The working kappa clamps the preconditioner's own 2*L*d*alpha
+# certificate: the certificate is a sound but enormous bound and drives
+# the exit threshold eps/(2*kappa), so the clamp trades certified
+# residuals for tractable iteration counts.
+_KAPPA_MAX = 2.0
 
 # Bourgain repetitions per sampling scale of the flow's embedding.
 _T_REP = 2
@@ -64,27 +56,24 @@ _T_REP = 2
 class SolverConfig:
     """Knobs for the MWU flow solver.
 
-    kappa_cap clamps the preconditioner's own 2*L*d*alpha certificate:
-    the certificate is a sound but enormous bound and drives the
-    early-exit threshold eps/(2*kappa), so the working value trades
-    certified residuals for tractable iteration counts.
-    The scale-search grid always spans the full certificate.  t_cap
-    bounds iterations per MWU call (the formula value T = ceil(64 kappa^2
-    ln(2m)/eps^2) is used when smaller).  A run stops as infeasible as
-    soon as its averaged dual certifies that no iterate can reach the
-    exit threshold; a run that reaches t_cap without converging also
-    counts as infeasible at that scale, which only ever moves the search
-    toward more conservative scales.
+    t_cap bounds iterations per MWU call (the formula value T =
+    ceil(64 kappa^2 ln(2m)/eps^2) is used when smaller) and must be at
+    least 1, so the top of the scale grid (`grid_top`) ends "ok" at its
+    first iteration.  A run stops as infeasible as soon as its averaged
+    dual certifies that no iterate can reach the exit threshold; a run
+    that reaches t_cap without converging also counts as infeasible at
+    that scale, which only ever moves the search toward more
+    conservative scales.
     """
 
     epsilon: float = 0.1
-    kappa_cap: float = 2.0
     t_cap: int = 12000
     eta: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError("epsilon must be in (0, 0.5)")
+        self.t_cap = checked_int(self.t_cap, "t_cap", 1)
 
 
 @dataclass(slots=True, eq=False)
@@ -214,11 +203,14 @@ class FlowRuntime:
     bit-for-bit the negated upper one.  P itself is not kept: D gives
     every demand norm ||Pb||_1 as ||Db||_1 (`_demand_norm`), and
     `build_preconditioner(emb)` rebuilds P where it is wanted.
+    `kappa_cert` is P's certified condition bound and `kappa` the working
+    value every MWU run uses, kappa_cert clamped to _KAPPA_MAX.
     """
 
     N: float
     alpha: float
     kappa_cert: float
+    kappa: float
     emb: Embedding
     rescale: int
     D: sparse.csr_matrix
@@ -322,7 +314,8 @@ def build_flow_runtime(g, seed=0):
     M.data /= norm
     MT = M.T.tocsr()
     MT2 = sparse.vstack([MT, -MT], format="csr")
-    return FlowRuntime(norm, alpha, kappa_cert, emb, rescale, D, M, MT2)
+    kappa = min(kappa_cert, _KAPPA_MAX)
+    return FlowRuntime(norm, alpha, kappa_cert, kappa, emb, rescale, D, M, MT2)
 
 
 def _demand_norm(rt, b):
@@ -372,6 +365,8 @@ def mwu_feasibility(rt, g, b, s, cfg):
     iterate could succeed, and the run stops with status "fail".  Running
     out of iterations reports "fail" at the formula count and "cap" at
     an earlier configured cap; the caller treats both as infeasible.
+    The first iterate is y = 0, whose residual ||c||_1 is 1/s, so at
+    every s >= 2 kappa/eps the run ends "ok" at iteration 1 with x' = 0.
 
     Weights are held as an explicitly normalized distribution rather
     than in log-space: renormalizing every iteration gives the same
@@ -385,7 +380,7 @@ def mwu_feasibility(rt, g, b, s, cfg):
     """
     m = g.m
     eps = cfg.epsilon
-    kappa = effective_kappa(rt, cfg)
+    kappa = rt.kappa
     T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
     T = min(T_formula, cfg.t_cap)
     eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
@@ -506,26 +501,38 @@ def _cancel_cycles(g, f, tol=1e-12):
     return f
 
 
-def effective_kappa(rt, cfg):
-    return max(1.0, min(rt.kappa_cert, cfg.kappa_cap))
-
-
 def certificate_rejects_all(g, rt, b, s, outcome, cfg):
     """Recheck an outcome's averaged-dual certificate at scale s.
 
     Averages the sign-vector sums over outcome.iters and evaluates the
     margin |zbar.c| - max_j |(M^T zbar)_j| through D^T, the incidence
     matrix and the edge weights rather than the solver's M^T; True when
-    it exceeds eps/(2 kappa) by the same guard the MWU loop applies, so
-    that no y with ||y||_1 <= 1 meets the exit threshold at this scale.
+    it exceeds eps/(2 rt.kappa) by the same guard the MWU loop applies,
+    so that no y with ||y||_1 <= 1 meets the exit threshold at this
+    scale.  Every run takes at least one iteration (t_cap >= 1).
     """
-    if outcome.iters == 0:
-        return False
     zt = rt.D.T @ (outcome.zsum / outcome.iters)
     q = abs(float(zt @ b)) / (s * _demand_norm(rt, b))
     dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
-    thresh = cfg.epsilon / (2.0 * effective_kappa(rt, cfg))
+    thresh = cfg.epsilon / (2.0 * rt.kappa)
     return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
+
+
+def grid_top(rt, cfg):
+    """The top j of the scale grid s = (1+eps)^j, j = 0 .. top.
+
+    The grid spans the preconditioner's certificate, (1+eps)^top >=
+    kappa_cert, and reaches one step past 2 rt.kappa/eps, where a probe's
+    first iterate y = 0 already meets the exit threshold (see
+    mwu_feasibility): the top probe ends "ok" at iteration 1, the extra
+    step absorbing the rounding of s and of the residual's sum.  That
+    bound counts steps of the probes' float base 1.0 + eps, which at
+    eps = 1e-8 drifts more than a step from log1p(eps) over the grid.
+    """
+    eps = cfg.epsilon
+    cert = math.ceil(math.log(max(rt.kappa_cert, 1.0 + eps)) / math.log1p(eps))
+    ok_at_zero = math.ceil(math.log(2.0 * rt.kappa / eps) / math.log(1.0 + eps)) + 1
+    return max(cert, ok_at_zero)
 
 
 def scale_search(rt, g, b, cfg, start=None):
@@ -535,8 +542,8 @@ def scale_search(rt, g, b, cfg, start=None):
     and probes is the scale-search trace of (j, status, iterations).  A
     probe below the feasible scale ends as soon as its averaged dual
     certifies it ("fail"), or at t_cap ("cap") when no certificate
-    appears first.  Raises AllScalesFailed when even the top of the grid
-    fails.
+    appears first.  The top of the grid (`grid_top`) is ok by
+    construction, so the search always ends on an ok scale.
 
     Without `start` the search bisects the whole grid [0, top].  With it
     (min_cost_flow passes the previous round's j), the search gallops
@@ -551,7 +558,7 @@ def scale_search(rt, g, b, cfg, start=None):
     if pbn <= 0.0:
         return np.zeros(g.m, dtype=np.float64), []
     eps = cfg.epsilon
-    top = math.ceil(math.log(max(rt.kappa_cert, 1.0 + eps)) / math.log1p(eps))
+    top = grid_top(rt, cfg)
     probes = []
     results = {}
 
@@ -590,15 +597,10 @@ def scale_search(rt, g, b, cfg, start=None):
             hi = mid
         else:
             lo = mid + 1
-    if lo == top and top not in results:
-        probe(top)
-    out = results.get(lo)
-    if out is None or out.status != "ok":
-        raise AllScalesFailed(
-            f"MWU failed at every scale up to (1+eps)^{top}; "
-            "raise kappa_cap/t_cap or loosen epsilon")
+    if lo not in results:
+        probe(lo)  # only the top is left unprobed, and it is ok
     s = (1.0 + eps) ** lo
-    x = out.x * (s * pbn / rt.N)
+    x = results[lo].x * (s * pbn / rt.N)
     return x, probes
 
 
@@ -607,9 +609,10 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
 
     Composes the scale-searched MWU solver on residual demands for
     1 + ceil(log2 n) rounds, then routes the leftover demand along an
-    MST, so the returned FlowSolution always satisfies Af = b.  Round 0
+    MST, so the returned FlowSolution always satisfies Af = b.  Each
+    round is one scale_search, which always ends on an ok scale.  Round 0
     bisects the whole scale grid; every later round's search starts at
-    the scale the round before it chose (see scale_search).
+    the scale the round before it chose.
     """
     b = validate_demand(b, g.n)
     if not (0.0 < epsilon < 0.5):
@@ -645,20 +648,10 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
                 # later rounds fix small residuals whose cost share is
                 # tiny, so they get a smaller iteration budget
                 run_cfg = replace(run_cfg, t_cap=max(2000, run_cfg.t_cap // 4))
-            for attempt in range(_ESCALATIONS + 1):
-                try:
-                    x_r, probes = scale_search(rt, gq, b_res, run_cfg, start=start)
-                    break
-                except AllScalesFailed:
-                    if attempt == _ESCALATIONS:
-                        raise
-                    run_cfg = replace(
-                        run_cfg,
-                        kappa_cap=run_cfg.kappa_cap * 4.0,
-                        t_cap=run_cfg.t_cap * 4)
+            x_r, probes = scale_search(rt, gq, b_res, run_cfg, start=start)
             total_iters += sum(p[2] for p in probes)
             trace.append(probes)
-            start = min((j for (j, status, _) in probes if status == "ok"), default=start)
+            start = min(j for (j, status, _) in probes if status == "ok")
             f_round = x_r / wq
             b_new = b_res - _apply_incidence(gq, f_round)
             pbn_new = _demand_norm(rt, b_new)

@@ -121,7 +121,7 @@ def _merged_edges(n, edges):
     arrays, and sequences numpy reads as one, keep their dtype; other
     values become exact Python ints when equal to one (2.0), and 1.5,
     NaN, inf or "3" raise MalformedLine naming the first such edge.  The
-    weights are object when one reaches 2^63, else uint64.
+    kept weights are object when one reaches 2^63, else uint64.
     """
     arr = edges
     if not isinstance(arr, np.ndarray):
@@ -155,7 +155,7 @@ def _merged_edges(n, edges):
         if c < 0:
             raise NegativeWeight(f"negative weight {c} on edge ({a}, {b})")
         raise MalformedLine(f"vertex out of range on edge ({a}, {b})")
-    w = w.astype(object if (w >= (1 << 63)).any() else np.uint64)
+    w = np.ascontiguousarray(w)  # a lexsort on the strided column raised peak RSS
     lo = np.minimum(u, v).astype(np.int64)
     hi = np.maximum(u, v).astype(np.int64)
     # sorted by (u, v, w): the first edge of each (u, v) run has the min weight
@@ -163,7 +163,9 @@ def _merged_edges(n, edges):
     lo, hi, w = lo[order], hi[order], w[order]
     first = np.ones(len(lo), dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return lo[first], hi[first], w[first]
+    w = w[first]
+    return lo[first], hi[first], w.astype(object if (w >= (1 << 63)).any() else np.uint64,
+                                          copy=False)
 
 
 def exact_int(x):

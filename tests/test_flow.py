@@ -20,12 +20,11 @@ from hopflow.flow import (
     _cancel_cycles,
     _distortion,
     _matvec,
-    AllScalesFailed,
     MwuOutcome,
     SolverConfig,
     build_flow_runtime,
     certificate_rejects_all,
-    effective_kappa,
+    grid_top,
     min_cost_flow,
     mst_routing,
     mwu_feasibility,
@@ -170,7 +169,7 @@ def test_runtime_norms_and_kappa(mwu_instance):
     g, b, rt = mwu_instance
     assert rt.N == 24.0 == _per_edge_norm(rt, g)
     assert rt.kappa_cert == 96.0
-    assert effective_kappa(rt, SolverConfig(epsilon=0.4)) == 2.0
+    assert rt.kappa == 2.0
 
 
 def _contract_residual(rt, g, b, s, x):
@@ -310,7 +309,7 @@ def test_mwu_feasible_at_critical_scale(mwu_instance):
 def test_mwu_fails_below_critical_scale_with_certificate(mwu_instance):
     g, b, rt = mwu_instance
     cfg = SolverConfig(epsilon=0.4)
-    kappa = effective_kappa(rt, cfg)
+    kappa = rt.kappa
     t_formula = math.ceil(64.0 * kappa * kappa * math.log(2 * g.m) / 0.4**2)
     assert t_formula == 3328
     margin = _dense_certificate(rt, g)
@@ -361,7 +360,7 @@ def _reference_mwu(rt, g, b, s, cfg):
     runs to t_cap or the formula count."""
     m = g.m
     eps = cfg.epsilon
-    kappa = effective_kappa(rt, cfg)
+    kappa = rt.kappa
     T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
     T = min(T_formula, cfg.t_cap)
     eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
@@ -408,8 +407,8 @@ def _assert_probes_match_reference(rt, g, b, cfg):
     iterations as the reference; an early stop is a "fail" whose margin,
     recomputed on the dense P, beats the exit threshold."""
     eps = cfg.epsilon
-    thresh = eps / (2.0 * effective_kappa(rt, cfg))
-    top = math.ceil(math.log(max(rt.kappa_cert, 1.0 + eps)) / math.log1p(eps))
+    thresh = eps / (2.0 * rt.kappa)
+    top = grid_top(rt, cfg)
     margin = _dense_certificate(rt, g)
     early = 0
     for j in range(top + 1):
@@ -486,7 +485,7 @@ def test_step_halving_matches_reference(mwu_instance, monkeypatch):
     run; the loop must still match the reference at every scale."""
     g, b, rt = mwu_instance
     cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=1000)
-    top = math.ceil(math.log(rt.kappa_cert) / math.log1p(cfg.epsilon))
+    top = grid_top(rt, cfg)
 
     def outcomes():
         return [(out.status, out.iters) for out in (
@@ -615,8 +614,9 @@ def test_distortion_exact_past_2_53():
 def test_scale_search_probe_count(mwu_instance):
     g, b, rt = mwu_instance
     eps = 0.4
-    x, probes = scale_search(rt, g, b, SolverConfig(epsilon=eps))
-    jmax = math.ceil(math.log(rt.kappa_cert) / math.log1p(eps))
+    cfg = SolverConfig(epsilon=eps)
+    x, probes = scale_search(rt, g, b, cfg)
+    jmax = grid_top(rt, cfg)
     assert len(probes) <= math.ceil(math.log2(1 + jmax)) + 1
     assert all(status in ("ok", "fail", "cap") for (_, status, _) in probes)
     assert x.shape == (g.m,)
@@ -629,14 +629,28 @@ def test_scale_search_zero_demand_short_circuit(mwu_instance):
     assert probes == []
 
 
-def test_scale_search_all_scales_failed(mwu_instance):
-    g, b, rt = mwu_instance
-    with pytest.raises(AllScalesFailed):
-        scale_search(rt, g, b, SolverConfig(epsilon=0.4, t_cap=0))
+@settings(max_examples=60, deadline=None)
+@given(_flow_case(), st.integers(0, 1000),
+       st.sampled_from([1e-8, 1e-4, 0.0028, 0.02, 0.1, 0.4, 0.499]))
+@example((Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5)]),
+          np.array([1.0, 0.0, 0.0, -1.0])), 1, 1e-8)
+def test_grid_top_is_ok_at_the_first_iteration(case, seed, eps):
+    # the first iterate y = 0 meets the exit threshold at the top scale;
+    # the example fails with a top counted in log1p(eps) steps
+    g, b = case
+    rt = build_flow_runtime(g, seed=seed)
+    cfg = SolverConfig(epsilon=eps, t_cap=1)
+    out = mwu_feasibility(rt, g, b, (1.0 + eps) ** grid_top(rt, cfg), cfg)
+    assert (out.status, out.iters) == ("ok", 1)
+    assert not out.x.any()
 
 
-def _grid_top(rt, cfg):
-    return math.ceil(math.log(max(rt.kappa_cert, 1.0 + cfg.epsilon)) / math.log1p(cfg.epsilon))
+def _scale_search_ends_ok(probes, top):
+    """The j of an ok scale of the grid the search settled on; the top
+    was probed at most once."""
+    j = _chosen(probes)  # raises when no probe is ok
+    assert 0 <= j <= top and [p[0] for p in probes].count(top) <= 1
+    return j
 
 
 def _chosen(probes):
@@ -650,21 +664,18 @@ def test_warm_start_matches_cold_search(case, seed, data):
     g, b = case
     rt = build_flow_runtime(g, seed=seed)
     cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
-    top = _grid_top(rt, cfg)
+    top = grid_top(rt, cfg)
     ok = [mwu_feasibility(rt, g, b, 1.1**j, cfg).status == "ok" for j in range(top + 1)]
+    assert ok[top]
     starts = [-5, top + 5] + data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
-    if not any(ok):
-        for j0 in [None] + starts:
-            with pytest.raises(AllScalesFailed):
-                scale_search(rt, g, b, cfg, start=j0)
-        return
     x, probes = scale_search(rt, g, b, cfg)
+    _scale_search_ends_ok(probes, top)
     for j0 in starts:
         xw, pw = scale_search(rt, g, b, cfg, start=j0)
         assert all(0 <= j <= top for (j, _, _) in pw)
         assert pw[0][0] == min(max(j0, 0), top)
         # each search ends on an ok scale just above a failed one
-        j = _chosen(pw)
+        j = _scale_search_ends_ok(pw, top)
         assert ok[j] and (j == 0 or not ok[j - 1])
         if ok == sorted(ok):  # feasibility monotone in j
             assert j == _chosen(probes) == ok.index(True)
@@ -686,7 +697,7 @@ def test_warm_start_at_the_answer_takes_two_probes(flow64_runtime):
 def test_warm_start_from_every_start_stays_on_grid(mwu_instance, monkeypatch):
     g, b, rt = mwu_instance
     cfg = SolverConfig(epsilon=0.4)
-    top = _grid_top(rt, cfg)
+    top = grid_top(rt, cfg)
     grid = {1.4**j: j for j in range(top + 1)}
     probed = []
 
@@ -703,13 +714,15 @@ def test_warm_start_from_every_start_stays_on_grid(mwu_instance, monkeypatch):
         assert _chosen(pw) == _chosen(probes) and xw.tobytes() == x.tobytes()
         assert all(0 <= j <= top for j in probed) and len(set(probed)) == len(probed)
 
-    # no scale is ok: top is probed once, then AllScalesFailed
+    # one iteration per probe: only the scales where y = 0 already meets
+    # the exit threshold are ok, the top among them
+    first_ok = math.ceil(math.log(2.0 * rt.kappa / cfg.epsilon) / math.log(1.4))
+    assert first_ok < top
     for start in [None] + starts:
         probed.clear()
-        with pytest.raises(AllScalesFailed):
-            scale_search(rt, g, b, replace(cfg, t_cap=0), start=start)
-        assert all(0 <= j <= top for j in probed)
-        assert probed.count(top) == 1 and len(set(probed)) == len(probed)
+        _, pw = scale_search(rt, g, b, replace(cfg, t_cap=1), start=start)
+        assert _scale_search_ends_ok(pw, top) == first_ok
+        assert all(0 <= j <= top for j in probed) and len(set(probed)) == len(probed)
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +855,12 @@ def test_config_rejects_bad_epsilon():
         SolverConfig(epsilon=0.6)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+
+
+@pytest.mark.parametrize("t_cap", [0, -3, 1.5])
+def test_config_rejects_t_cap_below_one(t_cap):
+    with pytest.raises(ValueError, match="t_cap"):
+        SolverConfig(t_cap=t_cap)
 
 
 def test_min_cost_flow_rejects_bad_epsilon():

@@ -96,6 +96,17 @@ def test_constructor_keeps_integral_floats():
     assert Graph(2, [(0, 1, 1e20)]).edge_list() == [(0, 1, 10 ** 20)]
 
 
+def test_dropped_parallel_edge_does_not_widen_the_weights():
+    # only the kept (minimum) weight of each pair decides the dtype
+    g = Graph(3, [(0, 2, 1), (0, 2, 1 << 63), (0, 1, 1)])
+    assert g.ew.dtype == g.adj_w.dtype == np.uint64
+    assert g.edge_list() == [(0, 1, 1), (0, 2, 1)]
+    g = Graph(3, np.array([[0, 2, 1 << 63], [2, 0, 1], [0, 1, 1]], dtype=np.uint64))
+    assert g.ew.dtype == np.uint64 and g.edge_list() == [(0, 1, 1), (0, 2, 1)]
+    g = Graph(3, [(0, 2, 1 << 64), (0, 2, 1 << 63), (0, 1, 1)])
+    assert g.ew.dtype == object and g.edge_list() == [(0, 1, 1), (0, 2, 1 << 63)]
+
+
 def test_comments_and_blank_lines_ignored():
     g = load_graph("# hello\n\n2 1\n# mid\n0 1 7\n")
     assert g.edge_list() == [(0, 1, 7)]
@@ -323,9 +334,9 @@ def _reference_graph(n, edges):
     """The per-edge constructor Graph replaced: validate, merge, CSR.
 
     Returns (eu, ev, ew, indptr, adj_v, adj_w, adj_e) as lists, and
-    whether a weight reaches 2^63, which makes the weights Python ints.
+    whether a kept weight reaches 2^63, which makes the weights Python
+    ints.
     """
-    wide = False
     norm = []
     for (u, v, w) in edges:
         u, v, w = int(u), int(v), int(w)
@@ -337,14 +348,13 @@ def _reference_graph(n, edges):
             raise MalformedLine((u, v))
         if u > v:
             u, v = v, u
-        if w >= (1 << 63):
-            wide = True
         norm.append((u, v, w))
     norm.sort()
     merged = []
     for (u, v, w) in norm:
         if not (merged and merged[-1][:2] == (u, v)):
             merged.append((u, v, w))
+    wide = any(w >= (1 << 63) for (_, _, w) in merged)
     rows = [[] for _ in range(n)]
     for i, (u, v, w) in enumerate(merged):
         rows[u].append((v, i, w))

@@ -122,7 +122,7 @@ def _run(args):
         doc = {
             "n": g.n,
             "m": g.m,
-            "emulator_edges": em.graph.m,
+            "emulator_edges": em.edge_count(),
             "t": em.t,
             "hop_bound": em.hop_bound,
             "stretch_bound": em.stretch_bound,

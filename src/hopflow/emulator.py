@@ -197,8 +197,9 @@ class Emulator:
     read of ``graph``, which then caches it.  Only the readers that scan
     edges read it: ``set_distance``'s hop-limited scan (deep towers and
     loaded emulators), ``low_diameter_decomposition``, ``save_emulator``
-    and the CLI's edge count.  ``set_distance`` on a one-level tower and
-    ``bourgain_embed`` never do.  ``load_emulator`` passes a built graph.
+    and ``edge_count`` on a deeper tower.  ``set_distance`` and
+    ``edge_count`` on a one-level tower, and ``bourgain_embed``, never do.
+    ``load_emulator`` passes a built graph.
     """
 
     __slots__ = ("n", "k", "t", "hop_bound", "stretch_bound", "seed", "dist",
@@ -226,6 +227,13 @@ class Emulator:
             self._graph = Graph(self.n, _emulator_edges(self._stack), check_connected=False)
             self._stack = None
         return self._graph
+
+    def edge_count(self):
+        """The graph's edge count m.  On a one-level tower it is n(n-1)/2
+        without a build, since the top family emits each pair a < b once."""
+        if self._graph is None and self._stack.t == 0:
+            return self.n * (self.n - 1) // 2
+        return self.graph.m
 
 
 def hop_bound_for(k):

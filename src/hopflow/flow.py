@@ -1,13 +1,14 @@
 """(1+eps)-approximate uncapacitated minimum-cost flow.
 
 Pipeline: contract zero-weight edges, embed the metric (emulator ->
-Bourgain -> compressed grid preconditioner P), then search a geometric
-grid for a scale s and run a multiplicative-weights feasibility solver
-on the preconditioned system  PAW^-1 x = Pb.  The solver is composed
-with itself on the residual demand for a logarithmic number of rounds
-(each round's search starting at the scale the round before chose), and
-whatever demand is still unrouted gets repaired exactly along a
-minimum spanning tree, so returned flows always satisfy Af = b.
+Bourgain -> distinct rows D of the grid preconditioner P), then search
+a geometric grid for a scale s and run a multiplicative-weights
+feasibility solver on the preconditioned system  PAW^-1 x = Pb.  The
+solver is composed with itself on the residual demand for a logarithmic
+number of rounds (each round's search starting at the scale the round
+before chose), and whatever demand is still unrouted gets repaired
+exactly along a minimum spanning tree, so returned flows always satisfy
+Af = b.
 
 Everything here is deterministic given (graph, demand, epsilon, seed).
 """
@@ -20,12 +21,12 @@ from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
+from scipy.sparse import _sparsetools, csgraph
 
 from .emulator import build_emulator, preprocess
-from .graphs import UnionFind, checked_int, contract_zero_edges, distance_rows
+from .graphs import checked_int, contract_zero_edges, distance_rows
 from .metric import Embedding, bourgain_embed, next_pow2
-from .precond import build_preconditioner, distinct_rows
+from .precond import distinct_rows, grid_shape
 
 
 # Plateau-triggered step decay inside an MWU run: when the residual
@@ -139,56 +140,46 @@ def mst_routing(g, b):
     """Exactly feasible flow supported on a minimum spanning tree."""
     b = validate_demand(b, g.n)
     # edges are stored sorted by (u, v), so this is the (w, u, v) order
-    order = np.argsort(g.ew, kind="stable").tolist()
+    idx, val = _route_forest(g, np.argsort(g.ew, kind="stable"), b)
     f = np.zeros(g.m, dtype=np.float64)
-    for idx, val in _route_forest(g, order, b).items():
-        f[idx] = val
+    f[idx] += val
     cost, residual = _flow_stats(g, f, b)
     return FlowSolution(f, cost, residual, 0)
 
 
 def _route_forest(g, edges, b):
-    """Subtree-sum routing of b on the Kruskal forest of `edges` (edge
-    indices in the order they are tried); {edge_idx: signed flow}."""
-    n = g.n
-    sets = UnionFind(n)
-    adj = [[] for _ in range(n)]
-    for idx in edges:
-        u, v = int(g.eu[idx]), int(g.ev[idx])
-        if sets.union(u, v):
-            adj[u].append((v, idx, +1))
-            adj[v].append((u, idx, -1))
-    flows = {}
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        par = {root: None}
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for (u, idx, sgn) in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    # flow child->parent crosses edge idx; positive stored
-                    # direction is smaller->larger id, so going u->v is -sgn
-                    par[u] = (v, idx, -sgn)
-                    order.append(u)
-        acc = np.zeros(n)
-        for v in order:
-            acc[v] = b[v]
-        for v in reversed(order):
-            if par[v] is None:
-                if abs(acc[v]) > 1e-6:
-                    raise ValueError("unbalanced demand within a tree component")
-                continue
-            p, idx, sgn = par[v]
-            flows[idx] = flows.get(idx, 0.0) + sgn * acc[v]
-            acc[p] += acc[v]
-    return flows
+    """Subtree-sum routing of b on the Kruskal forest of `edges` (an array
+    of edge indices in the order they are tried); (edge indices, signed
+    flows).
+
+    Ranking the edges 1, 2, ... in that order makes the forest the one
+    minimum spanning forest.  A virtual vertex n, joined to every vertex
+    v at rank len(edges) + 1 + v, roots each component at its smallest
+    vertex, so one breadth-first search covers the forest.
+    """
+    n, k = g.n, len(edges)
+    ranks = sparse.csr_matrix(
+        (np.arange(1, k + n + 1, dtype=np.float64),
+         (np.r_[g.eu[edges], np.arange(n)], np.r_[g.ev[edges], np.full(n, n)])),
+        shape=(n + 1, n + 1))
+    tree = csgraph.minimum_spanning_tree(ranks).tocoo()
+    depth, pred = csgraph.dijkstra(tree, directed=False, indices=n, unweighted=True,
+                                   return_predecessors=True)
+    child = np.where(pred[tree.row] == tree.col, tree.row, tree.col)
+    rank = tree.data.astype(np.int64) - 1
+    # every vertex after its children, and a vertex's children by falling
+    # rank: the order a breadth-first pass over the forest sums them in
+    order = np.lexsort((-rank, -depth[child]))
+    acc, parent = np.append(b, 0.0).tolist(), pred.tolist()
+    for v in child[order].tolist():
+        acc[parent[v]] += acc[v]
+    acc = np.array(acc)[child]
+    tree_edge = rank < k
+    if np.any(np.abs(acc[~tree_edge]) > 1e-6):
+        raise ValueError("unbalanced demand within a tree component")
+    idx = edges[rank[tree_edge]]
+    # flow child -> parent; the stored direction is smaller -> larger id
+    return idx, np.where(g.eu[idx] == child[tree_edge], acc[tree_edge], -acc[tree_edge])
 
 
 @dataclass(slots=True, eq=False)
@@ -196,15 +187,19 @@ class FlowRuntime:
     """Per-instance preconditioner bundle shared across MWU calls.
 
     `D` holds P's distinct nonzero rows, each scaled by its multiplicity
-    (see `distinct_rows`), and `M` the precomposed (1/N)·D·A·W^-1
+    and built straight from the grid's per-level runs (`distinct_rows`):
+    P itself, and its global row ids, are never built on the flow path,
+    so no row count bounds the flow, only the embedding's 2^60
+    coordinate bound.  `M` is the precomposed (1/N)·D·A·W^-1
     operator (CSC).  `MT2` stacks its transpose over its negation,
     [Mᵀ; −Mᵀ] (CSR, 2m rows), so one matvec yields both halves of the
     weight update at once; negation is exact, so its lower half is
-    bit-for-bit the negated upper one.  P itself is not kept: D gives
-    every demand norm ||Pb||_1 as ||Db||_1 (`_demand_norm`), and
-    `build_preconditioner(emb)` rebuilds P where it is wanted.
-    `kappa_cert` is P's certified condition bound and `kappa` the working
-    value every MWU run uses, kappa_cert clamped to _KAPPA_MAX.
+    bit-for-bit the negated upper one.  D gives every demand norm
+    ||Pb||_1 as ||Db||_1 (`_demand_norm`), and
+    `precond.build_preconditioner(emb)` builds P where a test wants it.
+    `kappa_cert` is P's certified condition bound 2·L·d·alpha and
+    `kappa` the working value every MWU run uses, kappa_cert clamped to
+    _KAPPA_MAX.
     """
 
     N: float
@@ -286,7 +281,7 @@ def build_flow_runtime(g, seed=0):
     else:
         rescale = 1 if ratios_lo >= 1.0 else math.ceil(1.0 / ratios_lo)
     if rescale > 1:
-        # checked before the uint64 product can wrap; build_preconditioner
+        # checked before the uint64 product can wrap; distinct_rows
         # refuses coordinates from 2^60 on in any case
         top = int(emb.points.max()) * rescale
         if top >= 1 << 60:
@@ -295,13 +290,13 @@ def build_flow_runtime(g, seed=0):
         emb = Embedding(pts, next_pow2(top), emb.seed, emb.t_rep, emb.scales)
     alpha = max(1.0, ratios_hi * rescale)
 
-    P = build_preconditioner(emb)
+    D = distinct_rows(emb)
+    L, d = grid_shape(emb)
     alpha_clamped = min(alpha, 64.0 * max(1.0, math.log2(max(n, 2))))
-    kappa_cert = max(1.0, 2.0 * P.L * P.d * alpha_clamped)
+    kappa_cert = max(1.0, 2.0 * L * d * alpha_clamped)
 
     if np.any(g.ew == 0):
         raise ValueError("zero-weight edges must be contracted before preconditioning")
-    D = distinct_rows(P)
     inv_w = 1.0 / g.ew.astype(np.float64)
     ar = np.arange(g.m)
     A_w = sparse.csc_matrix(
@@ -672,8 +667,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     # rebalance inside each zero-weight class along zero-weight tree edges
     resid = b - _apply_incidence(g, f)
     if np.any(np.abs(resid) > 1e-12):
-        zero = np.flatnonzero(g.ew == 0).tolist()
-        for idx, val in _route_forest(g, zero, resid).items():
-            f[idx] += val
+        idx, val = _route_forest(g, np.flatnonzero(g.ew == 0), resid)
+        f[idx] += val
     cost, residual = _flow_stats(g, f, b)
     return FlowSolution(f, cost, residual, total_iters, trace)

@@ -380,32 +380,6 @@ def bellman_ford_hops(g, sources, hops):
     return distance_array(dist)
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1; each set's root is its smallest member."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        """Merge the sets of a and b; False when they were already one."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        if a > b:
-            a, b = b, a
-        self.parent[b] = a
-        return True
-
-
 def contract_zero_edges(g):
     """Contract all weight-0 edges.
 

@@ -6,18 +6,17 @@ embedded points.  Rows are indexed by (level, cell, shift): level l
 uses grid cells of side 2^l and enumerates all 2^l diagonal shifts, so
 the random-shift expectation argument becomes a deterministic sum.
 
-P is stored by columns: each column is a short list of disjoint row
-segments sharing the value d (one segment per cell the shifted point
-sweeps through).  Two kernels work directly on that representation:
+The flow solver needs only ||P x||_1 and P^T sign(P x), both unchanged
+when equal rows merge into one row scaled by their count.  P's rows take
+few distinct values (262 of 11,940 at n=64), so ``distinct_rows`` builds
+that matrix D from ``_level_runs``, keyed by (cell, shift) rather than
+by a global row id: no row count bounds D.  ``build_preconditioner``
+expands the same runs into P, the reference D is checked against, stored
+by columns as disjoint row segments of value d, one per cell the shifted
+point sweeps through.  Two kernels work on that form:
 
 * ``matrix_vec``:  P @ g  -> compressed vector (event sweep + prefix sums)
 * ``vector_mat``:  y^T P  -> dense vertex vector (interval overlap sums)
-
-The flow solver needs only ||P x||_1 and P^T sign(P x), both of which
-are unchanged when equal rows are merged into one row scaled by their
-count.  P's r rows take only a few hundred distinct values at n=64
-(262 of 11,940), so ``distinct_rows`` materializes that small matrix
-once and the solver's two matvecs per iteration run on it.
 """
 
 from __future__ import annotations
@@ -118,76 +117,73 @@ class CompressedMatrix:
         return out
 
 
-def build_preconditioner(emb):
-    """Compressed P for an embedding (coordinates already min-normalized to 1).
+def grid_shape(emb):
+    """(L, d) = (1 + log2(Delta), dimension), the factors of P's 2Ld bound."""
+    delta = int(emb.Delta)
+    if delta < 1 or delta & (delta - 1):
+        raise ValueError("Delta must be a power of two")
+    return delta.bit_length(), emb.points.shape[1]
 
-    Raises ValueError for a coordinate at or above 2^60, or when P would
-    have 2^63 - 1 rows or more, past which its int64 row ids wrap.
-    """
+
+def _level_runs(emb):
+    """The shifts [t1, t2] each vertex spends in one grid cell, per level:
+    int64 arrays (level, vertex, cell, t1, t2) by level, vertex and shift.
+
+    Shift t = 1 .. 2^l puts x in level l's cell floor((x + t - 1) / 2^l),
+    so x's runs end at the distinct values of (-x) mod 2^l, 0 read as
+    2^l, and at 2^l.  Cells are numbered level by level, in sorted corner
+    order.  Raises ValueError for a coordinate at or above 2^60 or below
+    1, or a Delta that is not a power of two."""
     pts = emb.points
-    n, d = pts.shape
     if max((int(x) for x in pts.flat), default=0) >= (1 << 60):
         raise ValueError("coordinates too large for flow preconditioning")
     pts = pts.astype(np.int64)
     if int(pts.min()) < 1:
         raise ValueError("embedding coordinates must start at 1")
-    delta = int(emb.Delta)
-    if delta < 1 or delta & (delta - 1):
-        raise ValueError("Delta must be a power of two")
-    L = delta.bit_length()  # 1 + log2(Delta)
-
-    col_runs = [[] for _ in range(n)]  # (level, corner, t1, t2)
-    level_cells = []
-    for l in range(L):
+    runs, cells = [], 0
+    for l in range(grid_shape(emb)[0]):
         side = 1 << l
-        cells = {}
-        for v in range(n):
-            x = pts[v]
-            if side == 1:
-                bps = [1]
-            else:
-                interior = np.unique((-x) % side)
-                bps = [int(t) for t in interior if t != 0]
-                bps.append(side)
-            t1 = 1
-            for t2 in bps:
-                corner = tuple(int((xi + t1 - 1) // side * side + 1) for xi in x)
-                cells.setdefault(corner, None)
-                col_runs[v].append((l, corner, t1, t2))
-                t1 = t2 + 1
-        level_cells.append({c: i + 1 for i, c in enumerate(sorted(cells))})
+        ends = (-pts) % side
+        ends[ends == 0] = side
+        ends = np.sort(np.concatenate([ends, np.full((len(pts), 1), side)], axis=1), axis=1)
+        starts = np.ones_like(ends)
+        starts[:, 1:] = ends[:, :-1] + 1
+        keep = starts <= ends  # a repeated end starts past itself
+        v, t1 = np.nonzero(keep)[0], starts[keep]
+        corners, cell = np.unique((pts[v] + (t1 - 1)[:, None]) // side, axis=0,
+                                  return_inverse=True)
+        runs.append((np.full(len(v), l), v, cell.reshape(-1) + cells, t1, ends[keep]))
+        cells += len(corners)
+    return [np.concatenate(a) for a in zip(*runs)]
 
+
+def build_preconditioner(emb):
+    """Compressed P for an embedding (coordinates already min-normalized to 1).
+
+    A level-l cell owns 2^l consecutive rows, one per shift, in cell
+    order.  Raises ValueError as `_level_runs` does, and when P would
+    have 2^63 - 1 rows or more, past which its int64 row ids wrap."""
+    level, v, cell, t1, t2 = _level_runs(emb)
+    L, d = grid_shape(emb)
+    n = len(emb.points)
+    cell_level = np.zeros(cell.max() + 1, dtype=np.int64)
+    cell_level[cell] = level
     level_offsets = [0]
-    for l in range(L):
-        level_offsets.append(level_offsets[-1] + (1 << l) * len(level_cells[l]))
+    for l, k in enumerate(np.bincount(cell_level, minlength=L).tolist()):
+        level_offsets.append(level_offsets[-1] + (k << l))
     r = level_offsets[-1]
     if r >= (1 << 63) - 1:
         raise ValueError(f"preconditioner would have {r} rows, past int64 row ids")
-
-    col_ptr = np.zeros(n + 1, dtype=np.int64)
-    seg_a, seg_b, seg_c = [], [], []
-    for v in range(n):
-        segs = []
-        for (l, corner, t1, t2) in col_runs[v]:
-            k = level_cells[l][corner]
-            a = (k - 1) * (1 << l) + level_offsets[l]
-            segs.append((a + t1, a + t2))
-        segs.sort()
-        if len(segs) > (d + 1) * L:
-            raise AssertionError("per-column segment bound violated")
-        for (a, b) in segs:
-            seg_a.append(a)
-            seg_b.append(b)
-            seg_c.append(float(d))
-        col_ptr[v + 1] = len(seg_a)
-
-    return CompressedMatrix(
-        col_ptr,
-        np.array(seg_a, dtype=np.int64),
-        np.array(seg_b, dtype=np.int64),
-        np.array(seg_c, dtype=np.float64),
-        r, n, d, L, delta, level_offsets,
-    )
+    rows = np.left_shift(1, cell_level)
+    base = (np.cumsum(rows) - rows)[cell]
+    order = np.lexsort((t1, cell, v))
+    v, seg_a, seg_b = v[order], (base + t1)[order], (base + t2)[order]
+    counts = np.bincount(v, minlength=n)
+    if counts.max() > (d + 1) * L:
+        raise AssertionError("per-column segment bound violated")
+    return CompressedMatrix(np.r_[0, np.cumsum(counts)], seg_a, seg_b,
+                            np.full(len(seg_a), float(d)), r, n, d, L, int(emb.Delta),
+                            level_offsets)
 
 
 def matrix_vec(P, g):
@@ -252,35 +248,40 @@ def vector_mat(y, P):
     return out
 
 
-def distinct_rows(P):
+def distinct_rows(emb):
     """P's distinct nonzero rows as a sparse matrix D, each row scaled by
-    the number of rows of P equal to it.
+    the number of rows of P equal to it, built from the runs without P.
 
-    P's rows are constant between consecutive segment endpoints, so the
-    cuts at every a and b+1 split [1, r] into at most 2*len(P.seg_a)
-    intervals of equal rows; intervals with the same entries merge.
-    Because sign(k*z) = sign(z) for k > 0, for every x
-    ||D x||_1 = ||P x||_1 and D^T sign(D x) = P^T sign(P x).
-    """
-    cuts = np.unique(np.concatenate([P.seg_a, P.seg_b + 1]))
-    first = np.searchsorted(cuts, P.seg_a)
-    count = np.searchsorted(cuts, P.seg_b + 1) - first
-    # one entry per (interval, segment covering it)
-    seg = np.repeat(np.arange(len(P.seg_a)), count)
-    interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-    col = np.repeat(np.arange(P.n), np.diff(P.col_ptr))[seg]
-    order = np.lexsort((col, interval))
-    interval, col, val = interval[order], col[order], P.seg_c[seg[order]]
+    Row (cell, t) of P holds d for each vertex whose run there covers t.
+    Cutting each cell's shifts at every run's t1 and t2 + 1 gives
+    intervals of equal rows; equal intervals merge across cells and
+    levels, lengths summed, in the order of their first (cell, shift),
+    P's row order.  As sign(k*z) = sign(z) for k > 0, for every x
+    ||D x||_1 = ||P x||_1 and D^T sign(D x) = P^T sign(P x)."""
+    _, v, cell, t1, t2 = _level_runs(emb)
+    n, d = emb.points.shape
+    # the cuts in (cell, shift) order; interval j runs from cut j up to
+    # cut j + 1, and those a run covers lie inside its cell
+    shift, cut_cell = np.r_[t1, t2 + 1], np.r_[cell, cell]
+    order = np.lexsort((shift, cut_cell))
+    shift, cut_cell = shift[order], cut_cell[order]
+    new = np.r_[True, (shift[1:] != shift[:-1]) | (cut_cell[1:] != cut_cell[:-1])]
+    cut = np.empty(len(order), dtype=np.int64)
+    cut[order] = np.cumsum(new) - 1
+    first, count = cut[:len(v)], cut[len(v):] - cut[:len(v)]
+    length = np.diff(shift[new])
+    # one entry per (interval, run covering it)
+    run = np.repeat(np.arange(len(v)), count)
+    interval = first[run] + np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
+    order = np.lexsort((v[run], interval))
+    interval, col = interval[order], v[run][order]
     starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])
-    ends = np.r_[starts[1:], len(interval)]
-    length = np.diff(cuts)
-    rows = {}  # entries -> [first slice start, end, multiplicity]
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        key = (col[lo:hi].tobytes(), val[lo:hi].tobytes())
-        row = rows.setdefault(key, [lo, hi, 0])
+    rows = {}  # columns -> [first slice start, end, multiplicity]
+    for lo, hi in zip(starts.tolist(), np.r_[starts[1:], len(interval)].tolist()):
+        row = rows.setdefault(col[lo:hi].tobytes(), [lo, hi, 0])
         row[2] += int(length[interval[lo]])
     rows = list(rows.values())
-    indptr = np.cumsum([0] + [hi - lo for lo, hi, _ in rows])
+    sizes = [hi - lo for lo, hi, _ in rows]
     indices = np.concatenate([col[lo:hi] for lo, hi, _ in rows])
-    data = np.concatenate([val[lo:hi] * k for lo, hi, k in rows])
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), P.n))
+    data = np.repeat(np.array([k for _, _, k in rows], dtype=np.float64), sizes) * float(d)
+    return sparse.csr_matrix((data, indices, np.cumsum([0] + sizes)), shape=(len(rows), n))

@@ -8,6 +8,7 @@ import pytest
 
 import hopflow.emulator
 from hopflow.cli import main
+from hopflow.graphs import load_graph
 
 PATH_GRAPH = "3 2\n0 1 1\n1 2 2\n"
 PROVENANCE_KEYS = {"seed", "k", "epsilon", "version"}
@@ -49,6 +50,24 @@ def test_emulator_build_saves_artifact(graph_file, tmp_path, capsys):
     assert em.graph.n == 3
     assert em.hop_bound == doc["hop_bound"]
     assert em.t == doc["t"]
+
+
+def test_emulator_build_counts_edges_without_the_closure(tmp_path, capsys, monkeypatch):
+    # a one-level tower's emulator has one edge per pair a < b, the
+    # zero-weight pair included, so without --out nothing is built
+    p = tmp_path / "z.txt"
+    p.write_text("4 3\n0 1 0\n1 2 5\n2 3 1\n")
+    stack = hopflow.emulator.preprocess(load_graph(p.read_text()), seed=7)
+    assert stack.t == 0
+    want = hopflow.emulator.build_emulator(stack).graph.m
+
+    def no_closure(stack):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(hopflow.emulator, "_emulator_edges", no_closure)
+    code, doc = run_json(capsys, ["emulator", "build", "--graph", str(p), "--seed", "7"])
+    assert code == 0 and doc["t"] == 0
+    assert doc["emulator_edges"] == want == 6
 
 
 def test_oracle_query_exact_at_desk_scale(graph_file, capsys):

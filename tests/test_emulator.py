@@ -414,6 +414,7 @@ def test_default_path_never_builds_the_closure(monkeypatch):
         oracle_query(stack, 0, 59)
         if not shift:  # coordinates past 2^60 are too large for the flow
             build_flow_runtime(g, seed=17)
+        assert em.edge_count() == 60 * 59 // 2
         assert built == []
     # the first read builds the closure once, through the counted name
     assert em.graph.m == 60 * 59 // 2
@@ -430,5 +431,6 @@ def test_deep_tower_graph_built_on_first_read():
     em = build_emulator(stack)
     graph = em.graph
     assert em.graph is graph
+    assert build_emulator(stack).edge_count() == graph.m
     assert approx_sssp(em, 11).tolist() == before.tolist()
     assert em.graph is graph

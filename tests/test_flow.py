@@ -33,6 +33,7 @@ from hopflow.flow import (
 )
 
 from conftest import grid_graph, rand_connected_graph, sssp_oracle, transportation_oracle
+from test_graphs import UnionFind
 from test_precond import assert_distinct_rows_match_dense
 
 
@@ -137,6 +138,35 @@ def test_mst_routing_exact_and_tree_bounded():
         assert opt - 1e-9 <= sol.cost <= g.n * opt + 1e-9
 
 
+def _kruskal_forest(g):
+    """Edge indices of the Kruskal forest in (w, u, v) order."""
+    sets = UnionFind(g.n)
+    order = sorted(range(g.m), key=lambda i: (int(g.ew[i]), int(g.eu[i]), int(g.ev[i])))
+    return sorted(i for i in order if sets.union(int(g.eu[i]), int(g.ev[i])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 24), st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23),
+                                              st.sampled_from([0, 1, 1, 2, 1 << 63])),
+                                    max_size=60),
+       st.integers(0, 10_000))
+def test_mst_routing_forest_is_the_kruskal_forest(n, chords, seed):
+    # weight ties everywhere: the forest is still Kruskal's in (w, u, v)
+    # order, and the flow on it is the unique tree routing of b
+    edges = [(i, i + 1, 1) for i in range(n - 1)]
+    edges += [(u, v, w) for (u, v, w) in chords if u != v and max(u, v) < n]
+    g = Graph(n, edges)
+    b = np.random.default_rng(seed).normal(size=n)
+    b -= b.mean()
+    f = mst_routing(g, b).f
+    forest = _kruskal_forest(g)
+    assert np.flatnonzero(f).tolist() == forest
+    a_t = np.zeros((n, len(forest)))
+    a_t[g.eu[forest], np.arange(len(forest))] = 1.0
+    a_t[g.ev[forest], np.arange(len(forest))] = -1.0
+    assert np.allclose(f[forest], np.linalg.lstsq(a_t, b, rcond=None)[0], atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # MWU feasibility on one hand-checked instance
 #
@@ -224,8 +254,7 @@ def flow64_runtime():
 
 def test_distinct_row_operator_on_benchmark_graph(flow64_runtime):
     g, rt = flow64_runtime
-    P = build_preconditioner(rt.emb)
-    D = assert_distinct_rows_match_dense(P, np.random.default_rng(3))
+    D, P = assert_distinct_rows_match_dense(rt.emb, np.random.default_rng(3))
     assert D.shape[0] == 262 and P.r == 11940
     assert (D != rt.D).nnz == 0
     assert rt.N == 768.0 == _per_edge_norm(rt, g)
@@ -986,11 +1015,11 @@ def _shifted_weights(g, e):
     return Graph(g.n, [(int(u), int(v), int(w) << e) for u, v, w in zip(g.eu, g.ev, g.ew)])
 
 
-@pytest.mark.parametrize("e", [56, 59, 60])
+@pytest.mark.parametrize("e", [57, 59, 60])
 def test_min_cost_flow_huge_weights_raise_value_error(e):
-    # past the 2^60 coordinate bound or 2^63 preconditioner rows; before,
-    # these wrapped into OverflowError, ZeroDivisionError or a misleading
-    # "coordinates must start at 1"
+    # past the 2^60 coordinate bound; before, these wrapped into
+    # OverflowError, ZeroDivisionError or a misleading "coordinates must
+    # start at 1"
     b = np.zeros(12)
     b[0], b[11] = 1.0, -1.0
     for seed in range(4):
@@ -1000,15 +1029,17 @@ def test_min_cost_flow_huge_weights_raise_value_error(e):
 
 
 def test_min_cost_flow_large_weights_still_solve():
-    g = _shifted_weights(rand_connected_graph(12, 10, seed=3), 50)
+    # D has no row ids to outgrow, so flows past 2^53 solve too
     b = np.zeros(12)
     b[0], b[11] = 1.0, -1.0
-    sol = min_cost_flow(g, b, epsilon=0.1, seed=3)
-    af = np.bincount(g.eu, weights=sol.f, minlength=g.n) - np.bincount(
-        g.ev, weights=sol.f, minlength=g.n)
-    assert float(np.abs(af - b).sum()) <= 1e-6
-    dist = float(sssp_oracle(g, 0)[11])
-    assert dist * (1 - 1e-9) <= sol.cost <= 1.1 * dist
+    for e in (50, 53, 55):
+        g = _shifted_weights(rand_connected_graph(12, 10, seed=3), e)
+        sol = min_cost_flow(g, b, epsilon=0.1, seed=3)
+        af = np.bincount(g.eu, weights=sol.f, minlength=g.n) - np.bincount(
+            g.ev, weights=sol.f, minlength=g.n)
+        assert float(np.abs(af - b).sum()) <= 1e-6
+        dist = float(sssp_oracle(g, 0)[11])
+        assert dist * (1 - 1e-9) <= sol.cost <= 1.1 * dist
 
 
 def test_flow_solution_to_dict_shape():

@@ -28,7 +28,6 @@ from hopflow.graphs import (
     SelfLoop,
     WeightTooLarge,
     W_MAX,
-    UnionFind,
     bellman_ford_hops,
 )
 
@@ -427,6 +426,24 @@ def test_contract_preserves_distances():
     dh = dijkstra(h, int(remap[0]))
     for v in range(g.n):
         assert dg[v] == dh[int(remap[v])]
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1; each set's root is its smallest member."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False when they were already one."""
+        a, b = sorted((self.find(a), self.find(b)))
+        self.parent[b] = a
+        return a != b
 
 
 def _reference_contract_zero_edges(g):

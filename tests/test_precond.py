@@ -16,8 +16,9 @@ from hopflow import (
     matrix_vec,
     vector_mat,
 )
-from hopflow.precond import distinct_rows
+from hopflow.precond import _level_runs, distinct_rows, grid_shape
 from hopflow.metric import Embedding
+from scipy import sparse
 
 
 def _matrix_from_columns(columns, r):
@@ -135,10 +136,36 @@ def test_shift_runs_are_contiguous_per_cell():
 
 
 def test_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        build_preconditioner(_embedding([[0, 1]], 2))  # coordinate < 1
-    with pytest.raises(ValueError):
-        build_preconditioner(_embedding([[1, 1]], 3))  # Delta not a power of 2
+    for build in (build_preconditioner, distinct_rows):
+        with pytest.raises(ValueError, match="start at 1"):
+            build(_embedding([[0, 1]], 2))  # coordinate < 1
+        with pytest.raises(ValueError, match="power of two"):
+            build(_embedding([[1, 1]], 3))  # Delta not a power of 2
+        with pytest.raises(ValueError, match="too large"):
+            build(_embedding([[1, 2**60]], 2**61))
+
+
+def test_level_runs_cover_every_shift_once():
+    # each vertex's runs at level l tile the shifts 1 .. 2^l, and the run
+    # from t1 lies in cell floor((x + t1 - 1) / 2^l); cells are numbered
+    # level by level in sorted corner order
+    rng = np.random.default_rng(8)
+    pts = rng.integers(1, 17, size=(5, 3))
+    emb = _embedding(pts, 16)
+    level, v, cell, t1, t2 = _level_runs(emb)
+    assert grid_shape(emb) == (5, 3) and level.tolist() == sorted(level.tolist())
+    first_cell = 0
+    for l in range(5):
+        side, at = 1 << l, level == l
+        corners = ((pts[v[at]] + (t1[at] - 1)[:, None]) // side).tolist()
+        uniq = sorted(set(map(tuple, corners)))
+        assert cell[at].tolist() == [first_cell + uniq.index(tuple(c)) for c in corners]
+        first_cell += len(uniq)
+        for u in range(len(pts)):
+            a, b = t1[at & (v == u)], t2[at & (v == u)]
+            assert a[0] == 1 and b[-1] == side and (a[1:] == b[:-1] + 1).all()
+            for lo, hi in zip(a, b):  # one cell from lo through hi
+                assert ((pts[u] + lo - 1) // side == (pts[u] + hi - 1) // side).all()
 
 
 def test_rejects_coordinates_past_int64_rows():
@@ -154,6 +181,14 @@ def test_rejects_coordinates_past_int64_rows():
         build_preconditioner(_embedding(pts, 2**60))
     P = build_preconditioner(_embedding([[1], [2**59], [3 * 2**58]], 2**60))
     assert 2**62 < P.r < 2**63
+    # D has no global row ids, so only the coordinate bound limits it:
+    # each corner alone, or all four in one cell
+    D = distinct_rows(_embedding(pts, 2**60))
+    assert D.shape == (5, 4)
+    assert (D.toarray() > 0).sum(axis=1).tolist() == [1, 1, 1, 1, 4]
+    # ||Db||_1 brackets the l1 distance of the first two corners (2Ld = 244)
+    norm = np.abs(D @ np.array([1.0, -1.0, 0.0, 0.0])).sum()
+    assert 2**59 - 1 <= norm <= 244 * (2**59 - 1)
 
 
 # --- kernels vs dense oracles -------------------------------------------
@@ -223,28 +258,55 @@ def test_adjointness(r, n, seed):
 
 # --- distinct-row operator ----------------------------------------------
 
-def assert_distinct_rows_match_dense(P, rng, trials=20):
-    """||D x||_1 and D^T sign(D x) equal their r-row values under P."""
-    D = distinct_rows(P)
-    assert D.shape[1] == P.n and D.shape[0] <= 2 * len(P.seg_a)
+def _reference_distinct_rows(P):
+    """D from an expanded P: cut [1, r] at every segment's a and b + 1,
+    merge the intervals with equal entries, in P's row order."""
+    cuts = np.unique(np.concatenate([P.seg_a, P.seg_b + 1]))
+    first = np.searchsorted(cuts, P.seg_a)
+    count = np.searchsorted(cuts, P.seg_b + 1) - first
+    seg = np.repeat(np.arange(len(P.seg_a)), count)
+    interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    col = np.repeat(np.arange(P.n), np.diff(P.col_ptr))[seg]
+    order = np.lexsort((col, interval))
+    interval, col, val = interval[order], col[order], P.seg_c[seg[order]]
+    starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])
+    ends = np.r_[starts[1:], len(interval)]
+    length = np.diff(cuts)
+    rows = {}
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        key = (col[lo:hi].tobytes(), val[lo:hi].tobytes())
+        row = rows.setdefault(key, [lo, hi, 0])
+        row[2] += int(length[interval[lo]])
+    rows = list(rows.values())
+    indptr = np.cumsum([0] + [hi - lo for lo, hi, _ in rows])
+    indices = np.concatenate([col[lo:hi] for lo, hi, _ in rows])
+    data = np.concatenate([val[lo:hi] * k for lo, hi, k in rows])
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), P.n))
+
+
+def assert_distinct_rows_match_dense(emb, rng, trials=20):
+    """distinct_rows(emb) is the P-based reference byte for byte, and
+    ||D x||_1 and D^T sign(D x) equal their r-row values under P."""
+    D = distinct_rows(emb)
+    P = build_preconditioner(emb)
+    ref = _reference_distinct_rows(P)
+    assert D.shape == ref.shape == (D.shape[0], P.n)
+    for name in ("indptr", "indices", "data"):
+        mine, want = getattr(D, name), getattr(ref, name)
+        assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
     dense = P.to_dense()
     for _ in range(trials):
         x = rng.integers(-3, 4, size=P.n).astype(np.float64)
         z, zd = D @ x, dense @ x
         assert np.allclose(np.abs(z).sum(), np.abs(zd).sum())
         assert np.allclose(D.T @ np.sign(z), dense.T @ np.sign(zd))
-    return D
+    return D, P
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 5), st.integers(0, 10_000))
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 5), st.integers(0, 10_000))
 def test_distinct_rows_match_dense(n, d, log_delta, seed):
     rng = np.random.default_rng(seed)
     delta = 1 << log_delta
     pts = rng.integers(1, delta + 1, size=(n, d))
-    assert_distinct_rows_match_dense(build_preconditioner(_embedding(pts, delta)), rng)
-    # hand-built columns carry values other than d
-    r = int(rng.integers(4, 65))
-    cols = _random_columns(rng, n, r)
-    if any(cols):
-        assert_distinct_rows_match_dense(_matrix_from_columns(cols, r), rng)
+    assert_distinct_rows_match_dense(_embedding(pts, delta), rng)

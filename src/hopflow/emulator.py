@@ -132,8 +132,11 @@ def preprocess(g, k=None, seed=0, b0=None):
     n = g.n
     if k is None:
         k = default_k(n)
-    if not (0.5 <= k <= max(0.5, 0.5 * math.log2(max(n, 2)))):
-        raise ValueError(f"k={k} outside [0.5, max(0.5, log2(n)/2)]")
+    try:
+        if not (0.5 <= k <= max(0.5, 0.5 * math.log2(max(n, 2)))):
+            raise ValueError(f"k={k} outside [0.5, max(0.5, log2(n)/2)]")
+    except TypeError:
+        raise ValueError(f"k must be a number, got {k!r}") from None
     b = checked_int(b0, "b0") if b0 is not None else initial_ball_size(n, k)
     b = max(2, b)
 
@@ -171,8 +174,11 @@ def oracle_query(stack, u, v):
     The estimate d satisfies dist(u,v) <= d <= 26^(4*ceil(log2(k)+1)) * dist(u,v).
     """
     n = stack.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("query vertex out of range")
+    try:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("query vertex out of range")
+    except TypeError:
+        raise ValueError(f"query vertices {u!r}, {v!r} are not both numbers") from None
     uu, vv = int(u), int(v)
     if uu != u or vv != v:
         raise ValueError(f"query vertices {u!r}, {v!r} are not both integers")

@@ -43,11 +43,13 @@ _ETA_FLOOR_FRAC = 1.0 / 64.0
 # scale that exact arithmetic would not.
 _CERT_GUARD = 1e-9
 
-# The working kappa clamps the preconditioner's own 2*L*d*alpha
-# certificate: the certificate is a sound but enormous bound and drives
-# the exit threshold eps/(2*kappa), so the clamp trades certified
-# residuals for tractable iteration counts.
-_KAPPA_MAX = 2.0
+# The kappa every MWU run uses in place of the preconditioner's own
+# certificate kappa_cert = 2*L*d*alpha, which is at least 4 (L >= 1,
+# alpha >= 1, and d >= 2 with _T_REP columns per scale): the certificate
+# is a sound but enormous bound and drives the exit threshold
+# eps/(2*kappa), so the constant trades certified residuals for
+# tractable iteration counts.
+_KAPPA = 2.0
 
 # Bourgain repetitions per sampling scale of the flow's embedding.
 _T_REP = 2
@@ -72,8 +74,7 @@ class SolverConfig:
     eta: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.5):
-            raise ValueError("epsilon must be in (0, 0.5)")
+        checked_epsilon(self.epsilon)
         self.t_cap = checked_int(self.t_cap, "t_cap", 1)
 
 
@@ -83,8 +84,9 @@ class FlowSolution:
 
     `trace` holds one list per composition round of that round's
     scale-search probes (j, status, iterations), in probe order.  Round
-    0's list is a bisection of the whole grid; each later round's search
-    starts at the j the previous round chose, its smallest ok probe.
+    0's search starts at the top of the grid, which is ok in one
+    iteration; each later round's search starts at the j the previous
+    round chose, its smallest ok probe.
     """
 
     f: np.ndarray
@@ -100,6 +102,16 @@ class FlowSolution:
             "residual": float(self.residual),
             "iterations": int(self.iterations),
         }
+
+
+def checked_epsilon(epsilon):
+    """Raises ValueError unless epsilon is a number in (0, 0.5)."""
+    try:
+        if 0.0 < epsilon < 0.5:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon!r}")
 
 
 def validate_demand(b, n):
@@ -197,15 +209,13 @@ class FlowRuntime:
     bit-for-bit the negated upper one.  D gives every demand norm
     ||Pb||_1 as ||Db||_1 (`_demand_norm`), and
     `precond.build_preconditioner(emb)` builds P where a test wants it.
-    `kappa_cert` is P's certified condition bound 2·L·d·alpha and
-    `kappa` the working value every MWU run uses, kappa_cert clamped to
-    _KAPPA_MAX.
+    `kappa_cert` is P's certified condition bound 2·L·d·alpha; every
+    MWU run uses the constant _KAPPA in its place.
     """
 
     N: float
     alpha: float
     kappa_cert: float
-    kappa: float
     emb: Embedding
     rescale: int
     D: sparse.csr_matrix
@@ -276,10 +286,7 @@ def build_flow_runtime(g, seed=0):
     if collapsed:
         emb = _with_distance_columns(emb, [rows[sidx] for sidx in collapsed])
         ratios_lo, ratios_hi, _ = _distortion(emb, rows)
-    if not rows or ratios_hi == 0.0:
-        rescale = 1
-    else:
-        rescale = 1 if ratios_lo >= 1.0 else math.ceil(1.0 / ratios_lo)
+    rescale = 1 if ratios_lo >= 1.0 else math.ceil(1.0 / ratios_lo)
     if rescale > 1:
         # checked before the uint64 product can wrap; distinct_rows
         # refuses coordinates from 2^60 on in any case
@@ -309,8 +316,7 @@ def build_flow_runtime(g, seed=0):
     M.data /= norm
     MT = M.T.tocsr()
     MT2 = sparse.vstack([MT, -MT], format="csr")
-    kappa = min(kappa_cert, _KAPPA_MAX)
-    return FlowRuntime(norm, alpha, kappa_cert, kappa, emb, rescale, D, M, MT2)
+    return FlowRuntime(norm, alpha, kappa_cert, emb, rescale, D, M, MT2)
 
 
 def _demand_norm(rt, b):
@@ -375,7 +381,7 @@ def mwu_feasibility(rt, g, b, s, cfg):
     """
     m = g.m
     eps = cfg.epsilon
-    kappa = rt.kappa
+    kappa = _KAPPA
     T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
     T = min(T_formula, cfg.t_cap)
     eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
@@ -502,14 +508,14 @@ def certificate_rejects_all(g, rt, b, s, outcome, cfg):
     Averages the sign-vector sums over outcome.iters and evaluates the
     margin |zbar.c| - max_j |(M^T zbar)_j| through D^T, the incidence
     matrix and the edge weights rather than the solver's M^T; True when
-    it exceeds eps/(2 rt.kappa) by the same guard the MWU loop applies,
+    it exceeds eps/(2 _KAPPA) by the same guard the MWU loop applies,
     so that no y with ||y||_1 <= 1 meets the exit threshold at this
     scale.  Every run takes at least one iteration (t_cap >= 1).
     """
     zt = rt.D.T @ (outcome.zsum / outcome.iters)
     q = abs(float(zt @ b)) / (s * _demand_norm(rt, b))
     dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
-    thresh = cfg.epsilon / (2.0 * rt.kappa)
+    thresh = cfg.epsilon / (2.0 * _KAPPA)
     return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
 
 
@@ -517,7 +523,7 @@ def grid_top(rt, cfg):
     """The top j of the scale grid s = (1+eps)^j, j = 0 .. top.
 
     The grid spans the preconditioner's certificate, (1+eps)^top >=
-    kappa_cert, and reaches one step past 2 rt.kappa/eps, where a probe's
+    kappa_cert, and reaches one step past 2 _KAPPA/eps, where a probe's
     first iterate y = 0 already meets the exit threshold (see
     mwu_feasibility): the top probe ends "ok" at iteration 1, the extra
     step absorbing the rounding of s and of the residual's sum.  That
@@ -526,7 +532,7 @@ def grid_top(rt, cfg):
     """
     eps = cfg.epsilon
     cert = math.ceil(math.log(max(rt.kappa_cert, 1.0 + eps)) / math.log1p(eps))
-    ok_at_zero = math.ceil(math.log(2.0 * rt.kappa / eps) / math.log(1.0 + eps)) + 1
+    ok_at_zero = math.ceil(math.log(2.0 * _KAPPA / eps) / math.log(1.0 + eps)) + 1
     return max(cert, ok_at_zero)
 
 
@@ -540,14 +546,15 @@ def scale_search(rt, g, b, cfg, start=None):
     appears first.  The top of the grid (`grid_top`) is ok by
     construction, so the search always ends on an ok scale.
 
-    Without `start` the search bisects the whole grid [0, top].  With it
-    (min_cost_flow passes the previous round's j), the search gallops
-    from j0 = start clamped to [0, top]: down by j0-1, j0-2, j0-4, ...
-    while the probes are ok, or up by j0+1, j0+2, j0+4, ... (capped at
-    top) until one is, then bisects the bracket that is left.  Each
-    probe is a pure function of its scale, so wherever feasibility is
-    monotone in j both searches end at the same j with the same run.
-    Neither probes outside [0, top].
+    The search gallops from j0 = start clamped to [0, top], or from the
+    top without `start` (min_cost_flow passes round 0 none, and every
+    later round the j the round before chose): down by j0-1, j0-2,
+    j0-4, ... while the probes are ok, or up by j0+1, j0+2, j0+4, ...
+    (capped at top) until one is, then bisects the bracket that is
+    left, whose upper end is always a probed ok scale.  Each probe is a
+    pure function of its scale, so wherever feasibility is monotone in
+    j every start ends at the same j with the same run.  No probe lies
+    outside [0, top].
     """
     pbn = _demand_norm(rt, b)
     if pbn <= 0.0:
@@ -563,37 +570,34 @@ def scale_search(rt, g, b, cfg, start=None):
         probes.append((j, out.status, out.iters))
         return out.status == "ok"
 
-    # lo is 0 or just above a failed probe; hi is ok, or top unprobed
+    # lo is 0 or just above a failed probe; hi is an ok probe
     lo, hi = 0, top
-    if start is not None:
-        j0 = min(max(start, 0), top)
-        step = 1
-        if probe(j0):
-            hi = j0
-            while lo < hi:
-                j = max(j0 - step, 0)
-                if not probe(j):
-                    lo = j + 1
-                    break
-                hi = j
-                step *= 2
-        else:
-            lo = j0 + 1
-            while lo <= top:
-                j = min(j0 + step, top)
-                if probe(j):
-                    hi = j
-                    break
+    j0 = top if start is None else min(max(start, 0), top)
+    step = 1
+    if probe(j0):
+        hi = j0
+        while lo < hi:
+            j = max(j0 - step, 0)
+            if not probe(j):
                 lo = j + 1
-                step *= 2
+                break
+            hi = j
+            step *= 2
+    else:
+        lo = j0 + 1
+        while lo <= top:
+            j = min(j0 + step, top)
+            if probe(j):
+                hi = j
+                break
+            lo = j + 1
+            step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
         if probe(mid):
             hi = mid
         else:
             lo = mid + 1
-    if lo not in results:
-        probe(lo)  # only the top is left unprobed, and it is ok
     s = (1.0 + eps) ** lo
     x = results[lo].x * (s * pbn / rt.N)
     return x, probes
@@ -606,12 +610,11 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     1 + ceil(log2 n) rounds, then routes the leftover demand along an
     MST, so the returned FlowSolution always satisfies Af = b.  Each
     round is one scale_search, which always ends on an ok scale.  Round 0
-    bisects the whole scale grid; every later round's search starts at
-    the scale the round before it chose.
+    searches down from the top of the scale grid; every later round's
+    search starts at the scale the round before it chose.
     """
     b = validate_demand(b, g.n)
-    if not (0.0 < epsilon < 0.5):
-        raise ValueError("epsilon must be in (0, 0.5)")
+    checked_epsilon(epsilon)
     # the public epsilon splits five ways across composition and repair;
     # the formula step size pairs with the astronomical formula T, but at
     # capped iteration counts a step near the stability edge converges
@@ -658,8 +661,6 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         repair = mst_routing(gq, b_res)
         fq += repair.f
         fq = _cancel_cycles(gq, fq)
-    elif np.any(np.abs(bq) > 1e-12):
-        raise ValueError("nonzero demand on a single contracted vertex")
 
     # expand back through the zero-edge contraction
     f = np.zeros(g.m, dtype=np.float64)

@@ -10,7 +10,8 @@ math.inf as the sentinel.  ``distance_array`` fixes the returned format:
 uint64 with INF while every finite distance is below INF, object with
 math.inf otherwise.
 
-``dijkstra`` is the one search written in Python.  ``distance_rows``
+``shortest_path_tree`` is the one search written in Python: ``dijkstra``
+reads its distances, and the exact path engine its tree.  ``distance_rows``
 gives many sources' rows at once: while (n-1) * max weight < 2^53 every
 distance is an integer that float64 holds exactly, so one
 ``scipy.sparse.csgraph.dijkstra`` call computes them all; past that
@@ -191,20 +192,24 @@ def checked_int(x, name, low=None, error=ValueError):
 
 def checked_sources(sources, n):
     """(vertices, offsets) of (vertex, offset) pairs, as lists of Python
-    ints.  Raises ValueError unless each vertex equals an int in [0, n)
-    and each offset a non-negative int (2.0 does; 1.5, "1" and NaN do not).
+    ints.  Raises ValueError unless sources iterates over pairs, each
+    vertex equals an int in [0, n) and each offset a non-negative int
+    (2.0 does; 1.5, "1" and NaN do not).
     """
     vs, offsets = [], []
-    for v, off in sources:
-        i, o = exact_int(v), exact_int(off)
-        if i is None or o is None:
-            raise ValueError(f"source ({v!r}, {off!r}) is not a pair of integers")
-        if not 0 <= i < n:
-            raise ValueError(f"source vertex {i} out of range 0..{n - 1}")
-        if o < 0:
-            raise ValueError(f"negative offset {o} at source {i}")
-        vs.append(i)
-        offsets.append(o)
+    try:
+        for v, off in sources:
+            i, o = exact_int(v), exact_int(off)
+            if i is None or o is None:
+                raise ValueError(f"source ({v!r}, {off!r}) is not a pair of integers")
+            if not 0 <= i < n:
+                raise ValueError(f"source vertex {i} out of range 0..{n - 1}")
+            if o < 0:
+                raise ValueError(f"negative offset {o} at source {i}")
+            vs.append(i)
+            offsets.append(o)
+    except TypeError:
+        raise ValueError("sources must be (vertex, offset) pairs") from None
     return vs, offsets
 
 
@@ -266,7 +271,19 @@ def dijkstra(g, source):
     source = checked_int(source, "source", error=GraphError)
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range")
+    dist = shortest_path_tree(g, source)[0]
+    return distance_array(np.array([math.inf if d is None else d for d in dist], dtype=object))
+
+
+def shortest_path_tree(g, source, target=None):
+    """Heap Dijkstra from vertex ``source`` (unchecked), stopped once
+    ``target`` settles: (dist, slot) as Python lists, dist[v] a Python
+    int or None when unreached, slot[v] the adjacency slot (index into
+    g.adj_e) of the edge that last lowered it.  The entries of settled
+    vertices, target's path back to the source among them, are final.
+    """
     dist = [None] * g.n
+    slot = [None] * g.n
     dist[source] = 0
     heap = [(0, source)]
     # Python lists: indexing a numpy array one scalar at a time is slower
@@ -275,13 +292,16 @@ def dijkstra(g, source):
         d, v = heapq.heappop(heap)
         if dist[v] != d:
             continue
+        if v == target:
+            break
         for k in range(indptr[v], indptr[v + 1]):
             u = adj_v[k]
             nd = d + adj_w[k]
             if dist[u] is None or nd < dist[u]:
                 dist[u] = nd
+                slot[u] = k
                 heapq.heappush(heap, (nd, u))
-    return distance_array(np.array([math.inf if d is None else d for d in dist], dtype=object))
+    return dist, slot
 
 
 def distance_array(dist):
@@ -311,6 +331,8 @@ def distance_rows(g, sources=None):
     """
     n = g.n
     sources = np.arange(n) if sources is None else np.asarray(sources)
+    if sources.ndim != 1:
+        raise GraphError("sources must be a sequence of vertex ids")
     if sources.dtype.kind not in "iu":
         sources = np.array([checked_int(s, "source", error=GraphError)
                             for s in sources.tolist()], dtype=object)

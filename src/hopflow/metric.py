@@ -139,8 +139,11 @@ def low_diameter_decomposition(em, beta, seed=0):
     Raises ValueError for a beta that is not positive and finite, or so
     small that the quantized shifts overflow.
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    try:
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {beta}")
+    except TypeError:
+        raise ValueError(f"beta must be a number, got {beta!r}") from None
     g = em.graph
     n = g.n
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 13]))

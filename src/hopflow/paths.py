@@ -16,13 +16,12 @@ gives the same path on every trial, so it runs once.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
-from .flow import min_cost_flow, _apply_incidence
-from .graphs import Graph, checked_int
+from .flow import checked_epsilon, min_cost_flow, _apply_incidence
+from .graphs import Graph, checked_int, shortest_path_tree
 
 _FLOW_TOL = 1e-12
 
@@ -231,31 +230,13 @@ def shortcut_cycles(seq):
 
 def _exact_unit_flow(g, s, t, epsilon, seed):
     """Route one unit along an exact shortest s-t path (reference engine)."""
-    dist = [None] * g.n
-    parent_edge = [None] * g.n
-    dist[s] = 0
-    heap = [(0, s)]
-    indptr, adj_v, adj_w = g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist()
-    adj_e = g.adj_e.tolist()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if dist[v] != d:
-            continue
-        if v == t:
-            break
-        for kk in range(indptr[v], indptr[v + 1]):
-            u = adj_v[kk]
-            nd = d + adj_w[kk]
-            if dist[u] is None or nd < dist[u]:
-                dist[u] = nd
-                parent_edge[u] = adj_e[kk]
-                heapq.heappush(heap, (nd, u))
+    slot = shortest_path_tree(g, s, t)[1]
     f = np.zeros(g.m, dtype=np.float64)
     v = t
     while v != s:
-        i = parent_edge[v]
-        if i is None:
+        if slot[v] is None:
             raise ValueError("target unreachable")
+        i = int(g.adj_e[slot[v]])
         if int(g.ev[i]) == v:
             f[i] += 1.0
             v = int(g.eu[i])
@@ -369,8 +350,7 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
     ValueError for trials that are not an integer of at least 1, or an
     unknown engine name.
     """
-    if not (0.0 < epsilon < 0.5):
-        raise ValueError("epsilon must be in (0, 0.5)")
+    checked_epsilon(epsilon)
     log_n = max(1.0, math.log2(g.n))
     inner_eps = epsilon / (20.0 * log_n)
     if trials is not None:

@@ -1,6 +1,7 @@
 """Flow solver: MST routing, the MWU feasibility core, scale search,
 and the composed min-cost-flow pipeline."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from hopflow.metric import Embedding, bourgain_embed
 from hopflow.precond import build_preconditioner, matrix_vec
 from hopflow.flow import (
     _ETA_FLOOR_FRAC,
+    _KAPPA,
     _PLATEAU_PATIENCE,
     _cancel_cycles,
     _distortion,
@@ -199,7 +201,7 @@ def test_runtime_norms_and_kappa(mwu_instance):
     g, b, rt = mwu_instance
     assert rt.N == 24.0 == _per_edge_norm(rt, g)
     assert rt.kappa_cert == 96.0
-    assert rt.kappa == 2.0
+    assert _KAPPA == 2.0
 
 
 def _contract_residual(rt, g, b, s, x):
@@ -338,7 +340,7 @@ def test_mwu_feasible_at_critical_scale(mwu_instance):
 def test_mwu_fails_below_critical_scale_with_certificate(mwu_instance):
     g, b, rt = mwu_instance
     cfg = SolverConfig(epsilon=0.4)
-    kappa = rt.kappa
+    kappa = _KAPPA
     t_formula = math.ceil(64.0 * kappa * kappa * math.log(2 * g.m) / 0.4**2)
     assert t_formula == 3328
     margin = _dense_certificate(rt, g)
@@ -389,7 +391,7 @@ def _reference_mwu(rt, g, b, s, cfg):
     runs to t_cap or the formula count."""
     m = g.m
     eps = cfg.epsilon
-    kappa = rt.kappa
+    kappa = _KAPPA
     T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
     T = min(T_formula, cfg.t_cap)
     eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
@@ -436,7 +438,7 @@ def _assert_probes_match_reference(rt, g, b, cfg):
     iterations as the reference; an early stop is a "fail" whose margin,
     recomputed on the dense P, beats the exit threshold."""
     eps = cfg.epsilon
-    thresh = eps / (2.0 * rt.kappa)
+    thresh = eps / (2.0 * _KAPPA)
     top = grid_top(rt, cfg)
     margin = _dense_certificate(rt, g)
     early = 0
@@ -645,8 +647,15 @@ def test_scale_search_probe_count(mwu_instance):
     eps = 0.4
     cfg = SolverConfig(epsilon=eps)
     x, probes = scale_search(rt, g, b, cfg)
-    jmax = grid_top(rt, cfg)
-    assert len(probes) <= math.ceil(math.log2(1 + jmax)) + 1
+    top = grid_top(rt, cfg)
+    # the gallop from the top probes top, then top - 2^i for i = 0, 1, ...
+    # until a probe fails or reaches 0, which takes i <= ceil(log2 top):
+    # at most ceil(log2 top) + 2 probes.  The bisection of the last
+    # doubling step leaves fewer than 2^(i-1) scales, so it takes at most
+    # i - 1 <= ceil(log2 top) - 1 more.
+    lg = math.ceil(math.log2(1 + top))
+    assert len(probes) <= 2 * lg + 1
+    assert (top, len(probes)) == (14, 9)
     assert all(status in ("ok", "fail", "cap") for (_, status, _) in probes)
     assert x.shape == (g.m,)
 
@@ -668,6 +677,8 @@ def test_grid_top_is_ok_at_the_first_iteration(case, seed, eps):
     # the example fails with a top counted in log1p(eps) steps
     g, b = case
     rt = build_flow_runtime(g, seed=seed)
+    # kappa_cert = 2 L d alpha >= 4, so the constant kappa is its old clamp
+    assert rt.kappa_cert >= 2.0 * _KAPPA
     cfg = SolverConfig(epsilon=eps, t_cap=1)
     out = mwu_feasibility(rt, g, b, (1.0 + eps) ** grid_top(rt, cfg), cfg)
     assert (out.status, out.iters) == ("ok", 1)
@@ -745,7 +756,7 @@ def test_warm_start_from_every_start_stays_on_grid(mwu_instance, monkeypatch):
 
     # one iteration per probe: only the scales where y = 0 already meets
     # the exit threshold are ok, the top among them
-    first_ok = math.ceil(math.log(2.0 * rt.kappa / cfg.epsilon) / math.log(1.4))
+    first_ok = math.ceil(math.log(2.0 * _KAPPA / cfg.epsilon) / math.log(1.4))
     assert first_ok < top
     for start in [None] + starts:
         probed.clear()
@@ -971,17 +982,38 @@ def test_min_cost_flow_warm_start_keeps_the_flow(monkeypatch):
         for prev, rnd in zip(sol.trace, sol.trace[1:]):
             assert rnd[0][0] == min(j for (j, status, _) in prev if status == "ok")
 
-    cold_search = hopflow.flow.scale_search
+    search = hopflow.flow.scale_search
 
-    def drop_start(rt, g, b, cfg, start=None):
-        return cold_search(rt, g, b, cfg)
+    def from_the_top(rt, g, b, cfg, start=None):
+        return search(rt, g, b, cfg)
 
-    monkeypatch.setattr(hopflow.flow, "scale_search", drop_start)
+    monkeypatch.setattr(hopflow.flow, "scale_search", from_the_top)
     cold = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed) in cases]
     for sol, ref in zip(warm, cold):
         assert sol.f.tobytes() == ref.f.tobytes()
         assert sol.cost == ref.cost
     assert warm[0].iterations < cold[0].iterations
+
+
+def test_min_cost_flow_round_0_starts_at_the_grid_top():
+    # flow64's instance: the top is ok in one iteration, and the gallop
+    # down from it ends on the flow pinned since the D-only runtime
+    g = rand_connected_graph(64, 64, seed=1)
+    b = np.zeros(g.n)
+    b[0], b[63] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1)
+    assert sol.trace[0][0] == (377, "ok", 1)
+    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("4396d0bc")
+    assert sol.iterations == 14653
+
+
+def test_min_cost_flow_all_zero_weights():
+    # b passes validate_demand's 1e-9 sum tolerance; g contracts to one
+    # vertex, and the zero-weight rebalance routes b
+    g = Graph(3, [(0, 1, 0), (1, 2, 0)])
+    sol = min_cost_flow(g, np.array([1.0, 0.0, -1.0 + 5e-10]), epsilon=0.1)
+    assert np.allclose(sol.f, [1.0, 1.0])
+    assert sol.cost == 0.0 and sol.residual <= 1e-9
 
 
 def test_min_cost_flow_expands_reversed_contracted_edges():

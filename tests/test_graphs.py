@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import hopflow.graphs
 from hopflow import (
     Graph,
+    SolverConfig,
     approx_shortest_path,
     bourgain_embed,
     build_emulator,
@@ -16,8 +17,12 @@ from hopflow import (
     distance_rows,
     find_path,
     load_graph,
+    low_diameter_decomposition,
+    min_cost_flow,
+    oracle_query,
     preprocess,
     random_walk_length_check,
+    set_distance,
 )
 from hopflow.graphs import (
     INF,
@@ -515,5 +520,36 @@ def test_integer_arguments_follow_exact_int(name):
     for same in (float(x), np.int64(x), np.uint8(x)):
         assert call(same) == want
     for bad in (x + 0.5, str(x), math.nan):
+        with pytest.raises(error):
+            call(bad)
+
+
+_STACK3 = preprocess(_PATH3)
+_EM3 = build_emulator(_STACK3)
+
+# name: (call of one argument, the error it raises, values that are not
+# numbers or not shaped as the argument must be)
+_NON_NUMERIC_ARGS = {
+    "oracle_query u": (lambda x: oracle_query(_STACK3, x, 0), ValueError, ["1", None]),
+    "oracle_query v": (lambda x: oracle_query(_STACK3, 0, x), ValueError, ["1", None]),
+    "set_distance sources": (lambda x: set_distance(_EM3, x), ValueError,
+                             [[5], np.array([0, 1]), 5]),
+    "min_cost_flow epsilon": (lambda x: min_cost_flow(_PATH3, [1.0, 0.0, -1.0], epsilon=x),
+                              ValueError, ["0.1", None]),
+    "SolverConfig epsilon": (lambda x: SolverConfig(epsilon=x), ValueError, ["0.1", None]),
+    "approx_shortest_path epsilon": (lambda x: approx_shortest_path(_PATH3, 0, 2, x),
+                                     ValueError, ["0.2", None]),
+    "preprocess k": (lambda x: preprocess(_PATH3, k=x), ValueError, ["1", [1]]),
+    "low_diameter_decomposition beta": (lambda x: low_diameter_decomposition(_EM3, x),
+                                        ValueError, ["0.5", None]),
+    "distance_rows sources": (lambda x: distance_rows(_PATH3, x), GraphError, [[[0, 1]], 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_NUMERIC_ARGS))
+def test_non_numeric_arguments_raise_value_error(name):
+    # never a TypeError from the comparison or unpacking that meets them
+    call, error, bads = _NON_NUMERIC_ARGS[name]
+    for bad in bads:
         with pytest.raises(error):
             call(bad)

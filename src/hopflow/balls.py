@@ -5,11 +5,13 @@ smaller id).  The radius r_b(v) is the largest distance in that list; the
 open ball is everything strictly inside it and the closed ball everything
 within it, including ties on the sphere beyond the b-th vertex.
 
-One Dijkstra per vertex yields all three: the b-th vertex it settles
-fixes r_b(v), the search then drains the ties at that radius and stops.
-It touches exactly the closed ball and its boundary edges, which is
-what the leader and sampling steps used to search twice per vertex, so
-no input does more work than those two searches did.
+While float64 holds every distance exactly (``graphs.float_matrix``),
+``scipy.sparse.csgraph.dijkstra`` searches batches of sources with a
+distance limit.  The limit starts at the largest edge weight and doubles
+for the rows that found fewer than b vertices, until it covers every
+distance.  A row's b-th smallest distance is r_b(v), and its closed ball
+is every entry within it.  Past that bound ``closed_ball``, one Python
+Dijkstra per vertex on exact ints, finds each ball.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ import heapq
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csgraph
 
-from .graphs import INF, GraphError
+from .graphs import INF, GraphError, NotConnected, float_matrix
+
+# float64 entries per csgraph call: a batch's rows are batch x n, and
+# larger batches raise peak memory more than they save time
+_BATCH_ENTRIES = 1 << 16
 
 
 class BallData:
@@ -60,27 +67,80 @@ class BallData:
 
 
 def compute_balls(g, b):
-    """Exact closed b-balls and radii for all vertices (BallData)."""
+    """Exact closed b-balls and radii for all vertices (BallData).
+
+    Raises NotConnected when a vertex reaches fewer than min(b, n)
+    vertices, and GraphError when a ball distance does not fit below the
+    uint64 INF sentinel.
+    """
     n = g.n
     b = int(b)
     if b < 1:
         raise ValueError("ball size must be >= 1")
+    need = min(b, n)
+    mat = float_matrix(g)
+    if mat is None:
+        owner, ids, dist = _searched_balls(g, b, need)
+    else:
+        owner, ids, dist = _csgraph_balls(mat, need)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=ptr[1:])
+    # r_b(v) is the distance of the last of v's b nearest vertices
+    radius = dist[ptr[:-1] + need - 1]
+    return BallData(b, radius, ptr, ids, dist)
+
+
+def _csgraph_balls(mat, need):
+    """Flat (owner, member, distance) arrays of every closed ball, sorted
+    by (owner, distance, member), from limited csgraph searches."""
+    n = mat.shape[0]
+    max_w = float(mat.data.max()) if mat.nnz else 0.0
+    # no distance exceeds (n-1) * max_w, so a search with that limit is complete
+    cap = (n - 1) * max_w
+    step = max(1, _BATCH_ENTRIES // n)
+    parts = []
+    for lo in range(0, n, step):
+        src = np.arange(lo, min(lo + step, n))
+        limit = max_w
+        rows = csgraph.dijkstra(mat, directed=False, indices=src, limit=limit)
+        short = np.flatnonzero(np.isfinite(rows).sum(axis=1) < need)
+        while len(short) and limit < cap:
+            limit *= 2
+            rows[short] = csgraph.dijkstra(mat, directed=False, indices=src[short],
+                                           limit=limit)
+            short = short[np.isfinite(rows[short]).sum(axis=1) < need]
+        if len(short):
+            raise _too_few(lo + int(short[0]), need)
+        radius = np.partition(rows, need - 1, axis=1)[:, need - 1]
+        flat = np.flatnonzero(rows <= radius[:, None])
+        owner, ids = np.divmod(flat, n)
+        parts.append((owner + lo, ids, rows.ravel()[flat]))
+    owner, ids, dist = (np.concatenate(p) for p in zip(*parts))
+    # members come by (owner, id) and lexsort is stable, so this orders
+    # them by (owner, distance, id)
+    order = np.lexsort((dist, owner))
+    return owner[order], ids[order], dist[order].astype(np.uint64)
+
+
+def _searched_balls(g, b, need):
+    """``_csgraph_balls``'s arrays from one ``closed_ball`` per vertex."""
     # Python lists: indexing a numpy array one scalar at a time is slower
     adj = (g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist())
-    found = [closed_ball(g, v, b, adj) for v in range(n)]
+    found = [closed_ball(g, v, b, adj) for v in range(g.n)]
     sizes = np.array([len(ids) for ids, _ in found], dtype=np.int64)
-    if b <= n and sizes.min() < b:
-        raise AssertionError("ball lists incomplete on a connected graph")
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    total = int(ptr[-1])
-    ball_ids = np.fromiter(chain.from_iterable(ids for ids, _ in found),
-                           dtype=np.int64, count=total)
-    ball_dist = np.fromiter(chain.from_iterable(ds for _, ds in found),
-                            dtype=np.uint64, count=total)
-    # r_b(v) is the distance of the last of v's b nearest vertices
-    radius = ball_dist[ptr[:-1] + np.minimum(sizes, b) - 1]
-    return BallData(b, radius, ptr, ball_ids, ball_dist)
+    if sizes.min() < need:
+        raise _too_few(int(np.argmin(sizes)), need)
+    total = int(sizes.sum())
+    owner = np.repeat(np.arange(g.n, dtype=np.int64), sizes)
+    ids = np.fromiter(chain.from_iterable(ids for ids, _ in found),
+                      dtype=np.int64, count=total)
+    dist = np.fromiter(chain.from_iterable(ds for _, ds in found),
+                       dtype=np.uint64, count=total)
+    return owner, ids, dist
+
+
+def _too_few(v, need):
+    return NotConnected(f"vertex {v} reaches fewer than {need} vertices")
 
 
 def closed_ball(g, v, b, adj=None):

@@ -125,10 +125,12 @@ def preprocess(g, k=None, seed=0, b0=None):
     single exact level, so small overrides are how deep towers are
     exercised.  Raises NotConnected for a disconnected graph, whose
     distances no tower represents, and ValueError for a k outside its
-    range or a b0 that is not an integer.
+    range, a b0 that is not an integer or a seed that is not a
+    non-negative integer.
     """
     if not g.is_connected():
         raise NotConnected("graph is not connected")
+    seed = checked_int(seed, "seed", 0)
     n = g.n
     if k is None:
         k = default_k(n)
@@ -146,7 +148,7 @@ def preprocess(g, k=None, seed=0, b0=None):
     for _ in range(64):
         if h.n < b:
             break
-        level_seed = np.random.SeedSequence(entropy=[int(seed), len(levels)])
+        level_seed = np.random.SeedSequence(entropy=[seed, len(levels)])
         sub = build_subemulator(h, b, level_seed)
         ball_ids, ball_dist = _stored_balls(sub)
         # leaders are kept vertices, so each one's local id is its rank

@@ -611,10 +611,13 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     MST, so the returned FlowSolution always satisfies Af = b.  Each
     round is one scale_search, which always ends on an ok scale.  Round 0
     searches down from the top of the scale grid; every later round's
-    search starts at the scale the round before it chose.
+    search starts at the scale the round before it chose.  Raises
+    ValueError for an invalid demand, an epsilon outside (0, 0.5) or a
+    seed that is not a non-negative integer.
     """
     b = validate_demand(b, g.n)
     checked_epsilon(epsilon)
+    seed = checked_int(seed, "seed", 0)
     # the public epsilon splits five ways across composition and repair;
     # the formula step size pairs with the astronomical formula T, but at
     # capped iteration counts a step near the stability edge converges

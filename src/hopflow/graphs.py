@@ -13,8 +13,8 @@ math.inf otherwise.
 ``shortest_path_tree`` is the one search written in Python: ``dijkstra``
 reads its distances, and the exact path engine its tree.  ``distance_rows``
 gives many sources' rows at once: while (n-1) * max weight < 2^53 every
-distance is an integer that float64 holds exactly, so one
-``scipy.sparse.csgraph.dijkstra`` call computes them all; past that
+distance is an integer that float64 holds exactly (``float_matrix``), so
+one ``scipy.sparse.csgraph.dijkstra`` call computes them all; past that
 bound it stacks ``dijkstra`` rows.  Every graph loaded from text with
 n < 8,193 is inside the bound, because W_MAX is 2^40.
 """
@@ -321,6 +321,22 @@ def distance_array(dist):
     return np.where(unreached, int(INF), dist).astype(np.uint64)
 
 
+def float_matrix(g):
+    """g's weights as a float64 matrix for ``scipy.sparse.csgraph``, or
+    None when float64 could round a distance.
+
+    While (n-1) * max weight < 2^53 every finite distance is an integer
+    below 2^53, so float64 holds each one exactly, and a rounded candidate
+    sum is >= 2^53 and never wins.  Each edge is stored once, at (u, v)
+    with u < v, for searches with ``directed=False``; explicit zero
+    weights stay stored entries, which csgraph reads as edges.
+    """
+    max_w = int(g.ew.max()) if g.m else 0
+    if (g.n - 1) * max_w >= 1 << 53:
+        return None
+    return csr_matrix((g.ew.astype(np.float64), (g.eu, g.ev)), shape=(g.n, g.n))
+
+
 def distance_rows(g, sources=None):
     """Exact distances from each source (all vertices by default).
 
@@ -340,13 +356,9 @@ def distance_rows(g, sources=None):
     if bad.any():
         raise GraphError(f"source {int(sources[np.argmax(bad)])} out of range")
     sources = sources.astype(np.int64, copy=False)
-    max_w = int(g.ew.max()) if g.m else 0
-    if (n - 1) * max_w >= 1 << 53:
+    mat = float_matrix(g)
+    if mat is None:
         return _stacked_rows(g, sources)
-    # every finite distance is an integer below 2^53, so float64 holds each
-    # one exactly; a rounded candidate sum is >= 2^53 and never wins.
-    # Explicit zero weights stay stored entries, which csgraph reads as edges.
-    mat = csr_matrix((g.ew.astype(np.float64), (g.eu, g.ev)), shape=(n, n))
     rows = csgraph.dijkstra(mat, directed=False, indices=sources)
     unreached = np.isinf(rows)
     rows[unreached] = 0

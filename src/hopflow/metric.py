@@ -84,8 +84,10 @@ def bourgain_embed(em, t_rep=None, seed=0):
     Uses ceil(log2 n) sampling scales with ``t_rep`` repetitions each
     (default 4*ceil(log2 n)).  A scale that samples an empty set is
     redrawn once, then falls back to a single random vertex.  Raises
-    ValueError unless t_rep is an integer of at least 1.
+    ValueError unless t_rep is an integer of at least 1 and seed a
+    non-negative integer.
     """
+    seed = checked_int(seed, "seed", 0)
     n = em.n
     scales = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     if t_rep is None:
@@ -95,7 +97,7 @@ def bourgain_embed(em, t_rep=None, seed=0):
 
     def column(ij):
         i, j = ij
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 7, i, j]))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 7, i, j]))
         mask = rng.random(n) < 2.0 ** (-i)
         if not mask.any():
             mask = rng.random(n) < 2.0 ** (-i)

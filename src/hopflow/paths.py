@@ -289,8 +289,11 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
     cycle instead (a cyclic flow, which only a custom engine returns),
     the pointer forest is contracted, the extraction recurses on the
     contracted graph, and the lifted walk is de-cycled.  Raises ValueError
-    for an endpoint that is not a vertex id.
+    for an endpoint that is not a vertex id, an epsilon outside (0, 0.5)
+    or a seed that is not a non-negative integer.
     """
+    checked_epsilon(epsilon)
+    seed = checked_int(seed, "seed", 0)
     s, t = checked_int(s, "endpoint"), checked_int(t, "endpoint")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("endpoint out of range")
@@ -303,7 +306,7 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
     retries = 3 * max(1, math.ceil(math.log2(max(g.n, 2))))
     f = None
     for attempt in range(retries):
-        cand = _flow_values(engine(g, s, t, epsilon, int(seed) + attempt))
+        cand = _flow_values(engine(g, s, t, epsilon, seed + attempt))
         if float(np.abs(_apply_incidence(g, cand) - b).sum()) <= 1e-6:
             f = cand
             break
@@ -315,7 +318,7 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
     seq = _chain_to_target(ptr.tolist(), s, t)
     if seq is None:
         level = contract(g, ptr, t, wmap)
-        sub_seed = np.random.SeedSequence(entropy=[int(seed), 29]).generate_state(1)[0]
+        sub_seed = np.random.SeedSequence(entropy=[seed, 29]).generate_state(1)[0]
         sub = find_path(level.graph, level.local_root(s), level.local_root(t),
                         epsilon, int(sub_seed), flow_engine)
         seq = _pointer_path(level, s)
@@ -347,10 +350,11 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
     extracts the same path on every trial, so it runs one trial
     whatever `trials` is; `mwu` and callable engines run all of them.
     find_path checks the endpoints and answers s == t itself.  Raises
-    ValueError for trials that are not an integer of at least 1, or an
-    unknown engine name.
+    ValueError for trials that are not an integer of at least 1, a seed
+    that is not a non-negative integer, or an unknown engine name.
     """
     checked_epsilon(epsilon)
+    seed = checked_int(seed, "seed", 0)
     log_n = max(1.0, math.log2(g.n))
     inner_eps = epsilon / (20.0 * log_n)
     if trials is not None:
@@ -361,7 +365,7 @@ def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exa
         trials = max(1, math.ceil(4.0 * log_n / epsilon))
 
     def one(trial):
-        ts = np.random.SeedSequence(entropy=[int(seed), 31, trial]).generate_state(1)[0]
+        ts = np.random.SeedSequence(entropy=[seed, 31, trial]).generate_state(1)[0]
         return find_path(g, s, t, inner_eps, int(ts), flow_engine)
 
     paths = [one(trial) for trial in range(trials)]

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflow import paths
-from hopflow.flow import _apply_incidence
+from hopflow.emulator import build_emulator, preprocess
+from hopflow.flow import _apply_incidence, min_cost_flow
+from hopflow.metric import bourgain_embed
 from hopflow.graphs import Graph, dijkstra
 from hopflow.paths import (
     Path,
@@ -216,6 +218,47 @@ def test_approx_shortest_path_validates_epsilon():
     g = Graph(2, [(0, 1, 1)])
     with pytest.raises(ValueError):
         approx_shortest_path(g, 0, 1, 0.7)
+
+
+@pytest.mark.parametrize("engine", ["exact", "mwu"])
+@pytest.mark.parametrize("epsilon", ["0.2", -1.0, 0.0, 0.5])
+def test_find_path_validates_epsilon(engine, epsilon):
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        find_path(g, 0, 2, epsilon, flow_engine=engine)
+
+
+_CYCLE4 = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5)])
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, "1", None])
+def test_seeds_are_checked_alike(seed):
+    g = _CYCLE4
+    em = build_emulator(preprocess(g))
+    demand = np.array([1.0, 0.0, -1.0, 0.0])
+    calls = (lambda: min_cost_flow(g, demand, seed=seed),
+             lambda: find_path(g, 0, 2, 0.2, seed=seed),
+             lambda: approx_shortest_path(g, 0, 2, 0.2, seed=seed, flow_engine="mwu"),
+             lambda: bourgain_embed(em, seed=seed),
+             lambda: preprocess(g, seed=seed))
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be"):
+            call()
+
+
+def test_numpy_int_seeds_run_as_their_value():
+    g = _CYCLE4
+    demand = np.array([1.0, 0.0, -1.0, 0.0])
+    assert np.array_equal(min_cost_flow(g, demand, seed=np.int64(3)).f,
+                          min_cost_flow(g, demand, seed=3).f)
+    for engine in ("exact", "mwu"):
+        a = find_path(g, 0, 2, 0.2, seed=np.uint32(7), flow_engine=engine)
+        assert a.to_dict() == find_path(g, 0, 2, 0.2, seed=7, flow_engine=engine).to_dict()
+    a = approx_shortest_path(g, 0, 2, 0.2, seed=np.int64(5))
+    assert a.to_dict() == approx_shortest_path(g, 0, 2, 0.2, seed=5).to_dict()
+    em = build_emulator(preprocess(g, seed=np.int32(2)))
+    assert np.array_equal(bourgain_embed(em, seed=np.uint64(4)).points,
+                          bourgain_embed(em, seed=4).points)
 
 
 def test_approx_shortest_path_trivial_pair():

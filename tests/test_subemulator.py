@@ -1,6 +1,8 @@
 """Single compression level: distance sandwich, leader bounds, edge count."""
 
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopflow.balls
+import hopflow.subemulator
 from hopflow import Graph, build_subemulator, compute_balls, dijkstra, preprocess
 from hopflow.subemulator import (
     Subemulator,
@@ -75,18 +78,45 @@ def test_assign_leaders_names_the_first_vertex_without_one():
         assign_leaders(g, balls, kept)
 
 
-def test_one_closed_ball_search_per_vertex_per_level(monkeypatch):
-    calls = []
+def test_ball_search_calls_per_level(monkeypatch):
+    closed_calls, sources = [], []
     search = hopflow.balls.closed_ball
+    dijkstra_rows = hopflow.balls.csgraph.dijkstra
+    per_level = hopflow.subemulator.compute_balls
 
-    def counted(g, v, *args, **kwargs):
-        calls.append(v)
+    def counted_closed(g, v, *args, **kwargs):
+        closed_calls.append(v)
         return search(g, v, *args, **kwargs)
 
-    monkeypatch.setattr(hopflow.balls, "closed_ball", counted)
+    def counted_rows(mat, **kwargs):
+        sources[-1].update(np.asarray(kwargs["indices"]).tolist())
+        return dijkstra_rows(mat, **kwargs)
+
+    def level_balls(g, b):
+        sources.append(Counter())
+        return per_level(g, b)
+
+    monkeypatch.setattr(hopflow.balls, "closed_ball", counted_closed)
+    monkeypatch.setattr(hopflow.balls, "csgraph", SimpleNamespace(dijkstra=counted_rows))
+    monkeypatch.setattr(hopflow.subemulator, "compute_balls", level_balls)
+
+    # float-exact weights: no closed_ball call, and each vertex is a
+    # source at most once per doubling of the limit
     stack = preprocess(rand_connected_graph(120, 150, seed=3), seed=1, b0=4)
-    assert stack.t >= 2
-    assert len(calls) == sum(lvl.graph.n for lvl in stack.levels[:-1])
+    assert stack.t >= 2 and not closed_calls
+    built = [lvl.graph.n for lvl in stack.levels[:-1]]
+    assert len(sources) == len(built)
+    for n, count in zip(built, sources):
+        assert sorted(count) == list(range(n))
+        assert max(count.values()) <= math.ceil(math.log2(n - 1)) + 1
+
+    # weights past the float-exact bound: one closed_ball call per vertex
+    sources.clear()
+    g = rand_connected_graph(120, 150, seed=3)
+    wide = Graph(g.n, [(u, v, w << 50) for u, v, w in g.edge_list()])
+    stack = preprocess(wide, seed=1, b0=4)
+    assert stack.t >= 2 and not any(sources)
+    assert len(closed_calls) == sum(lvl.graph.n for lvl in stack.levels[:-1])
 
 
 def test_b1_keeps_everything():

@@ -28,8 +28,10 @@ of the input graph, so its distances are that matrix's rows, and
 ``set_distance`` reads them (min over sources of offset + row, in uint64
 while the sums fit and in Python ints past that); the closure's
 n(n-1)/2 edges are never built on that path.  Deeper towers and
-emulators read back by ``load_emulator`` take the hop-limited scan,
-which builds the graph.
+emulators read back by ``load_emulator`` build the graph and search it
+with one ``scipy.sparse.csgraph.dijkstra`` call while max offset +
+(n-1) * max weight < 2^53 keeps every distance exact in float64, and
+with the hop-limited scan past that bound.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ import json
 import math
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .graphs import (INF, Graph, NotConnected, bellman_ford_hops, checked_int,
-                     checked_sources, distance_array, distance_rows)
+                     checked_sources, distance_array, distance_rows, uint64_distances)
 from .subemulator import build_subemulator
 
 
@@ -68,7 +71,7 @@ class Level:
         if self.dist is not None:
             return int(self.dist[v, u])
         ids = self.ball_ids[v]
-        pos = np.searchsorted(ids, u)
+        pos = ids.searchsorted(u)  # the method skips numpy's dispatch wrapper
         if pos < len(ids) and ids[pos] == u:
             return int(self.ball_dist[v][pos])
         return None
@@ -202,16 +205,16 @@ class Emulator:
     ``hop_bound``-hop distances are its shortest-path distances.
 
     ``build_emulator`` keeps the tower and builds the graph on the first
-    read of ``graph``, which then caches it.  Only the readers that scan
-    edges read it: ``set_distance``'s hop-limited scan (deep towers and
-    loaded emulators), ``low_diameter_decomposition``, ``save_emulator``
-    and ``edge_count`` on a deeper tower.  ``set_distance`` and
-    ``edge_count`` on a one-level tower, and ``bourgain_embed``, never do.
+    read of ``graph``, which then caches it.  Only the readers that search
+    edges read it: ``set_distance`` and ``bourgain_embed`` on deep towers
+    and loaded emulators, ``low_diameter_decomposition``, ``save_emulator``
+    and ``edge_count`` on a deeper tower.  ``set_distance``,
+    ``bourgain_embed`` and ``edge_count`` on a one-level tower never do.
     ``load_emulator`` passes a built graph.
     """
 
     __slots__ = ("n", "k", "t", "hop_bound", "stretch_bound", "seed", "dist",
-                 "_graph", "_stack")
+                 "_graph", "_stack", "_search")
 
     def __init__(self, n, k, t, hop_bound, stretch_bound, seed, dist=None,
                  graph=None, stack=None):
@@ -228,6 +231,8 @@ class Emulator:
         # a built graph, or the tower it is built from on first read
         self._graph = graph
         self._stack = stack
+        # _search_matrix's (span, matrix), built on the first search
+        self._search = None
 
     @property
     def graph(self):
@@ -235,6 +240,20 @@ class Emulator:
             self._graph = Graph(self.n, _emulator_edges(self._stack), check_connected=False)
             self._stack = None
         return self._graph
+
+    def _search_matrix(self):
+        """(span, mat): span = (n-1) * max weight, which bounds every
+        distance from one vertex, and the graph's symmetric adjacency as a
+        float64 ``csr_matrix`` for ``scipy.sparse.csgraph`` searches with
+        ``directed=True``, or None once span reaches 2^53, where float64
+        could round a distance.  Built on the first call and cached."""
+        if self._search is None:
+            g = self.graph
+            span = (g.n - 1) * (int(g.ew.max()) if g.m else 0)
+            mat = None if span >= 1 << 53 else csr_matrix(
+                (g.adj_w.astype(np.float64), g.adj_v, g.indptr), shape=(g.n, g.n))
+            self._search = (span, mat)
+        return self._search
 
     def edge_count(self):
         """The graph's edge count m.  On a one-level tower it is n(n-1)/2
@@ -306,12 +325,19 @@ def build_emulator(stack):
 def set_distance(em, sources):
     """Exact emulator distances from a set of (vertex, offset) sources.
 
-    Because the emulator's hop diameter is bounded, a hop-limited scan
-    already yields its true shortest-path distances.  An emulator built
-    from a one-level tower is the metric closure of its input graph, so
-    its distances are the tower's exact all-pairs rows: then the result
-    is min over sources of offset + row, computed in uint64 while that
-    stays below INF and in Python ints otherwise, and the scan never runs.
+    The result at v is min over sources (u, o) of o + d(u, v), in the
+    format ``distance_array`` gives.  An emulator built from a one-level
+    tower is the metric closure of its input graph, so its distances are
+    the tower's exact all-pairs rows: the result is min over sources of
+    offset + row, computed in uint64 while that stays below INF and in
+    Python ints otherwise.  Any other emulator is searched by one
+    ``scipy.sparse.csgraph.dijkstra`` call while max offset + (n-1) *
+    max weight < 2^53 keeps every distance exact in float64: from all
+    sources at once when every offset is zero, else from a virtual root
+    joined to each source at its offset.  Past that bound a hop-limited
+    scan of ``hop_bound`` rounds runs, which the bounded hop diameter of
+    a built emulator makes exact.  So a loaded emulator whose graph
+    breaks its own hop bound gets its true distances inside the bound.
     An empty source set gives INF everywhere.
 
     Raises ValueError for a vertex outside [0, n), a negative offset, or
@@ -320,17 +346,41 @@ def set_distance(em, sources):
     if isinstance(sources, dict):
         sources = sources.items()
     vs, offsets = checked_sources(sources, em.n)
-    if not vs:
+    if any(offsets):
+        offsets = np.array(offsets, dtype=object if max(offsets) >= int(INF) else np.uint64)
+    else:
+        offsets = None
+    return _set_distance(em, np.array(vs, dtype=np.int64), offsets)
+
+
+def _set_distance(em, vs, offsets=None):
+    """``set_distance`` for checked sources: vertex ids ``vs`` (int64) at
+    ``offsets`` (uint64, or Python ints in an object array), or all at
+    offset 0 when ``offsets`` is None."""
+    if not len(vs):
         return np.full(em.n, INF, dtype=np.uint64)
-    if em.dist is None:
-        return bellman_ford_hops(em.graph, zip(vs, offsets), em.hop_bound)
-    rows = em.dist[vs]
-    if rows.dtype == np.uint64 and max(offsets) + int(rows.max()) < int(INF):
-        if any(offsets):
-            rows += np.array(offsets, dtype=np.uint64)[:, None]
-        return rows.min(axis=0)
-    return distance_array((rows.astype(object) + np.array(offsets, dtype=object)[:, None])
-                          .min(axis=0))
+    if em.dist is not None:
+        rows = em.dist[vs]
+        if offsets is None:
+            return distance_array(rows.min(axis=0))
+        if rows.dtype == np.uint64 and int(offsets.max()) + int(rows.max()) < int(INF):
+            rows += offsets[:, None]  # uint64: object offsets are past INF
+            return rows.min(axis=0)
+        return distance_array((rows.astype(object) + offsets.astype(object)[:, None])
+                              .min(axis=0))
+    span, mat = em._search_matrix()
+    if (0 if offsets is None else int(offsets.max())) + span >= 1 << 53:
+        offs = [0] * len(vs) if offsets is None else offsets.tolist()
+        return bellman_ford_hops(em.graph, zip(vs.tolist(), offs), em.hop_bound)
+    if offsets is None:
+        return uint64_distances(csgraph.dijkstra(mat, directed=True, indices=vs, min_only=True))
+    # vertex n is the root; csgraph reads every stored entry as an edge, so
+    # a repeated source keeps its smallest offset and a zero offset counts
+    n = em.n
+    rooted = csr_matrix((np.concatenate([mat.data, offsets.astype(np.float64)]),
+                         np.concatenate([mat.indices, vs.astype(mat.indices.dtype)]),
+                         np.append(mat.indptr, mat.indptr[-1] + len(vs))), shape=(n + 1, n + 1))
+    return uint64_distances(csgraph.dijkstra(rooted, directed=True, indices=n)[:n])
 
 
 def approx_sssp(em, source):

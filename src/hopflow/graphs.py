@@ -359,7 +359,12 @@ def distance_rows(g, sources=None):
     mat = float_matrix(g)
     if mat is None:
         return _stacked_rows(g, sources)
-    rows = csgraph.dijkstra(mat, directed=False, indices=sources)
+    return uint64_distances(csgraph.dijkstra(mat, directed=False, indices=sources))
+
+
+def uint64_distances(rows):
+    """Float64 distances from a search inside the float-exact bound, so
+    each finite one an integer below 2^53, as uint64 with INF for inf."""
     unreached = np.isinf(rows)
     rows[unreached] = 0
     out = rows.astype(np.uint64)

@@ -1,9 +1,10 @@
 """Metric applications built on the low-hop emulator.
 
 Both are classic constructions whose inner loop is an exact
-multi-source distance in the emulator, so every coordinate / cluster
-assignment costs one bounded-depth pass (for a coordinate on a
-one-level tower, one minimum over stored rows; see ``set_distance``):
+multi-source distance in the emulator.  A coordinate costs one minimum
+over stored rows on a one-level tower, and one ``csgraph.dijkstra``
+call on a deeper tower (see ``set_distance``); the cluster assignment
+is one bounded-depth pass over the emulator's edges:
 
 * ``bourgain_embed``: an l1 embedding from distances to random vertex
   subsets at geometric sampling rates; every coordinate is 1-Lipschitz.
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .emulator import set_distance
+from .emulator import _set_distance
 from .graphs import checked_int
 
 
@@ -103,7 +104,7 @@ def bourgain_embed(em, t_rep=None, seed=0):
             mask = rng.random(n) < 2.0 ** (-i)
         if not mask.any():
             mask[int(rng.integers(n))] = True
-        return set_distance(em, [(int(v), 0) for v in np.flatnonzero(mask)])
+        return _set_distance(em, np.flatnonzero(mask))
 
     pairs = [(i, j) for i in range(1, scales + 1) for j in range(t_rep)]
     cols = [column(ij) for ij in pairs]
@@ -139,16 +140,18 @@ def low_diameter_decomposition(em, beta, seed=0):
     joins the center u minimizing dist(v, u) - delta_u, ties broken by
     the smaller center id.  Cluster labels are center vertex ids.
     Raises ValueError for a beta that is not positive and finite, or so
-    small that the quantized shifts overflow.
+    small that the quantized shifts overflow, and for a seed that is not
+    a non-negative integer.
     """
     try:
         if not (math.isfinite(beta) and beta > 0):
             raise ValueError(f"beta must be positive and finite, got {beta}")
     except TypeError:
         raise ValueError(f"beta must be a number, got {beta!r}") from None
+    seed = checked_int(seed, "seed", 0)
     g = em.graph
     n = g.n
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 13]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 13]))
     u = rng.random(n)
     with np.errstate(over="ignore"):
         delta = -np.log1p(-u) / beta

@@ -165,7 +165,7 @@ def test_save_load_roundtrip(tmp_path):
         (em.k, em.t, em.hop_bound, em.stretch_bound, em.seed)
     assert back.graph.n == em.graph.n
     assert back.graph.edge_list() == em.graph.edge_list()
-    # the loaded emulator has no stored rows and scans its graph instead
+    # the loaded emulator has no stored rows and searches its graph instead
     assert em.dist is not None and back.dist is None
     for sources in ([(0, 0)], [(3, 5), (20, 0)]):
         assert set_distance(back, sources).tolist() == set_distance(em, sources).tolist()
@@ -345,6 +345,96 @@ def test_set_distance_one_level_skips_scan(monkeypatch):
     assert got.tolist() == want[2].tolist()
 
 
+@st.composite
+def _deep_search_case(draw):
+    """A connected graph with weights 0..9, explicit zeros included, a
+    first ball of 2..6 that gives a deep tower, and sources that often
+    repeat a vertex at another offset, or all sit at offset 0."""
+    b0 = draw(st.integers(2, 6))
+    n = draw(st.integers(b0, 40))
+    weight = st.integers(0, 9)
+    edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=50))
+    edges += [(u, v, w) for (u, v, w) in chords if u != v]
+    vertex = st.one_of(st.integers(0, min(n - 1, 2)), st.integers(0, n - 1))
+    offset = st.one_of(st.just(0), st.integers(0, 50), st.integers(0, W_MAX))
+    sources = draw(st.lists(st.tuples(vertex, offset), max_size=8))
+    if draw(st.booleans()):
+        sources = [(v, 0) for (v, _) in sources]
+    return Graph(n, edges), b0, sources
+
+
+@settings(max_examples=80, deadline=None)
+@given(_deep_search_case(), st.integers(0, 1000))
+@example((Graph(6, [(0, 1, 0), (1, 2, 0), (2, 3, 5), (3, 4, 0), (4, 5, 1)]), 2,
+          [(2, 7), (2, 0), (5, 3), (5, 3)]), 0)
+def test_deep_set_distance_matches_scan(case, seed):
+    g, b0, sources = case
+    em = build_emulator(preprocess(g, seed=seed, b0=b0))
+    assert em.t >= 1 and em.dist is None
+    got = set_distance(em, sources)
+    want = bellman_ford_hops(em.graph, sources, em.hop_bound)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@st.composite
+def _loaded_case(draw):
+    """Any graph, often disconnected, with weights 0..W_MAX and sources."""
+    n = draw(st.integers(1, 30))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(0, W_MAX)), max_size=40))
+    graph = Graph(n, [(u, v, w) for (u, v, w) in edges if u != v], check_connected=False)
+    offset = st.one_of(st.just(0), st.integers(0, W_MAX))
+    return graph, draw(st.lists(st.tuples(st.integers(0, n - 1), offset), max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_loaded_case())
+@example((Graph(4, [(0, 1, 3), (2, 3, 5)], check_connected=False), [(0, 2)]))
+def test_loaded_emulator_gets_true_distances(case):
+    # a loaded graph need not keep its header's hop bound: with a bound of
+    # one, the search still returns what a scan of n rounds finds, and INF
+    # off the sources' components
+    graph, sources = case
+    em = emulator_module.Emulator(graph.n, 0.5, 0, 1, 1, 0, graph=graph)
+    got = set_distance(em, sources)
+    want = bellman_ford_hops(graph, sources, graph.n)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_deep_set_distance_scans_only_past_float_bound(monkeypatch):
+    g = rand_connected_graph(40, 50, seed=19)
+    em = build_emulator(preprocess(g, seed=19, b0=4))
+    shifted = build_emulator(preprocess(
+        Graph(g.n, [(u, v, w << 50) for (u, v, w) in g.edge_list()]), seed=19, b0=4))
+    assert em.t >= 1 and shifted.t >= 1
+    # every distance from one source is at most (n-1) * max weight
+    span = (em.n - 1) * int(em.graph.ew.max())
+    below = [(3, 0), (8, (1 << 53) - 1 - span)]
+    past = [(3, 0), (8, (1 << 53) - span)]
+    want = [bellman_ford_hops(e.graph, s, e.hop_bound)
+            for (e, s) in ((em, [(5, 0)]), (em, below), (em, past), (shifted, [(5, 0)]))]
+    scanned = []
+
+    def scan(graph, sources, hops):
+        scanned.append(graph)
+        return bellman_ford_hops(graph, sources, hops)
+
+    monkeypatch.setattr("hopflow.emulator.bellman_ford_hops", scan)
+    assert approx_sssp(em, 5).tolist() == want[0].tolist()
+    assert set_distance(em, below).tolist() == want[1].tolist()
+    bourgain_embed(em, t_rep=2, seed=19)
+    assert scanned == []
+    assert set_distance(em, past).tolist() == want[2].tolist()
+    assert scanned == [em.graph]
+    got = approx_sssp(shifted, 5)
+    assert got.dtype == want[3].dtype and got.tolist() == want[3].tolist()
+    assert scanned == [em.graph, shifted.graph]
+
+
 def test_set_distance_returns_fresh_array():
     g = rand_connected_graph(20, 25, seed=15)
     stack = preprocess(g, seed=15)
@@ -358,7 +448,7 @@ def test_set_distance_returns_fresh_array():
 
 def test_set_distance_rejects_bad_sources():
     g = rand_connected_graph(12, 10, seed=16)
-    for b0 in (None, 4):  # stored rows, and the scan of a deep tower
+    for b0 in (None, 4):  # stored rows, and the search of a deep tower
         em = build_emulator(preprocess(g, seed=16, b0=b0))
         assert (em.dist is None) == (b0 is not None)
         for sources in ([(-1, 0)], [(12, 0)], [(0, 0), (3, -1)], [(1.5, 0)], [(1, 2.7)],
@@ -426,7 +516,7 @@ def test_deep_tower_graph_built_on_first_read():
     g = rand_connected_graph(80, 90, seed=18)
     stack = preprocess(g, seed=18, b0=4)
     assert stack.t >= 1
-    # the scan reads the graph itself; reading it first changes nothing
+    # the search reads the graph itself; reading it first changes nothing
     before = approx_sssp(build_emulator(stack), 11)
     em = build_emulator(stack)
     graph = em.graph

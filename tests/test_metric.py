@@ -1,5 +1,7 @@
 """Embedding and decomposition layered on the emulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hopflow import (
     build_emulator,
     low_diameter_decomposition,
     preprocess,
+    set_distance,
 )
 from hopflow.metric import Embedding, next_pow2
 
@@ -85,6 +88,38 @@ def test_embedding_deterministic_and_serializable():
     back = Embedding.from_dict(a.to_dict())
     assert np.array_equal(back.points, a.points)
     assert back.Delta == a.Delta
+
+
+def _embedding_by_columns(em, t_rep, seed):
+    """bourgain_embed's points and Delta, each column one public
+    set_distance call on (vertex, 0) pairs."""
+    n = em.n
+    cols = []
+    for i in range(1, max(1, math.ceil(math.log2(n))) + 1):
+        for j in range(t_rep):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 7, i, j]))
+            mask = rng.random(n) < 2.0 ** (-i)
+            if not mask.any():
+                mask = rng.random(n) < 2.0 ** (-i)
+            if not mask.any():
+                mask[int(rng.integers(n))] = True
+            cols.append(set_distance(em, [(int(v), 0) for v in np.flatnonzero(mask)]))
+    pts = np.stack(cols, axis=1)
+    pts = pts - pts.min(axis=0) + 1
+    return pts, next_pow2(int(pts.max()))
+
+
+@pytest.mark.parametrize("shift, b0", [(0, None), (0, 4), (1 << 62, None)])
+def test_embedding_matches_columns_through_set_distance(shift, b0):
+    g = rand_connected_graph(40, 40, seed=4)
+    g = Graph(g.n, [(u, v, w + shift) for (u, v, w) in g.edge_list()])
+    em = build_emulator(preprocess(g, seed=4, b0=b0))
+    assert em.t == (0 if b0 is None else 2)
+    emb = bourgain_embed(em, t_rep=3, seed=6)
+    pts, Delta = _embedding_by_columns(em, 3, 6)
+    assert emb.points.dtype == pts.dtype == (object if shift else np.uint64)
+    assert emb.points.tolist() == pts.tolist()
+    assert emb.Delta == Delta
 
 
 def test_embedding_rejects_t_rep_below_one():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hopflow import paths
 from hopflow.emulator import build_emulator, preprocess
 from hopflow.flow import _apply_incidence, min_cost_flow
-from hopflow.metric import bourgain_embed
+from hopflow.metric import bourgain_embed, low_diameter_decomposition
 from hopflow.graphs import Graph, dijkstra
 from hopflow.paths import (
     Path,
@@ -240,6 +240,7 @@ def test_seeds_are_checked_alike(seed):
              lambda: find_path(g, 0, 2, 0.2, seed=seed),
              lambda: approx_shortest_path(g, 0, 2, 0.2, seed=seed, flow_engine="mwu"),
              lambda: bourgain_embed(em, seed=seed),
+             lambda: low_diameter_decomposition(em, 0.5, seed=seed),
              lambda: preprocess(g, seed=seed))
     for call in calls:
         with pytest.raises(ValueError, match="seed must be"):

@@ -334,11 +334,12 @@ def set_distance(em, sources):
     ``scipy.sparse.csgraph.dijkstra`` call while max offset + (n-1) *
     max weight < 2^53 keeps every distance exact in float64: from all
     sources at once when every offset is zero, else from a virtual root
-    joined to each source at its offset.  Past that bound a hop-limited
-    scan of ``hop_bound`` rounds runs, which the bounded hop diameter of
-    a built emulator makes exact.  So a loaded emulator whose graph
-    breaks its own hop bound gets its true distances inside the bound.
-    An empty source set gives INF everywhere.
+    joined to each source at its offset.  Past that bound a scan of
+    max(hop_bound, n - 1) rounds runs, which stops at its fixed point:
+    a built emulator's bounded hop diameter ends it within hop_bound + 1
+    rounds.  So a loaded emulator whose graph breaks its own hop bound
+    gets its true distances at every weight.  An empty source set gives
+    INF everywhere.
 
     Raises ValueError for a vertex outside [0, n), a negative offset, or
     a vertex or offset that is not an integer.
@@ -371,7 +372,10 @@ def _set_distance(em, vs, offsets=None):
     span, mat = em._search_matrix()
     if (0 if offsets is None else int(offsets.max())) + span >= 1 << 53:
         offs = [0] * len(vs) if offsets is None else offsets.tolist()
-        return bellman_ford_hops(em.graph, zip(vs.tolist(), offs), em.hop_bound)
+        # a loaded graph need not keep its header's hop bound; the scan
+        # stops at its fixed point, so a built emulator pays at most one
+        # round more
+        return bellman_ford_hops(em.graph, zip(vs.tolist(), offs), max(em.hop_bound, em.n - 1))
     if offsets is None:
         return uint64_distances(csgraph.dijkstra(mat, directed=True, indices=vs, min_only=True))
     # vertex n is the root; csgraph reads every stored entry as an edge, so

@@ -4,11 +4,13 @@ Pipeline: contract zero-weight edges, embed the metric (emulator ->
 Bourgain -> distinct rows D of the grid preconditioner P), then search
 a geometric grid for a scale s and run a multiplicative-weights
 feasibility solver on the preconditioned system  PAW^-1 x = Pb.  The
-solver is composed with itself on the residual demand for a logarithmic
-number of rounds (each round's search starting at the scale the round
-before chose), and whatever demand is still unrouted gets repaired
+solver is composed with itself on the residual demand for at most
+1 + ceil(log2 n) rounds (each round's search starting at the scale the
+round before chose), and whatever demand is still unrouted gets repaired
 exactly along a minimum spanning tree, so returned flows always satisfy
-Af = b.
+Af = b.  Composition stops early, before any round after the first, once
+that repair costs at most _STOP_FRAC * eps times the rounds' flow, which
+keeps the returned cost within (1 + _STOP_FRAC * eps) times the rounds'.
 
 Everything here is deterministic given (graph, demand, epsilon, seed).
 """
@@ -54,6 +56,13 @@ _KAPPA = 2.0
 # Bourgain repetitions per sampling scale of the flow's embedding.
 _T_REP = 2
 
+# Composition stops before a round r >= 1 once the MST repair of the
+# residual costs at most _STOP_FRAC * eps times the rounds' flow; that
+# repair then ends the flow, so the returned cost is at most
+# (1 + _STOP_FRAC * eps) times the rounds' cost (cycle cancellation only
+# lowers it).
+_STOP_FRAC = 0.02
+
 
 @dataclass
 class SolverConfig:
@@ -86,7 +95,10 @@ class FlowSolution:
     scale-search probes (j, status, iterations), in probe order.  Round
     0's search starts at the top of the grid, which is ok in one
     iteration; each later round's search starts at the j the previous
-    round chose, its smallest ok probe.
+    round chose, its smallest ok probe.  There are at most
+    1 + ceil(log2 n) rounds, fewer when the stop rule of
+    `min_cost_flow` ends them, and `to_dict` reports their number as
+    "rounds".
     """
 
     f: np.ndarray
@@ -101,6 +113,7 @@ class FlowSolution:
             "cost": float(self.cost),
             "residual": float(self.residual),
             "iterations": int(self.iterations),
+            "rounds": len(self.trace),
         }
 
 
@@ -502,23 +515,6 @@ def _cancel_cycles(g, f, tol=1e-12):
     return f
 
 
-def certificate_rejects_all(g, rt, b, s, outcome, cfg):
-    """Recheck an outcome's averaged-dual certificate at scale s.
-
-    Averages the sign-vector sums over outcome.iters and evaluates the
-    margin |zbar.c| - max_j |(M^T zbar)_j| through D^T, the incidence
-    matrix and the edge weights rather than the solver's M^T; True when
-    it exceeds eps/(2 _KAPPA) by the same guard the MWU loop applies,
-    so that no y with ||y||_1 <= 1 meets the exit threshold at this
-    scale.  Every run takes at least one iteration (t_cap >= 1).
-    """
-    zt = rt.D.T @ (outcome.zsum / outcome.iters)
-    q = abs(float(zt @ b)) / (s * _demand_norm(rt, b))
-    dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
-    thresh = cfg.epsilon / (2.0 * _KAPPA)
-    return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
-
-
 def grid_top(rt, cfg):
     """The top j of the scale grid s = (1+eps)^j, j = 0 .. top.
 
@@ -606,12 +602,16 @@ def scale_search(rt, g, b, cfg, start=None):
 def min_cost_flow(g, b, epsilon=0.1, seed=0):
     """(1+eps)-approximate min-cost flow with exact feasibility.
 
-    Composes the scale-searched MWU solver on residual demands for
-    1 + ceil(log2 n) rounds, then routes the leftover demand along an
-    MST, so the returned FlowSolution always satisfies Af = b.  Each
+    Composes the scale-searched MWU solver on residual demands for at
+    most 1 + ceil(log2 n) rounds, then routes the leftover demand along
+    an MST, so the returned FlowSolution always satisfies Af = b.  Each
     round is one scale_search, which always ends on an ok scale.  Round 0
     searches down from the top of the scale grid; every later round's
-    search starts at the scale the round before it chose.  Raises
+    search starts at the scale the round before it chose.  Before each
+    round after the first, the leftover's MST routing is computed; when
+    it costs at most _STOP_FRAC * epsilon times the rounds' flow so far,
+    composition stops and that routing is the repair, so the cost is at
+    most (1 + _STOP_FRAC * epsilon) times the rounds' cost.  Raises
     ValueError for an invalid demand, an epsilon outside (0, 0.5) or a
     seed that is not a non-negative integer.
     """
@@ -642,7 +642,12 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         pbn0 = _demand_norm(rt, b_res)
         pbn_prev = pbn0
         start = None
+        repair = None  # the MST routing of b_res, once it is computed
         for round_no in range(depth):
+            if round_no:
+                repair = mst_routing(gq, b_res)
+                if repair.cost <= _STOP_FRAC * epsilon * float(wq @ np.abs(fq)):
+                    break  # the exact repair is cheap; it ends the flow
             if pbn_prev <= 1e-8 * max(pbn0, 1.0):
                 break  # leftover is dust; exact repair costs nothing
             if round_no == 1:
@@ -661,7 +666,9 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
             fq += f_round
             b_res = b_new
             pbn_prev = pbn_new
-        repair = mst_routing(gq, b_res)
+            repair = None
+        if repair is None:
+            repair = mst_routing(gq, b_res)
         fq += repair.f
         fq = _cancel_cycles(gq, fq)
 

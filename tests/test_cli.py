@@ -124,6 +124,7 @@ def test_flow_subcommand(graph_file, tmp_path, capsys):
     assert doc["residual"] <= 1e-8
     assert 3.0 - 1e-9 <= doc["cost"] <= 3.3
     assert len(doc["edges"]) == 2 and doc["edges"][0][:2] == [0, 1]
+    assert doc["iterations"] >= 1 and doc["rounds"] >= 1
 
 
 @pytest.mark.parametrize("text", ['{"a": 1}', "[NaN, 0, 0]", "[1e400, 0, -1e400]"])

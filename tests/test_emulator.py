@@ -405,6 +405,14 @@ def test_loaded_emulator_gets_true_distances(case):
     assert got.tolist() == want.tolist()
 
 
+def test_loaded_emulator_gets_true_distances_past_float_bound():
+    # past 2^53 the scan runs, and it too runs past the header's hop bound
+    w = 1 << 60
+    graph = Graph(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
+    em = emulator_module.Emulator(4, 0.5, 0, 1, 1, 0, graph=graph)
+    assert set_distance(em, [(0, 0)]).tolist() == [0, w, 2 * w, 3 * w]
+
+
 def test_deep_set_distance_scans_only_past_float_bound(monkeypatch):
     g = rand_connected_graph(40, 50, seed=19)
     em = build_emulator(preprocess(g, seed=19, b0=4))

@@ -16,16 +16,18 @@ from hopflow.graphs import Graph, NotConnected
 from hopflow.metric import Embedding, bourgain_embed
 from hopflow.precond import build_preconditioner, matrix_vec
 from hopflow.flow import (
+    _CERT_GUARD,
     _ETA_FLOOR_FRAC,
     _KAPPA,
     _PLATEAU_PATIENCE,
+    _STOP_FRAC,
     _cancel_cycles,
+    _demand_norm,
     _distortion,
     _matvec,
     MwuOutcome,
     SolverConfig,
     build_flow_runtime,
-    certificate_rejects_all,
     grid_top,
     min_cost_flow,
     mst_routing,
@@ -214,6 +216,23 @@ def _contract_residual(rt, g, b, s, x):
     gv /= rt.N
     gv -= b / (s * matrix_vec(P, b).norm1())
     return matrix_vec(P, gv).norm1()
+
+
+def certificate_rejects_all(g, rt, b, s, outcome, cfg):
+    """Recheck an outcome's averaged-dual certificate at scale s.
+
+    Averages the sign-vector sums over outcome.iters and evaluates the
+    margin |zbar.c| - max_j |(M^T zbar)_j| through D^T, the incidence
+    matrix and the edge weights rather than the solver's M^T; True when
+    it exceeds eps/(2 _KAPPA) by the same guard the MWU loop applies,
+    so that no y with ||y||_1 <= 1 meets the exit threshold at this
+    scale.  Every run takes at least one iteration (t_cap >= 1).
+    """
+    zt = rt.D.T @ (outcome.zsum / outcome.iters)
+    q = abs(float(zt @ b)) / (s * _demand_norm(rt, b))
+    dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
+    thresh = cfg.epsilon / (2.0 * _KAPPA)
+    return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
 
 
 def _dense_certificate(rt, g):
@@ -997,14 +1016,57 @@ def test_min_cost_flow_warm_start_keeps_the_flow(monkeypatch):
 
 def test_min_cost_flow_round_0_starts_at_the_grid_top():
     # flow64's instance: the top is ok in one iteration, and the gallop
-    # down from it ends on the flow pinned since the D-only runtime
+    # down from it ends on the flow pinned since the stop rule, which
+    # ends composition after 3 rounds
     g = rand_connected_graph(64, 64, seed=1)
     b = np.zeros(g.n)
     b[0], b[63] = 1.0, -1.0
     sol = min_cost_flow(g, b, epsilon=0.1)
     assert sol.trace[0][0] == (377, "ok", 1)
-    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("4396d0bc")
-    assert sol.iterations == 14653
+    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("0312c933")
+    assert sol.iterations == 6151
+
+
+def test_min_cost_flow_stops_once_the_repair_is_cheap(monkeypatch):
+    # acceptance 07's unit instances 0 and 6 and its first multi-source one
+    cases = []
+    for n, gseed, fseed in ((31, 500, 0), (37, 506, 6)):
+        g = rand_connected_graph(n, n, seed=gseed)
+        b = np.zeros(g.n)
+        b[0], b[int(np.argmax(sssp_oracle(g, 0)))] = 1.0, -1.0
+        cases.append((g, b, fseed))
+    b = np.random.default_rng(77).integers(-2, 3, size=8).astype(np.float64)
+    b[0] -= b.sum()
+    cases.append((rand_connected_graph(8, 6, seed=540), b, 0))
+    routed, cancelled = [], []
+    route, cancel = hopflow.flow.mst_routing, hopflow.flow._cancel_cycles
+
+    def counted_route(g, b):
+        routed.append(route(g, b))
+        return routed[-1]
+
+    def seen_cancel(g, f):
+        cancelled.append((g, f))
+        return cancel(g, f)
+
+    monkeypatch.setattr(hopflow.flow, "mst_routing", counted_route)
+    monkeypatch.setattr(hopflow.flow, "_cancel_cycles", seen_cancel)
+    for g, b, seed in cases:
+        routed.clear()
+        cancelled.clear()
+        sol = min_cost_flow(g, b, epsilon=0.1, seed=seed)
+        # one routing per round r >= 1 checked, the last of which fired
+        # and is the repair: no routing runs after it
+        assert 2 <= len(sol.trace) < 1 + math.ceil(math.log2(g.n))
+        assert len(routed) == len(sol.trace)
+        [(gq, f)] = cancelled
+        repair = routed[-1]
+        # the rounds' flow is what cancellation got less the repair,
+        # up to the rounding of that sum and difference
+        rounds_cost = float(gq.ew.astype(np.float64) @ np.abs(f - repair.f))
+        assert repair.cost <= _STOP_FRAC * 0.1 * rounds_cost * (1.0 + 1e-12)
+        assert sol.cost <= (1.0 + _STOP_FRAC * 0.1) * rounds_cost + 1e-9
+        assert sol.residual <= 1e-9
 
 
 def test_min_cost_flow_all_zero_weights():
@@ -1078,5 +1140,6 @@ def test_flow_solution_to_dict_shape():
     g = Graph(2, [(0, 1, 3)])
     sol = min_cost_flow(g, np.array([1.0, -1.0]), epsilon=0.1)
     d = sol.to_dict(g)
-    assert set(d) == {"edges", "cost", "residual", "iterations"}
+    assert set(d) == {"edges", "cost", "residual", "iterations", "rounds"}
     assert d["edges"][0][:2] == [0, 1]
+    assert d["rounds"] == len(sol.trace) >= 1

@@ -5,9 +5,13 @@ ball size b_i, and for every vertex its stored ball (open ball plus
 leader, with exact H_i distances) and its leader in the next level.
 Ball sizes grow as b^(5/4), so the tower has O(log k) levels; the final
 level keeps only the pairwise distances of what is left, as one matrix.
-``distance_rows`` computes it: one ``scipy.sparse.csgraph.dijkstra``
-call while (n-1) * max weight < 2^53, where float64 sums are exact, and
-one Python Dijkstra per vertex otherwise.
+While (n-1) * max weight < 2^53, where float64 sums are exact, it is
+built from ``scipy.sparse.csgraph.dijkstra`` calls on blocks of
+``_TOP_BLOCK`` source rows and stored in the narrowest unsigned dtype
+that holds it (uint8, 16, 32 or 64), which the first block fixes; past
+that bound ``distance_rows`` stacks one Python Dijkstra per vertex
+(uint64, or Python ints past uint64).  Every reader widens what it
+takes from the matrix before it adds to it.
 
 Two consumers sit on top:
 
@@ -25,8 +29,8 @@ When the tower has one level, which the default ball size gives for any
 graph that fits in memory, that level's matrix is the exact all-pairs
 distances of the input graph.  The emulator is then the metric closure
 of the input graph, so its distances are that matrix's rows, and
-``set_distance`` reads them (min over sources of offset + row, in uint64
-while the sums fit and in Python ints past that); the closure's
+``set_distance`` reads them (min over sources of offset + row, widened
+to uint64 while the sums fit and to Python ints past that); the closure's
 n(n-1)/2 edges are never built on that path.  Deeper towers and
 emulators read back by ``load_emulator`` build the graph and search it
 with one ``scipy.sparse.csgraph.dijkstra`` call while max offset +
@@ -43,7 +47,8 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 from .graphs import (INF, Graph, NotConnected, bellman_ford_hops, checked_int,
-                     checked_sources, distance_array, distance_rows, uint64_distances)
+                     checked_sources, distance_array, distance_rows, float_matrix,
+                     uint64_distances)
 from .subemulator import build_subemulator
 
 
@@ -59,7 +64,8 @@ class Level:
         # below the top, per local v: views of its stored ball (local ids
         # sorted, exact H_i distances), its leader's distance and local id
         # in level i+1; the top holds only dist, H_t's all-pairs matrix
-        # (uint64, or Python ints past uint64)
+        # (the narrowest unsigned dtype that holds it, or Python ints
+        # past uint64)
         self.ball_ids = ball_ids
         self.ball_dist = ball_dist
         self.leader_dist = leader_dist
@@ -99,6 +105,10 @@ def initial_ball_size(n, k):
     if n <= 1:
         return 2
     return max(math.ceil((75.0 * math.log(n)) ** 2), math.ceil(n ** (1.0 / (2.0 * k))), 2)
+
+
+# source rows per csgraph call when building the top level's matrix
+_TOP_BLOCK = 256
 
 
 def level_bound(k):
@@ -165,12 +175,43 @@ def preprocess(g, k=None, seed=0, b0=None):
         raise RuntimeError("level tower failed to terminate")
 
     # top level: exact all-pairs on what is left
-    levels.append(Level(h, vertices, b, dist=distance_rows(h)))
+    levels.append(Level(h, vertices, b, dist=_top_matrix(h)))
 
     stack = LevelStack(levels, k, seed, n)
     if b0 is None and stack.t > level_bound(k):
         raise AssertionError(f"tower depth {stack.t} exceeds bound {level_bound(k)}")
     return stack
+
+
+def _top_matrix(h):
+    """h's exact all-pairs matrix, for a connected h.
+
+    Inside the float-exact bound it is built from csgraph calls on
+    blocks of ``_TOP_BLOCK`` source rows, each cast into one preallocated
+    matrix, so no n x n float64 or uint64 array exists.  The first block
+    fixes the dtype: every distance is at most 2 * the eccentricity of
+    any source, by the triangle inequality, or the block's own max when
+    it holds every row.  Past the bound it is ``distance_rows(h)``.
+    """
+    mat = float_matrix(h)
+    if mat is None:
+        return distance_rows(h)
+    n = h.n
+    out = bound = None
+    for lo in range(0, n, _TOP_BLOCK):
+        block = csgraph.dijkstra(mat, directed=False,
+                                 indices=np.arange(lo, min(lo + _TOP_BLOCK, n)))
+        if out is None:
+            bound = block.max() if len(block) == n else 2 * block.max(axis=1).min()
+            if not np.isfinite(bound):
+                raise AssertionError("top level is not connected")
+            out = np.empty((n, n), dtype=np.min_scalar_type(int(bound)))
+        # a float -> narrow assignment wraps silently; an inf fails here too
+        if not block.max() <= bound:
+            raise AssertionError(f"top-level distance past its bound {int(bound)}")
+        out[lo:lo + len(block)] = block
+        del block  # so two blocks never coexist
+    return out
 
 
 def oracle_query(stack, u, v):
@@ -225,8 +266,8 @@ class Emulator:
         self.stretch_bound = stretch_bound
         self.seed = seed
         # exact distance matrix of the graph, when one is known: the rows
-        # of a one-level tower (uint64, or Python ints past uint64),
-        # shared with the tower
+        # of a one-level tower (the narrowest unsigned dtype that holds
+        # them, or Python ints past uint64), shared with the tower
         self.dist = dist
         # a built graph, or the tower it is built from on first read
         self._graph = graph
@@ -328,18 +369,18 @@ def set_distance(em, sources):
     The result at v is min over sources (u, o) of o + d(u, v), in the
     format ``distance_array`` gives.  An emulator built from a one-level
     tower is the metric closure of its input graph, so its distances are
-    the tower's exact all-pairs rows: the result is min over sources of
-    offset + row, computed in uint64 while that stays below INF and in
-    Python ints otherwise.  Any other emulator is searched by one
-    ``scipy.sparse.csgraph.dijkstra`` call while max offset + (n-1) *
-    max weight < 2^53 keeps every distance exact in float64: from all
-    sources at once when every offset is zero, else from a virtual root
-    joined to each source at its offset.  Past that bound a scan of
-    max(hop_bound, n - 1) rounds runs, which stops at its fixed point:
-    a built emulator's bounded hop diameter ends it within hop_bound + 1
-    rounds.  So a loaded emulator whose graph breaks its own hop bound
-    gets its true distances at every weight.  An empty source set gives
-    INF everywhere.
+    the tower's exact all-pairs rows, stored narrow: the result is min
+    over sources of offset + row, with the rows widened to uint64 while
+    that stays below INF and to Python ints otherwise.  Any other
+    emulator is searched by one ``scipy.sparse.csgraph.dijkstra`` call
+    while max offset + (n-1) * max weight < 2^53 keeps every distance
+    exact in float64: from all sources at once when every offset is
+    zero, else from a virtual root joined to each source at its offset.
+    Past that bound a scan of max(hop_bound, n - 1) rounds runs, which
+    stops at its fixed point: a built emulator's bounded hop diameter
+    ends it within hop_bound + 1 rounds.  So a loaded emulator whose
+    graph breaks its own hop bound gets its true distances at every
+    weight.  An empty source set gives INF everywhere.
 
     Raises ValueError for a vertex outside [0, n), a negative offset, or
     a vertex or offset that is not an integer.
@@ -361,12 +402,15 @@ def _set_distance(em, vs, offsets=None):
     if not len(vs):
         return np.full(em.n, INF, dtype=np.uint64)
     if em.dist is not None:
-        rows = em.dist[vs]
+        # the rows are stored narrow: widen only what is returned or summed
+        rows = em.dist.take(vs, axis=0)
         if offsets is None:
-            return distance_array(rows.min(axis=0))
-        if rows.dtype == np.uint64 and int(offsets.max()) + int(rows.max()) < int(INF):
+            low = np.minimum.reduce(rows, axis=0)
+            return distance_array(low) if low.dtype == object else low.astype(np.uint64, copy=False)
+        if rows.dtype != object and int(offsets.max()) + int(rows.max()) < int(INF):
+            rows = rows.astype(np.uint64, copy=False)
             rows += offsets[:, None]  # uint64: object offsets are past INF
-            return rows.min(axis=0)
+            return np.minimum.reduce(rows, axis=0)
         return distance_array((rows.astype(object) + offsets.astype(object)[:, None])
                               .min(axis=0))
     span, mat = em._search_matrix()

@@ -127,8 +127,10 @@ def checked_epsilon(epsilon):
     raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon!r}")
 
 
-def validate_demand(b, n):
-    """b as a float64 array of length n with finite entries summing to 0.
+def validate_demand(b, n, norm=None):
+    """b as a float64 array of length n with finite entries summing to 0,
+    within 1e-9 * ``norm`` (default ‖b‖₁), so the rounding of a large
+    demand's sum is not refused.
 
     Raises ValueError for anything else, non-numeric input included: a
     NaN would pass the zero-sum check and an infinite demand would drive
@@ -142,7 +144,7 @@ def validate_demand(b, n):
         raise ValueError(f"demand must have length {n}")
     if not np.isfinite(b).all():
         raise ValueError("demand entries must be finite")
-    if abs(float(b.sum())) > 1e-9:
+    if abs(float(b.sum())) > 1e-9 * (float(np.abs(b).sum()) if norm is None else norm):
         raise ValueError("demand must sum to zero")
     return b
 
@@ -161,21 +163,29 @@ def _flow_stats(g, f, b):
     return cost, residual
 
 
-def mst_routing(g, b):
-    """Exactly feasible flow supported on a minimum spanning tree."""
-    b = validate_demand(b, g.n)
+def mst_routing(g, b, norm=None):
+    """Exactly feasible flow supported on a minimum spanning tree.
+
+    ``b`` must sum to zero within 1e-9 * ``norm`` (default ‖b‖₁), and on
+    each component of g within 1e-6 * ``norm``.  A residual of a larger
+    demand, whose float sum drifts with that demand's size, passes the
+    larger demand's ℓ1 norm.
+    """
+    b = validate_demand(b, g.n, norm)
+    norm = float(np.abs(b).sum()) if norm is None else norm
     # edges are stored sorted by (u, v), so this is the (w, u, v) order
-    idx, val = _route_forest(g, np.argsort(g.ew, kind="stable"), b)
+    idx, val = _route_forest(g, np.argsort(g.ew, kind="stable"), b, 1e-6 * norm)
     f = np.zeros(g.m, dtype=np.float64)
     f[idx] += val
     cost, residual = _flow_stats(g, f, b)
     return FlowSolution(f, cost, residual, 0)
 
 
-def _route_forest(g, edges, b):
+def _route_forest(g, edges, b, tol):
     """Subtree-sum routing of b on the Kruskal forest of `edges` (an array
     of edge indices in the order they are tried); (edge indices, signed
-    flows).
+    flows).  Raises ValueError when b sums to more than `tol` in absolute
+    value on some tree.
 
     Ranking the edges 1, 2, ... in that order makes the forest the one
     minimum spanning forest.  A virtual vertex n, joined to every vertex
@@ -200,7 +210,7 @@ def _route_forest(g, edges, b):
         acc[parent[v]] += acc[v]
     acc = np.array(acc)[child]
     tree_edge = rank < k
-    if np.any(np.abs(acc[~tree_edge]) > 1e-6):
+    if np.any(np.abs(acc[~tree_edge]) > tol):
         raise ValueError("unbalanced demand within a tree component")
     idx = edges[rank[tree_edge]]
     # flow child -> parent; the stored direction is smaller -> larger id
@@ -611,11 +621,14 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     round after the first, the leftover's MST routing is computed; when
     it costs at most _STOP_FRAC * epsilon times the rounds' flow so far,
     composition stops and that routing is the repair, so the cost is at
-    most (1 + _STOP_FRAC * epsilon) times the rounds' cost.  Raises
+    most (1 + _STOP_FRAC * epsilon) times the rounds' cost.  The
+    residuals' zero-sum checks are relative to ‖b‖₁ and the dust test to
+    the first residual's norm, so neither depends on b's scale.  Raises
     ValueError for an invalid demand, an epsilon outside (0, 0.5) or a
     seed that is not a non-negative integer.
     """
     b = validate_demand(b, g.n)
+    b_norm = float(np.abs(b).sum())
     checked_epsilon(epsilon)
     seed = checked_int(seed, "seed", 0)
     # the public epsilon splits five ways across composition and repair;
@@ -645,10 +658,10 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         repair = None  # the MST routing of b_res, once it is computed
         for round_no in range(depth):
             if round_no:
-                repair = mst_routing(gq, b_res)
+                repair = mst_routing(gq, b_res, norm=b_norm)
                 if repair.cost <= _STOP_FRAC * epsilon * float(wq @ np.abs(fq)):
                     break  # the exact repair is cheap; it ends the flow
-            if pbn_prev <= 1e-8 * max(pbn0, 1.0):
+            if pbn_prev <= 1e-8 * pbn0:
                 break  # leftover is dust; exact repair costs nothing
             if round_no == 1:
                 # later rounds fix small residuals whose cost share is
@@ -668,7 +681,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
             pbn_prev = pbn_new
             repair = None
         if repair is None:
-            repair = mst_routing(gq, b_res)
+            repair = mst_routing(gq, b_res, norm=b_norm)
         fq += repair.f
         fq = _cancel_cycles(gq, fq)
 
@@ -678,7 +691,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     # rebalance inside each zero-weight class along zero-weight tree edges
     resid = b - _apply_incidence(g, f)
     if np.any(np.abs(resid) > 1e-12):
-        idx, val = _route_forest(g, np.flatnonzero(g.ew == 0), resid)
+        idx, val = _route_forest(g, np.flatnonzero(g.ew == 0), resid, 1e-6 * b_norm)
         f[idx] += val
     cost, residual = _flow_stats(g, f, b)
     return FlowSolution(f, cost, residual, total_iters, trace)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from hopflow import (
 from hopflow import emulator as emulator_module
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
 from hopflow.flow import build_flow_runtime
-from hopflow.graphs import INF, W_MAX, GraphError, NotConnected, bellman_ford_hops
+from hopflow.graphs import (INF, W_MAX, GraphError, NotConnected, bellman_ford_hops,
+                            distance_rows)
 from hopflow.metric import bourgain_embed
 from hopflow.subemulator import build_subemulator
 
@@ -258,11 +260,16 @@ def test_stored_balls_match_per_vertex_reference(case, seed):
             assert (lvl.ball_ids[v].dtype, lvl.ball_dist[v].dtype) == (ids.dtype, ds.dtype)
             assert lvl.ball_ids[v].tolist() == ids.tolist()
             assert lvl.ball_dist[v].tolist() == ds.tolist()
-    # the top level is one matrix of exact distances, object past uint64
+    # the top level is one matrix of exact distances: the narrowest
+    # unsigned dtype inside the float-exact bound, uint64 past it, and
+    # object past uint64
     top = stack.levels[-1]
     rows = [dijkstra(top.graph, v) for v in range(top.graph.n)]
     wide = any(r.dtype == object for r in rows)
-    assert top.dist.dtype == (object if wide else np.uint64)
+    h = top.graph
+    exact = (h.n - 1) * (int(h.ew.max()) if h.m else 0) < 1 << 53
+    assert top.dist.dtype == (object if wide else np.uint64 if not exact
+                              else np.min_scalar_type(max(int(r.max()) for r in rows)))
     assert top.dist.tolist() == [[int(d) for d in r] for r in rows]
     assert top.ball_ids is None and top.leader_dist is None
     em = build_emulator(stack)
@@ -274,6 +281,100 @@ def test_wide_deep_tower_keeps_an_object_top_matrix():
     stack = preprocess(g, b0=4)
     assert stack.t == 2 and stack.levels[-1].dist.dtype == object
     assert build_emulator(stack).dist is None
+
+
+def _boundary_graphs(top):
+    """A path and a star whose largest distance is exactly ``top``."""
+    half = top // 2
+    return [Graph(4, [(0, 1, 1), (1, 2, top - 2), (2, 3, 1)]),
+            Graph(5, [(0, 1, half), (0, 2, top - half), (0, 3, 1), (0, 4, 0)])]
+
+
+def _check_top_matrix_readers(g, seed=3):
+    """Every reader of a one-level tower's narrow matrix gives what the
+    uint64 rows of ``distance_rows`` give."""
+    rows = distance_rows(g)
+    n = g.n
+    stack = preprocess(g, seed=seed)
+    top = stack.levels[-1]
+    assert stack.t == 0
+    assert top.dist.tolist() == rows.tolist()
+    assert all(oracle_query(stack, u, v)[0] == int(rows[u, v])
+               for u in range(n) for v in range(n))
+    em = build_emulator(stack)
+    for s in range(n):
+        got = approx_sssp(em, s)
+        assert got.dtype == np.uint64 and got.tolist() == rows[s].tolist()
+    top_d = int(rows.max())
+    for sources in ([(0, 7), (n - 1, 0)], [(1, int(INF) - top_d - 1), (2, 5)],
+                    [(1, int(INF) - top_d)]):
+        vals = [min(o + int(rows[s, v]) for s, o in sources) for v in range(n)]
+        got = set_distance(em, sources)
+        assert got.dtype == (np.uint64 if max(vals) < int(INF) else object)
+        assert got.tolist() == vals
+    ref = build_emulator(stack)
+    ref.dist = rows
+    emb, want = bourgain_embed(em, t_rep=2, seed=seed), bourgain_embed(ref, t_rep=2, seed=seed)
+    assert emb.points.dtype == want.points.dtype and np.array_equal(emb.points, want.points)
+    assert emb.Delta == want.Delta
+    closure = Graph(n, [(a, b, int(rows[a, b])) for a in range(n) for b in range(a + 1, n)])
+    assert em.graph.to_text() == closure.to_text()
+    return top.dist
+
+
+@pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
+def test_top_matrix_is_the_narrowest_dtype(top, monkeypatch):
+    for g in _boundary_graphs(top):
+        assert _check_top_matrix_readers(g).dtype == np.min_scalar_type(top)
+    # in blocks of 2 rows the first block's 2 * eccentricity bound fixes
+    # a dtype that holds every distance, at most the one of 2 * top
+    monkeypatch.setattr(emulator_module, "_TOP_BLOCK", 2)
+    for g in _boundary_graphs(top):
+        dtype = _check_top_matrix_readers(g).dtype
+        assert np.min_scalar_type(top).itemsize <= dtype.itemsize
+        assert dtype.itemsize <= np.min_scalar_type(2 * top).itemsize
+
+
+def test_top_matrix_past_float_bound_is_unchanged():
+    for g in _boundary_graphs(255):
+        g = _wide_graph(g, 1 << 53)
+        assert distance_rows(g).dtype == np.uint64
+        assert _check_top_matrix_readers(g).dtype == np.uint64
+
+
+def test_top_matrix_in_several_blocks():
+    # 300 vertices: two csgraph blocks; the path's bound 2 * 149 needs
+    # uint16, and so does its largest distance 299
+    for g in (Graph(300, [(i, i + 1, 1) for i in range(299)]),
+              rand_connected_graph(300, 300, seed=5)):
+        rows = distance_rows(g)
+        dist = preprocess(g).levels[-1].dist
+        assert dist.tolist() == rows.tolist()
+        assert dist.dtype == np.min_scalar_type(int(rows.max()))
+
+
+def test_top_matrix_refuses_a_disconnected_level(monkeypatch):
+    # an inf cast to an unsigned dtype would be read back as a distance
+    g = Graph(4, [(0, 1, 3), (2, 3, 5)], check_connected=False)
+    for block in (256, 1):
+        monkeypatch.setattr(emulator_module, "_TOP_BLOCK", block)
+        with pytest.raises(AssertionError):
+            emulator_module._top_matrix(g)
+
+
+def test_one_level_preprocess_memory():
+    # oracle1000's instance: a uint8 matrix (1 MB) and one float64 block
+    # of 256 rows (2 MB) at a time, where a float64 and a uint64 n x n
+    # matrix (16 MB) were held at once
+    g = rand_connected_graph(1000, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        stack = preprocess(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.levels[-1].dist.dtype == np.uint8
+    assert peak < 4_000_000
 
 
 def test_zero_weight_tie_between_kept_vertices_builds_a_tower():
@@ -503,7 +604,7 @@ def test_default_path_never_builds_the_closure(monkeypatch):
         g = _wide_graph(narrow, shift)
         stack = preprocess(g, seed=17)
         assert stack.t == 0
-        assert stack.levels[-1].dist.dtype == (object if shift else np.uint64)
+        assert stack.levels[-1].dist.dtype == (object if shift else np.uint8)
         em = build_emulator(stack)
         approx_sssp(em, 3)
         set_distance(em, [(5, 2), (40, 0)])

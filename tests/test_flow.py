@@ -55,6 +55,20 @@ def test_validate_demand_nonzero_sum():
         validate_demand([1.0, 0.0, -0.5], 3)
 
 
+def test_validate_demand_tolerance_is_relative_to_the_demand():
+    # 1e12 + 0.1 - 1e12 - 0.1 sums to -2.4e-5 in float64
+    b = validate_demand([1e12 + 0.1, -1e12, -0.1], 3)
+    assert b.sum() != 0.0
+    assert b.tolist() == [1e12 + 0.1, -1e12, -0.1]
+    for demand in ([1e-10, 0.0, 0.0], [1e-6, 1e-6, -1e-6]):
+        with pytest.raises(ValueError):
+            validate_demand(demand, 3)
+    # a residual of a larger demand is checked against that demand's norm
+    validate_demand([1e-10, 0.0, 0.0], 3, norm=1.0)
+    with pytest.raises(ValueError):
+        validate_demand([1e-8, 0.0, 0.0], 3, norm=1.0)
+
+
 @pytest.mark.parametrize("demand", [
     [math.nan, 0.0, 0.0],
     [math.inf, 0.0, -math.inf],
@@ -1041,8 +1055,8 @@ def test_min_cost_flow_stops_once_the_repair_is_cheap(monkeypatch):
     routed, cancelled = [], []
     route, cancel = hopflow.flow.mst_routing, hopflow.flow._cancel_cycles
 
-    def counted_route(g, b):
-        routed.append(route(g, b))
+    def counted_route(g, b, **kwargs):
+        routed.append(route(g, b, **kwargs))
         return routed[-1]
 
     def seen_cancel(g, f):
@@ -1067,6 +1081,33 @@ def test_min_cost_flow_stops_once_the_repair_is_cheap(monkeypatch):
         assert repair.cost <= _STOP_FRAC * 0.1 * rounds_cost * (1.0 + 1e-12)
         assert sol.cost <= (1.0 + _STOP_FRAC * 0.1) * rounds_cost + 1e-9
         assert sol.residual <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_min_cost_flow_solves_large_demands(scale):
+    # the residuals' float sums drift with the demand's size, which the
+    # internal MST routings must not refuse
+    g = rand_connected_graph(64, 64, seed=1)
+    b = np.zeros(g.n)
+    b[0], b[63] = scale, -scale
+    sol = min_cost_flow(g, b, epsilon=0.1)
+    assert sol.residual <= 1e-9 * 2 * scale
+    assert sol.cost <= 1.1 * sssp_oracle(g, 0)[63] * scale
+
+
+def test_min_cost_flow_small_demands_keep_their_rounds():
+    # the dust test is relative to the first residual's norm alone, so a
+    # demand of 1e-11 runs the rounds a unit demand runs
+    g = rand_connected_graph(20, 20, seed=1)
+    dist = sssp_oracle(g, 0)[19]
+    sols = []
+    for scale in (1.0, 1e-11):
+        b = np.zeros(g.n)
+        b[0], b[19] = scale, -scale
+        sols.append(min_cost_flow(g, b, epsilon=0.1))
+        assert sols[-1].cost <= 1.1 * dist * scale
+        assert sols[-1].residual <= 1e-9 * 2 * scale
+    assert len(sols[1].trace) == len(sols[0].trace) >= 1
 
 
 def test_min_cost_flow_all_zero_weights():

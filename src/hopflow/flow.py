@@ -3,14 +3,16 @@
 Pipeline: contract zero-weight edges, embed the metric (emulator ->
 Bourgain -> distinct rows D of the grid preconditioner P), then search
 a geometric grid for a scale s and run a multiplicative-weights
-feasibility solver on the preconditioned system  PAW^-1 x = Pb.  The
-solver is composed with itself on the residual demand for at most
-1 + ceil(log2 n) rounds (each round's search starting at the scale the
-round before chose), and whatever demand is still unrouted gets repaired
-exactly along a minimum spanning tree, so returned flows always satisfy
-Af = b.  Composition stops early, before any round after the first, once
-that repair costs at most _STOP_FRAC * eps times the rounds' flow, which
-keeps the returned cost within (1 + _STOP_FRAC * eps) times the rounds'.
+feasibility solver on the preconditioned system  PAW^-1 x = Pb, each
+probe after a search's first ok one starting from the last ok probe's
+weights.  The solver is composed with itself on the residual demand for
+at most 1 + ceil(log2 n) rounds (each round's search starting at the
+scale the round before chose), and whatever demand is still unrouted
+gets repaired exactly along a minimum spanning tree, so returned flows
+always satisfy Af = b.  Composition stops early, before any round after
+the first, once that repair costs at most _STOP_FRAC * eps times the
+rounds' flow, which keeps the returned cost within
+(1 + _STOP_FRAC * eps) times the rounds'.
 
 Everything here is deterministic given (graph, demand, epsilon, seed).
 """
@@ -75,7 +77,10 @@ class SolverConfig:
     dual certifies that no iterate can reach the exit threshold; a run
     that reaches t_cap without converging also counts as infeasible at
     that scale, which only ever moves the search toward more
-    conservative scales.
+    conservative scales.  eta is the step size, None for the formula
+    step eps/(8 kappa), or a finite number in (0, 1): below 1 the
+    weight update factor 1 - (eta/2)(dz - q) stays positive, since
+    |dz| <= 1 and |q| <= 1/s <= 1 on the grid.
     """
 
     epsilon: float = 0.1
@@ -85,6 +90,12 @@ class SolverConfig:
     def __post_init__(self):
         checked_epsilon(self.epsilon)
         self.t_cap = checked_int(self.t_cap, "t_cap", 1)
+        try:
+            eta_ok = self.eta is None or 0.0 < self.eta < 1.0
+        except TypeError:
+            eta_ok = False
+        if not eta_ok:
+            raise ValueError(f"eta must be None or in (0, 1), got {self.eta!r}")
 
 
 @dataclass(slots=True, eq=False)
@@ -95,10 +106,12 @@ class FlowSolution:
     scale-search probes (j, status, iterations), in probe order.  Round
     0's search starts at the top of the grid, which is ok in one
     iteration; each later round's search starts at the j the previous
-    round chose, its smallest ok probe.  There are at most
-    1 + ceil(log2 n) rounds, fewer when the stop rule of
-    `min_cost_flow` ends them, and `to_dict` reports their number as
-    "rounds".
+    round chose, its smallest ok probe.  Within a round, every probe
+    after the first ok one starts from the last ok probe's weights.
+    There are at most 1 + ceil(log2 n) rounds, fewer when the stop rule
+    of `min_cost_flow` ends them.  `to_dict` reports their number as
+    "rounds", and the trace's iterations summed by probe status as
+    "iterations_by_status".
     """
 
     f: np.ndarray
@@ -108,11 +121,16 @@ class FlowSolution:
     trace: list = field(default_factory=list)
 
     def to_dict(self, g):
+        by_status = {"ok": 0, "fail": 0, "cap": 0}
+        for probes in self.trace:
+            for _, status, iters in probes:
+                by_status[status] += iters
         return {
             "edges": [[int(g.eu[i]), int(g.ev[i]), float(self.f[i])] for i in range(g.m)],
             "cost": float(self.cost),
             "residual": float(self.residual),
             "iterations": int(self.iterations),
+            "iterations_by_status": by_status,
             "rounds": len(self.trace),
         }
 
@@ -361,22 +379,30 @@ def _matvec(A):
 
 @dataclass(slots=True, eq=False)
 class MwuOutcome:
-    """One MWU run: its status, solution and averaged-dual sum.
+    """One MWU run: its status, solution, averaged-dual sum and weights.
 
     `zsum` is the sum of the sign vectors sign(My - c) over D's rows,
     taken over the iterations that updated the weights: all `iters` of
     them for "fail" and "cap", the first iters - 1 for "ok", whose last
-    iteration exits before its update.
+    iteration exits before its update.  `wts` is an ok run's final
+    weight distribution over the 2m signed edges, whose halves' difference
+    is x (None for "fail" and "cap"); `scale_search` starts its next
+    probe from it.
     """
 
     status: str  # "ok" | "fail" | "cap"
     x: np.ndarray | None
     iters: int
     zsum: np.ndarray | None
+    wts: np.ndarray | None = None
 
 
-def mwu_feasibility(rt, g, b, s, cfg):
+def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     """One MWU run on the scaled feasibility system at scale s.
+
+    The run starts from the weights `wts` (2m entries summing to 1, the
+    `wts` of an earlier ok outcome; the array is not modified), or from
+    the uniform distribution without them.
 
     Success returns x' = p+ - p- with ||x'||_1 <= 1 and
     ||(PAW^-1/N) x' - (1/s) Pb/||Pb||_1||_1 <= eps/(2 kappa).
@@ -386,11 +412,14 @@ def mwu_feasibility(rt, g, b, s, cfg):
     ||My - c||_1 >= |zbar.c| - max_j |(M^T zbar)_j|, where M and c are the
     scaled operator and demand.  As soon as that margin exceeds the exit
     threshold eps/(2 kappa) (by the relative guard _CERT_GUARD), no later
-    iterate could succeed, and the run stops with status "fail".  Running
-    out of iterations reports "fail" at the formula count and "cap" at
-    an earlier configured cap; the caller treats both as infeasible.
-    The first iterate is y = 0, whose residual ||c||_1 is 1/s, so at
-    every s >= 2 kappa/eps the run ends "ok" at iteration 1 with x' = 0.
+    iterate could succeed, and the run stops with status "fail".  The
+    certificate holds for any sign vectors, so for any starting weights.
+    Running out of iterations reports "fail" at the formula count from
+    uniform weights, whose regret bound the formula assumes, and "cap"
+    otherwise: at an earlier configured cap, or from given weights.  The
+    caller treats both as infeasible.  From uniform weights the first
+    iterate is y = 0, whose residual ||c||_1 is 1/s, so at every
+    s >= 2 kappa/eps the run ends "ok" at iteration 1 with x' = 0.
 
     Weights are held as an explicitly normalized distribution rather
     than in log-space: renormalizing every iteration gives the same
@@ -420,7 +449,13 @@ def mwu_feasibility(rt, g, b, s, cfg):
     if rt.M.shape != (rows, m):
         raise ValueError(f"runtime operator is {rt.M.shape}, graph needs ({rows}, {m})")
     mv, mv2 = _matvec(rt.M), _matvec(rt.MT2)
-    wts = np.full(2 * m, 1.0 / (2 * m))
+    uniform = wts is None
+    if uniform:
+        wts = np.full(2 * m, 1.0 / (2 * m))
+    else:
+        wts = np.array(wts, dtype=np.float64)
+        if wts.shape != (2 * m,):
+            raise ValueError(f"starting weights must have shape ({2 * m},), got {wts.shape}")
     wpos, wneg = wts[:m], wts[m:]
     y = np.empty(m)
     z = np.empty(rows)
@@ -441,7 +476,7 @@ def mwu_feasibility(rt, g, b, s, cfg):
         z -= c
         r = float(np.add.reduce(np.abs(z, out=absz)))
         if r <= thresh:
-            return MwuOutcome("ok", y, it, zsum)
+            return MwuOutcome("ok", y, it, zsum, wts)
         if r < best - 1e-9:
             best, since = r, 0
         else:
@@ -467,7 +502,7 @@ def mwu_feasibility(rt, g, b, s, cfg):
         qsum += q
         if abs(qsum) - float(np.maximum.reduce(dz2sum)) > it * cert_thresh:
             return MwuOutcome("fail", None, it, zsum)
-    status = "fail" if T >= T_formula else "cap"
+    status = "fail" if uniform and T >= T_formula else "cap"
     return MwuOutcome(status, None, T, zsum)
 
 
@@ -557,10 +592,18 @@ def scale_search(rt, g, b, cfg, start=None):
     later round the j the round before chose): down by j0-1, j0-2,
     j0-4, ... while the probes are ok, or up by j0+1, j0+2, j0+4, ...
     (capped at top) until one is, then bisects the bracket that is
-    left, whose upper end is always a probed ok scale.  Each probe is a
-    pure function of its scale, so wherever feasibility is monotone in
-    j every start ends at the same j with the same run.  No probe lies
+    left, whose upper end is always a probed ok scale.  No probe lies
     outside [0, top].
+
+    Probes run from uniform weights until one is ok; every later probe
+    starts from the final weights of the last ok probe, the bracket's
+    upper end, so a probe's outcome depends on the search's path to it
+    and not only on its scale.  The top is only ever probed before any
+    probe is ok, so it always runs from uniform weights.  An ok probe is
+    still its own residual check and a "fail" its own certificate, and
+    feasibility is monotone in j (y scaled by s/s' meets the threshold
+    at s' > s), so a search that ends on j with j - 1 "fail" ends on
+    the smallest j at which any y meets the threshold.
     """
     pbn = _demand_norm(rt, b)
     if pbn <= 0.0:
@@ -569,11 +612,15 @@ def scale_search(rt, g, b, cfg, start=None):
     top = grid_top(rt, cfg)
     probes = []
     results = {}
+    warm = None  # the last ok probe's final weights
 
     def probe(j):
-        out = mwu_feasibility(rt, g, b, (1.0 + eps) ** j, cfg)
+        nonlocal warm
+        out = mwu_feasibility(rt, g, b, (1.0 + eps) ** j, cfg, warm)
         results[j] = out
         probes.append((j, out.status, out.iters))
+        if out.status == "ok":
+            warm = out.wts
         return out.status == "ok"
 
     # lo is 0 or just above a failed probe; hi is an ok probe
@@ -621,9 +668,11 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     round after the first, the leftover's MST routing is computed; when
     it costs at most _STOP_FRAC * epsilon times the rounds' flow so far,
     composition stops and that routing is the repair, so the cost is at
-    most (1 + _STOP_FRAC * epsilon) times the rounds' cost.  The
-    residuals' zero-sum checks are relative to ‖b‖₁ and the dust test to
-    the first residual's norm, so neither depends on b's scale.  Raises
+    most (1 + _STOP_FRAC * epsilon) times the rounds' cost.  Only an
+    exactly zero b returns the zero flow at once.  The residuals'
+    zero-sum checks and the 1e-12 guards on the contracted demand and
+    the zero-weight rebalance are relative to ‖b‖₁, and the dust test to
+    the first residual's norm, so none depends on b's scale.  Raises
     ValueError for an invalid demand, an epsilon outside (0, 0.5) or a
     seed that is not a non-negative integer.
     """
@@ -638,7 +687,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     inner_eps = max(1e-4, epsilon / 5.0)
     run_cfg = SolverConfig(epsilon=inner_eps, eta=min(0.125, 6.0 * inner_eps))
 
-    if not np.any(np.abs(b) > 1e-12):
+    if not b.any():
         return FlowSolution(np.zeros(g.m), 0.0, 0.0, 0)
 
     gq, vmap, emap = contract_zero_edges(g)
@@ -647,7 +696,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     trace = []
 
     fq = np.zeros(gq.m, dtype=np.float64)
-    if gq.n > 1 and np.any(np.abs(bq) > 1e-12):
+    if gq.n > 1 and np.any(np.abs(bq) > 1e-12 * b_norm):
         rt = build_flow_runtime(gq, seed=seed)
         depth = 1 + math.ceil(math.log2(max(gq.n, 2)))
         wq = gq.ew.astype(np.float64)
@@ -690,7 +739,7 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     f[emap] = np.where(vmap[g.eu[emap]] == gq.eu, fq, -fq)
     # rebalance inside each zero-weight class along zero-weight tree edges
     resid = b - _apply_incidence(g, f)
-    if np.any(np.abs(resid) > 1e-12):
+    if np.any(np.abs(resid) > 1e-12 * b_norm):
         idx, val = _route_forest(g, np.flatnonzero(g.ew == 0), resid, 1e-6 * b_norm)
         f[idx] += val
     cost, residual = _flow_stats(g, f, b)

@@ -125,6 +125,9 @@ def test_flow_subcommand(graph_file, tmp_path, capsys):
     assert 3.0 - 1e-9 <= doc["cost"] <= 3.3
     assert len(doc["edges"]) == 2 and doc["edges"][0][:2] == [0, 1]
     assert doc["iterations"] >= 1 and doc["rounds"] >= 1
+    by_status = doc["iterations_by_status"]
+    assert set(by_status) == {"ok", "fail", "cap"}
+    assert sum(by_status.values()) == doc["iterations"] and by_status["ok"] >= 1
 
 
 @pytest.mark.parametrize("text", ['{"a": 1}', "[NaN, 0, 0]", "[1e400, 0, -1e400]"])

@@ -220,10 +220,11 @@ def test_runtime_norms_and_kappa(mwu_instance):
     assert _KAPPA == 2.0
 
 
-def _contract_residual(rt, g, b, s, x):
-    """||(PAW^-1/N) x - Pb/(s ||Pb||_1)||_1 on all r rows of P, by the
-    reference kernel rather than the operator the solver runs on."""
-    P = build_preconditioner(rt.emb)
+def _contract_residual(rt, g, b, s, x, P=None):
+    """||(PAW^-1/N) x - Pb/(s ||Pb||_1)||_1 on all r rows of P (built from
+    rt.emb unless given), by the reference kernel rather than the
+    operator the solver runs on."""
+    P = build_preconditioner(rt.emb) if P is None else P
     inv_w = 1.0 / g.ew.astype(np.float64)
     gv = np.bincount(g.eu, weights=x * inv_w, minlength=g.n)
     gv -= np.bincount(g.ev, weights=x * inv_w, minlength=g.n)
@@ -412,16 +413,33 @@ def test_mwu_rejects_a_graph_the_runtime_was_not_built_for(mwu_instance):
     other = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5), (0, 2, 3)])
     with pytest.raises(ValueError, match="runtime operator"):
         mwu_feasibility(rt, other, b, 3.0, SolverConfig(epsilon=0.4))
+    for wts in (np.full(2 * g.m - 1, 1.0), np.full((g.m, 2), 1.0)):
+        with pytest.raises(ValueError, match="starting weights"):
+            mwu_feasibility(rt, g, b, 3.0, SolverConfig(epsilon=0.4), wts)
+
+
+def test_mwu_starts_from_given_weights_without_changing_them(mwu_instance):
+    g, b, rt = mwu_instance
+    cfg = SolverConfig(epsilon=0.4)
+    first = mwu_feasibility(rt, g, b, 3.0, cfg)
+    start = first.wts.copy()
+    again = mwu_feasibility(rt, g, b, 2.0, cfg, start)
+    assert np.array_equal(start, first.wts)
+    cold = mwu_feasibility(rt, g, b, 2.0, cfg)
+    assert again.status == cold.status == "ok" and again.iters != cold.iters
+    uniform = mwu_feasibility(rt, g, b, 2.0, cfg, np.full(2 * g.m, 0.5 / g.m))
+    assert (uniform.iters, uniform.x.tobytes()) == (cold.iters, cold.x.tobytes())
 
 
 # ---------------------------------------------------------------------------
 # the averaged-dual stop against the loop that runs every probe to its end
 
 
-def _reference_mwu(rt, g, b, s, cfg):
+def _reference_mwu(rt, g, b, s, cfg, wts=None):
     """mwu_feasibility as it was before the averaged-dual stop (less its
     collect_certificate flag), kept as the reference: an infeasible scale
-    runs to t_cap or the formula count."""
+    runs to t_cap or the formula count.  It starts from the same optional
+    weights and returns an ok run's final weights."""
     m = g.m
     eps = cfg.epsilon
     kappa = _KAPPA
@@ -436,7 +454,8 @@ def _reference_mwu(rt, g, b, s, cfg):
         raise ValueError("||Pb||_1 must be positive")
     c = pb / (s * pbn)
     M, MT = rt.M, rt.M.T
-    wts = np.full(2 * m, 1.0 / (2 * m))
+    uniform = wts is None
+    wts = np.full(2 * m, 1.0 / (2 * m)) if uniform else wts.copy()
     eta0 = eta
     half = 0.5 * eta
     best = np.inf
@@ -447,7 +466,7 @@ def _reference_mwu(rt, g, b, s, cfg):
         z -= c
         r = float(np.abs(z).sum())
         if r <= thresh:
-            return MwuOutcome("ok", y, it, None)
+            return MwuOutcome("ok", y, it, None, wts)
         if r < best - 1e-9:
             best, since = r, 0
         else:
@@ -462,12 +481,14 @@ def _reference_mwu(rt, g, b, s, cfg):
         wts[:m] *= 1.0 - half * (dz - q)
         wts[m:] *= 1.0 + half * (dz + q)
         wts /= wts.sum()
-    status = "fail" if T >= T_formula else "cap"
+    status = "fail" if uniform and T >= T_formula else "cap"
     return MwuOutcome(status, None, T, None)
 
 
 def _assert_probes_match_reference(rt, g, b, cfg):
-    """Every scale of the search grid: the same ok decision, x and
+    """Every scale of the search grid, from uniform weights and, walking
+    down from the top as a search does, from the weights of the last ok
+    run of that walk: the same ok decision, x, final weights and
     iterations as the reference; an early stop is a "fail" whose margin,
     recomputed on the dense P, beats the exit threshold."""
     eps = cfg.epsilon
@@ -475,20 +496,25 @@ def _assert_probes_match_reference(rt, g, b, cfg):
     top = grid_top(rt, cfg)
     margin = _dense_certificate(rt, g)
     early = 0
-    for j in range(top + 1):
+    warm = None
+    for j in range(top, -1, -1):
         s = (1.0 + eps) ** j
-        out = mwu_feasibility(rt, g, b, s, cfg)
-        ref = _reference_mwu(rt, g, b, s, cfg)
-        assert (out.status == "ok") == (ref.status == "ok"), j
-        if ref.status == "ok":
-            assert out.iters == ref.iters and np.array_equal(out.x, ref.x), j
-        elif out.iters < ref.iters:
-            early += 1
-            assert out.status == "fail", j
-            assert certificate_rejects_all(g, rt, b, s, out, cfg), j
-            assert margin(b, s, out) > thresh, j
-        else:
-            assert (out.status, out.iters) == (ref.status, ref.iters), j
+        for wts in [None] if warm is None else [None, warm]:
+            out = mwu_feasibility(rt, g, b, s, cfg, wts)
+            ref = _reference_mwu(rt, g, b, s, cfg, wts)
+            assert (out.status == "ok") == (ref.status == "ok"), j
+            if ref.status == "ok":
+                assert out.iters == ref.iters and np.array_equal(out.x, ref.x), j
+                assert np.array_equal(out.wts, ref.wts), j
+            elif out.iters < ref.iters:
+                early += 1
+                assert out.status == "fail", j
+                assert certificate_rejects_all(g, rt, b, s, out, cfg), j
+                assert margin(b, s, out) > thresh, j
+            else:
+                assert (out.status, out.iters) == (ref.status, ref.iters), j
+        if out.status == "ok":
+            warm = out.wts
     return early
 
 
@@ -731,6 +757,60 @@ def _chosen(probes):
     return min(j for (j, status, _) in probes if status == "ok")
 
 
+def _recorded_search(rt, g, b, cfg, start=None):
+    """scale_search(rt, g, b, cfg, start) as (x, probes, runs), where
+    runs[k] = (s, starting weights, outcome) of the k-th probe."""
+    runs = []
+
+    def recording(rt_, g_, b_, s, cfg_, wts=None):
+        runs.append((s, wts, mwu_feasibility(rt_, g_, b_, s, cfg_, wts)))
+        return runs[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopflow.flow, "mwu_feasibility", recording)
+        x, probes = scale_search(rt, g, b, cfg, start=start)
+    assert [(1.0 + cfg.epsilon) ** j for (j, _, _) in probes] == [s for (s, _, _) in runs]
+    assert [p[1:] for p in probes] == [(out.status, out.iters) for (_, _, out) in runs]
+    return x, probes, runs
+
+
+def _assert_search_sound(rt, g, b, cfg, x, probes, runs):
+    """What a scale search guarantees although a probe's outcome depends
+    on its starting weights, for the output of _recorded_search:
+
+    - its probes lie in [0, top], none twice;
+    - the probes before the first ok one, the top among them, run from
+      uniform weights, every later one from the last ok probe's final
+      weights;
+    - every "fail" passes certificate_rejects_all, and every ok x has
+      ||x||_1 <= 1 and meets the exit threshold on all rows of P;
+    - it ends on its smallest ok j, with j - 1 probed not-ok in the same
+      search or j = 0, and returns that probe's x rescaled.
+
+    Returns the j it ended on."""
+    top = grid_top(rt, cfg)
+    thresh = cfg.epsilon / (2.0 * _KAPPA)
+    P = build_preconditioner(rt.emb)
+    js = [j for (j, _, _) in probes]
+    assert all(0 <= j <= top for j in js) and len(set(js)) == len(js)
+    warm = None
+    for j, (s, wts, out) in zip(js, runs):
+        assert wts is warm, j
+        if out.status == "ok":
+            assert np.abs(out.x).sum() <= 1.0 + 1e-12, j
+            assert _contract_residual(rt, g, b, s, out.x, P) <= thresh + 1e-12, j
+            warm = out.wts
+        elif out.status == "fail":
+            assert certificate_rejects_all(g, rt, b, s, out, cfg), j
+    if top in js:
+        assert runs[js.index(top)][1] is None
+    j = _chosen(probes)
+    assert j == 0 or j - 1 in js
+    s, _, out = runs[js.index(j)]
+    assert x.tobytes() == (out.x * (s * _demand_norm(rt, b) / rt.N)).tobytes()
+    return j
+
+
 @settings(max_examples=20, deadline=None)
 @given(_flow_case(), st.integers(0, 1000), st.data())
 def test_warm_start_matches_cold_search(case, seed, data):
@@ -738,21 +818,21 @@ def test_warm_start_matches_cold_search(case, seed, data):
     rt = build_flow_runtime(g, seed=seed)
     cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
     top = grid_top(rt, cfg)
-    ok = [mwu_feasibility(rt, g, b, 1.1**j, cfg).status == "ok" for j in range(top + 1)]
-    assert ok[top]
-    starts = [-5, top + 5] + data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
-    x, probes = scale_search(rt, g, b, cfg)
-    _scale_search_ends_ok(probes, top)
+    cold = [mwu_feasibility(rt, g, b, 1.1**j, cfg).status for j in range(top + 1)]
+    assert cold[top] == "ok"
+    seen = list(enumerate(cold))
+    starts = [None, -5, top + 5] + data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
     for j0 in starts:
-        xw, pw = scale_search(rt, g, b, cfg, start=j0)
-        assert all(0 <= j <= top for (j, _, _) in pw)
-        assert pw[0][0] == min(max(j0, 0), top)
-        # each search ends on an ok scale just above a failed one
-        j = _scale_search_ends_ok(pw, top)
-        assert ok[j] and (j == 0 or not ok[j - 1])
-        if ok == sorted(ok):  # feasibility monotone in j
-            assert j == _chosen(probes) == ok.index(True)
-            assert xw.tobytes() == x.tobytes()
+        x, probes, runs = _recorded_search(rt, g, b, cfg, start=j0)
+        assert probes[0][0] == (top if j0 is None else min(max(j0, 0), top))
+        _scale_search_ends_ok(probes, top)
+        _assert_search_sound(rt, g, b, cfg, x, probes, runs)
+        seen += [(j, status) for (j, status, _) in probes]
+    # feasibility is monotone in j and a "fail" certifies its scale, so
+    # every fail, cold or inside a search, lies below every ok, and
+    # searches that end just above a fail all end on the same j
+    assert (max([j for (j, status) in seen if status == "fail"], default=-1)
+            < min(j for (j, status) in seen if status == "ok"))
 
 
 def test_warm_start_at_the_answer_takes_two_probes(flow64_runtime):
@@ -760,42 +840,34 @@ def test_warm_start_at_the_answer_takes_two_probes(flow64_runtime):
     b = np.zeros(g.n)
     b[0], b[63] = 1.0, -1.0
     cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=3000)  # min_cost_flow's round 1
-    x, probes = scale_search(rt, g, b, cfg)
-    j = _chosen(probes)
-    xw, pw = scale_search(rt, g, b, cfg, start=j)
+    x, probes, runs = _recorded_search(rt, g, b, cfg)
+    j = _assert_search_sound(rt, g, b, cfg, x, probes, runs)
+    xw, pw, rw = _recorded_search(rt, g, b, cfg, start=j)
     assert [(p[0], p[1]) for p in pw] == [(j, "ok"), (j - 1, "fail")]
-    assert xw.tobytes() == x.tobytes()
+    _assert_search_sound(rt, g, b, cfg, xw, pw, rw)
+    # the search from the top reaches j from the weights of its ok probe
+    # at j + 3, which converge there in fewer iterations than uniform ones
+    assert probes[-3] == (j, "ok", 910) and pw[0] == (j, "ok", 1722)
 
 
-def test_warm_start_from_every_start_stays_on_grid(mwu_instance, monkeypatch):
+def test_warm_start_from_every_start_stays_on_grid(mwu_instance):
     g, b, rt = mwu_instance
     cfg = SolverConfig(epsilon=0.4)
     top = grid_top(rt, cfg)
-    grid = {1.4**j: j for j in range(top + 1)}
-    probed = []
-
-    def recording(rt_, g_, b_, s, cfg_):
-        probed.append(grid[s])  # KeyError off the grid
-        return mwu_feasibility(rt_, g_, b_, s, cfg_)
-
-    monkeypatch.setattr(hopflow.flow, "mwu_feasibility", recording)
-    x, probes = scale_search(rt, g, b, cfg)
+    _, probes = scale_search(rt, g, b, cfg)
     starts = list(range(-3, top + 4))
     for start in starts:
-        probed.clear()
-        xw, pw = scale_search(rt, g, b, cfg, start=start)
-        assert _chosen(pw) == _chosen(probes) and xw.tobytes() == x.tobytes()
-        assert all(0 <= j <= top for j in probed) and len(set(probed)) == len(probed)
+        x, pw, runs = _recorded_search(rt, g, b, cfg, start=start)
+        assert _assert_search_sound(rt, g, b, cfg, x, pw, runs) == _chosen(probes)
 
     # one iteration per probe: only the scales where y = 0 already meets
     # the exit threshold are ok, the top among them
     first_ok = math.ceil(math.log(2.0 * _KAPPA / cfg.epsilon) / math.log(1.4))
     assert first_ok < top
     for start in [None] + starts:
-        probed.clear()
-        _, pw = scale_search(rt, g, b, replace(cfg, t_cap=1), start=start)
+        x, pw, runs = _recorded_search(rt, g, b, replace(cfg, t_cap=1), start=start)
         assert _scale_search_ends_ok(pw, top) == first_ok
-        assert all(0 <= j <= top for j in probed) and len(set(probed)) == len(probed)
+        _assert_search_sound(rt, g, b, replace(cfg, t_cap=1), x, pw, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +1008,13 @@ def test_config_rejects_t_cap_below_one(t_cap):
         SolverConfig(t_cap=t_cap)
 
 
+@pytest.mark.parametrize("eta", [-1, 0, 1, 3, math.inf, math.nan, "x", 1j])
+def test_config_rejects_eta_outside_the_unit_interval(eta):
+    # below 1 the update factor 1 - (eta/2)(dz - q) stays positive
+    with pytest.raises(ValueError, match="eta"):
+        SolverConfig(eta=eta)
+
+
 def test_min_cost_flow_rejects_bad_epsilon():
     g = Graph(2, [(0, 1, 1)])
     with pytest.raises(ValueError):
@@ -1007,38 +1086,51 @@ def test_min_cost_flow_warm_start_keeps_the_flow(monkeypatch):
     cases = []
     for n, extra, gseed, fseed in ((64, 64, 1, 0), (31, 31, 500, 0), (37, 37, 506, 6)):
         g = rand_connected_graph(n, extra, seed=gseed)
+        dist = sssp_oracle(g, 0)
+        t = int(np.argmax(dist))
         b = np.zeros(g.n)
-        b[0], b[int(np.argmax(sssp_oracle(g, 0)))] = 1.0, -1.0
-        cases.append((g, b, fseed))
-    warm = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed) in cases]
+        b[0], b[t] = 1.0, -1.0
+        cases.append((g, b, fseed, float(dist[t])))
+
+    def sound(rt, g, b, cfg, start=None):
+        x, probes, runs = _recorded_search(rt, g, b, cfg, start)
+        _assert_search_sound(rt, g, b, cfg, x, probes, runs)
+        return x, probes
+
+    monkeypatch.setattr(hopflow.flow, "scale_search", sound)
+    warm = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed, _) in cases]
     for sol in warm:
         for prev, rnd in zip(sol.trace, sol.trace[1:]):
-            assert rnd[0][0] == min(j for (j, status, _) in prev if status == "ok")
-
-    search = hopflow.flow.scale_search
+            assert rnd[0][0] == _chosen(prev)
 
     def from_the_top(rt, g, b, cfg, start=None):
-        return search(rt, g, b, cfg)
+        return sound(rt, g, b, cfg)
 
     monkeypatch.setattr(hopflow.flow, "scale_search", from_the_top)
-    cold = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed) in cases]
-    for sol, ref in zip(warm, cold):
-        assert sol.f.tobytes() == ref.f.tobytes()
-        assert sol.cost == ref.cost
-    assert warm[0].iterations < cold[0].iterations
+    cold = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed, _) in cases]
+    for sol, ref, (_, _, _, dist) in zip(warm, cold, cases):
+        # round 0 searches from the top either way; the later rounds'
+        # runs depend on where their searches start, so only the flow's
+        # feasibility and its (1 + eps) bound are kept, and the start
+        # saves iterations
+        assert sol.trace[0] == ref.trace[0]
+        for run in (sol, ref):
+            assert run.residual <= 1e-9 and run.cost <= 1.1 * dist
+        assert sol.iterations < ref.iterations
 
 
 def test_min_cost_flow_round_0_starts_at_the_grid_top():
     # flow64's instance: the top is ok in one iteration, and the gallop
-    # down from it ends on the flow pinned since the stop rule, which
+    # down from it ends on the flow pinned since each probe after the
+    # first ok one starts from the last ok probe's weights; the stop rule
     # ends composition after 3 rounds
     g = rand_connected_graph(64, 64, seed=1)
     b = np.zeros(g.n)
     b[0], b[63] = 1.0, -1.0
     sol = min_cost_flow(g, b, epsilon=0.1)
     assert sol.trace[0][0] == (377, "ok", 1)
-    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("0312c933")
-    assert sol.iterations == 6151
+    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("7ff2611d")
+    assert sol.iterations == 4323 and len(sol.trace) == 3
 
 
 def test_min_cost_flow_stops_once_the_repair_is_cheap(monkeypatch):
@@ -1096,18 +1188,52 @@ def test_min_cost_flow_solves_large_demands(scale):
 
 
 def test_min_cost_flow_small_demands_keep_their_rounds():
-    # the dust test is relative to the first residual's norm alone, so a
-    # demand of 1e-11 runs the rounds a unit demand runs
+    # the dust test is relative to the first residual's norm alone, and
+    # only an exactly zero demand skips the solver, so a demand down to
+    # 1e-300 runs the rounds and iterations a unit demand runs, and its
+    # reported residual is its own
     g = rand_connected_graph(20, 20, seed=1)
     dist = sssp_oracle(g, 0)[19]
-    sols = []
-    for scale in (1.0, 1e-11):
+    unit = None
+    for scale in (1.0, 1e-11, 1e-13, 1e-15, 1e-300):
         b = np.zeros(g.n)
         b[0], b[19] = scale, -scale
-        sols.append(min_cost_flow(g, b, epsilon=0.1))
-        assert sols[-1].cost <= 1.1 * dist * scale
-        assert sols[-1].residual <= 1e-9 * 2 * scale
-    assert len(sols[1].trace) == len(sols[0].trace) >= 1
+        sol = min_cost_flow(g, b, epsilon=0.1)
+        unit = unit or sol
+        assert sol.cost <= 1.1 * dist * scale
+        assert sol.cost / scale == pytest.approx(unit.cost, rel=1e-12)
+        assert sol.residual <= 1e-9 * 2 * scale
+        af = np.bincount(g.eu, weights=sol.f, minlength=g.n) - np.bincount(
+            g.ev, weights=sol.f, minlength=g.n)
+        assert sol.residual == float(np.abs(af - b).sum())
+        assert (len(sol.trace), sol.iterations) == (len(unit.trace), unit.iterations)
+    assert len(unit.trace) >= 1
+
+
+@pytest.fixture(scope="module")
+def unit_six_at_eps_002():
+    """min_cost_flow at epsilon=0.02 on acceptance 07's first six unit
+    instances: (solution, dist) pairs."""
+    out = []
+    for i in range(6):
+        g = rand_connected_graph(31 + i, 31 + i, seed=500 + i)
+        dist = sssp_oracle(g, 0)
+        t = int(np.argmax(dist))
+        b = np.zeros(g.n)
+        b[0], b[t] = 1.0, -1.0
+        out.append((min_cost_flow(g, b, epsilon=0.02, seed=i), float(dist[t])))
+    return out
+
+
+def test_min_cost_flow_meets_one_plus_eps_at_eps_002(unit_six_at_eps_002):
+    for sol, dist in unit_six_at_eps_002:
+        assert sol.residual <= 1e-9
+        assert dist * (1 - 1e-9) <= sol.cost <= 1.02 * dist
+
+
+def test_min_cost_flow_at_eps_002_spends_no_more_iterations(unit_six_at_eps_002):
+    # the six solves' total when every probe started from uniform weights
+    assert sum(sol.iterations for sol, _ in unit_six_at_eps_002) <= 752_669
 
 
 def test_min_cost_flow_all_zero_weights():
@@ -1181,6 +1307,13 @@ def test_flow_solution_to_dict_shape():
     g = Graph(2, [(0, 1, 3)])
     sol = min_cost_flow(g, np.array([1.0, -1.0]), epsilon=0.1)
     d = sol.to_dict(g)
-    assert set(d) == {"edges", "cost", "residual", "iterations", "rounds"}
+    assert set(d) == {"edges", "cost", "residual", "iterations", "iterations_by_status",
+                      "rounds"}
     assert d["edges"][0][:2] == [0, 1]
     assert d["rounds"] == len(sol.trace) >= 1
+    by_status = d["iterations_by_status"]
+    assert set(by_status) == {"ok", "fail", "cap"}
+    for status in by_status:
+        assert by_status[status] == sum(
+            it for rnd in sol.trace for (_, st_, it) in rnd if st_ == status)
+    assert sum(by_status.values()) == d["iterations"]

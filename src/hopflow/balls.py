@@ -5,13 +5,13 @@ smaller id).  The radius r_b(v) is the largest distance in that list; the
 open ball is everything strictly inside it and the closed ball everything
 within it, including ties on the sphere beyond the b-th vertex.
 
-While float64 holds every distance exactly (``graphs.float_matrix``),
-``scipy.sparse.csgraph.dijkstra`` searches batches of sources with a
-distance limit.  The limit starts at the largest edge weight and doubles
-for the rows that found fewer than b vertices, until it covers every
-distance.  A row's b-th smallest distance is r_b(v), and its closed ball
-is every entry within it.  Past that bound ``closed_ball``, one Python
-Dijkstra per vertex on exact ints, finds each ball.
+While float64 holds every distance exactly, ``scipy.sparse.csgraph.dijkstra``
+searches ``graphs.float_matrix`` from batches of sources with a distance
+limit.  The limit starts at the largest edge weight and doubles for the
+rows that found fewer than b vertices, until it covers every distance.
+A row's b-th smallest distance is r_b(v), and its closed ball is every
+entry within it.  Past that bound ``closed_ball``, one Python Dijkstra
+per vertex on exact ints, finds each ball.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _csgraph_balls(mat, need):
     for lo in range(0, n, step):
         src = np.arange(lo, min(lo + step, n))
         limit = max_w
-        rows = csgraph.dijkstra(mat, directed=False, indices=src, limit=limit)
+        rows = csgraph.dijkstra(mat, directed=True, indices=src, limit=limit)
         short = np.flatnonzero(np.isfinite(rows).sum(axis=1) < need)
         while len(short) and limit < cap:
             limit *= 2
-            rows[short] = csgraph.dijkstra(mat, directed=False, indices=src[short],
+            rows[short] = csgraph.dijkstra(mat, directed=True, indices=src[short],
                                            limit=limit)
             short = short[np.isfinite(rows[short]).sum(axis=1) < need]
         if len(short):

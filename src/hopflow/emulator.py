@@ -31,11 +31,13 @@ distances of the input graph.  The emulator is then the metric closure
 of the input graph, so its distances are that matrix's rows, and
 ``set_distance`` reads them (min over sources of offset + row, widened
 to uint64 while the sums fit and to Python ints past that); the closure's
-n(n-1)/2 edges are never built on that path.  Deeper towers and
-emulators read back by ``load_emulator`` build the graph and search it
-with one ``scipy.sparse.csgraph.dijkstra`` call while max offset +
-(n-1) * max weight < 2^53 keeps every distance exact in float64, and
-with the hop-limited scan past that bound.
+n(n-1)/2 edges are never built on that path.  Every other emulator
+searches its graph: a deeper tower's, one read back by
+``load_emulator``, and a graph passed as its own exact emulator, as the
+flow passes its input.  The search is one
+``scipy.sparse.csgraph.dijkstra`` call on ``float_matrix`` while max
+offset + (n-1) * max weight < 2^53 keeps every distance exact in
+float64, and ``shortest_path_tree`` on Python ints past that bound.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import math
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .graphs import (INF, Graph, NotConnected, bellman_ford_hops, checked_int,
-                     checked_sources, distance_array, distance_rows, float_matrix,
+from .graphs import (INF, Graph, NotConnected, checked_int, checked_sources,
+                     distance_array, distance_rows, float_matrix, tree_distances,
                      uint64_distances)
 from .subemulator import build_subemulator
 
@@ -199,7 +201,7 @@ def _top_matrix(h):
     n = h.n
     out = bound = None
     for lo in range(0, n, _TOP_BLOCK):
-        block = csgraph.dijkstra(mat, directed=False,
+        block = csgraph.dijkstra(mat, directed=True,
                                  indices=np.arange(lo, min(lo + _TOP_BLOCK, n)))
         if out is None:
             bound = block.max() if len(block) == n else 2 * block.max(axis=1).min()
@@ -248,10 +250,11 @@ class Emulator:
     ``build_emulator`` keeps the tower and builds the graph on the first
     read of ``graph``, which then caches it.  Only the readers that search
     edges read it: ``set_distance`` and ``bourgain_embed`` on deep towers
-    and loaded emulators, ``low_diameter_decomposition``, ``save_emulator``
+    and on given graphs, ``low_diameter_decomposition``, ``save_emulator``
     and ``edge_count`` on a deeper tower.  ``set_distance``,
     ``bourgain_embed`` and ``edge_count`` on a one-level tower never do.
-    ``load_emulator`` passes a built graph.
+    ``load_emulator`` passes a built graph, and the flow passes its input
+    graph as its own exact emulator (stretch 1, hop bound n - 1).
     """
 
     __slots__ = ("n", "k", "t", "hop_bound", "stretch_bound", "seed", "dist",
@@ -283,17 +286,12 @@ class Emulator:
         return self._graph
 
     def _search_matrix(self):
-        """(span, mat): span = (n-1) * max weight, which bounds every
-        distance from one vertex, and the graph's symmetric adjacency as a
-        float64 ``csr_matrix`` for ``scipy.sparse.csgraph`` searches with
-        ``directed=True``, or None once span reaches 2^53, where float64
-        could round a distance.  Built on the first call and cached."""
+        """(span, float_matrix(graph)): span = (n-1) * max weight, which
+        bounds every distance from one vertex.  Built on the first call
+        and cached."""
         if self._search is None:
             g = self.graph
-            span = (g.n - 1) * (int(g.ew.max()) if g.m else 0)
-            mat = None if span >= 1 << 53 else csr_matrix(
-                (g.adj_w.astype(np.float64), g.adj_v, g.indptr), shape=(g.n, g.n))
-            self._search = (span, mat)
+            self._search = ((g.n - 1) * (int(g.ew.max()) if g.m else 0), float_matrix(g))
         return self._search
 
     def edge_count(self):
@@ -376,11 +374,11 @@ def set_distance(em, sources):
     while max offset + (n-1) * max weight < 2^53 keeps every distance
     exact in float64: from all sources at once when every offset is
     zero, else from a virtual root joined to each source at its offset.
-    Past that bound a scan of max(hop_bound, n - 1) rounds runs, which
-    stops at its fixed point: a built emulator's bounded hop diameter
-    ends it within hop_bound + 1 rounds.  So a loaded emulator whose
-    graph breaks its own hop bound gets its true distances at every
-    weight.  An empty source set gives INF everywhere.
+    Past that bound ``shortest_path_tree`` searches the graph from every
+    source at its offset in Python ints.  Neither search reads hop_bound,
+    so a loaded emulator whose graph breaks its own hop bound gets its
+    true distances at every weight.  An empty source set gives INF
+    everywhere.
 
     Raises ValueError for a vertex outside [0, n), a negative offset, or
     a vertex or offset that is not an integer.
@@ -416,10 +414,7 @@ def _set_distance(em, vs, offsets=None):
     span, mat = em._search_matrix()
     if (0 if offsets is None else int(offsets.max())) + span >= 1 << 53:
         offs = [0] * len(vs) if offsets is None else offsets.tolist()
-        # a loaded graph need not keep its header's hop bound; the scan
-        # stops at its fixed point, so a built emulator pays at most one
-        # round more
-        return bellman_ford_hops(em.graph, zip(vs.tolist(), offs), max(em.hop_bound, em.n - 1))
+        return tree_distances(em.graph, zip(vs.tolist(), offs))
     if offsets is None:
         return uint64_distances(csgraph.dijkstra(mat, directed=True, indices=vs, min_only=True))
     # vertex n is the root; csgraph reads every stored entry as an edge, so

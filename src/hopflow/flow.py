@@ -1,18 +1,18 @@
 """(1+eps)-approximate uncapacitated minimum-cost flow.
 
-Pipeline: contract zero-weight edges, embed the metric (emulator ->
-Bourgain -> distinct rows D of the grid preconditioner P), then search
-a geometric grid for a scale s and run a multiplicative-weights
-feasibility solver on the preconditioned system  PAW^-1 x = Pb, each
-probe after a search's first ok one starting from the last ok probe's
-weights.  The solver is composed with itself on the residual demand for
-at most 1 + ceil(log2 n) rounds (each round's search starting at the
-scale the round before chose), and whatever demand is still unrouted
-gets repaired exactly along a minimum spanning tree, so returned flows
-always satisfy Af = b.  Composition stops early, before any round after
-the first, once that repair costs at most _STOP_FRAC * eps times the
-rounds' flow, which keeps the returned cost within
-(1 + _STOP_FRAC * eps) times the rounds'.
+Pipeline: contract zero-weight edges, embed the metric (the graph, as
+its own exact emulator -> Bourgain -> distinct rows D of the grid
+preconditioner P), then search a geometric grid for a scale s and run a
+multiplicative-weights feasibility solver on the preconditioned system
+PAW^-1 x = Pb, each probe after a search's first ok one starting from
+the last ok probe's weights.  The solver is composed with itself on the
+residual demand for at most 1 + ceil(log2 n) rounds (each round's search
+starting at the scale the round before chose), and whatever demand is
+still unrouted gets repaired exactly along a minimum spanning tree, so
+returned flows always satisfy Af = b.  Composition stops early, before
+any round after the first, once that repair costs at most
+_STOP_FRAC * eps times the rounds' flow, which keeps the returned cost
+within (1 + _STOP_FRAC * eps) times the rounds'.
 
 Everything here is deterministic given (graph, demand, epsilon, seed).
 """
@@ -27,8 +27,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools, csgraph
 
-from .emulator import build_emulator, preprocess
-from .graphs import checked_int, contract_zero_edges, distance_rows
+from .emulator import Emulator
+from .graphs import NotConnected, checked_int, contract_zero_edges, distance_rows
 from .metric import Embedding, bourgain_embed, next_pow2
 from .precond import distinct_rows, grid_shape
 
@@ -308,12 +308,17 @@ def _with_distance_columns(emb, cols):
 def build_flow_runtime(g, seed=0):
     """Embed g's metric and build the preconditioned flow operator + norms.
 
-    The distortion ratios are read from g's exact distance rows, which
+    g is its own exact emulator (stretch 1, hop bound n - 1), so each
+    Bourgain coordinate is one exact search of g.  Raises NotConnected
+    for a disconnected g, whose distances no embedding holds.  The
+    distortion ratios are read from g's exact distance rows, which
     one ``distance_rows`` call gives.  Should the embedding collapse a
     pair at positive distance, each collapsing source's distance row is
     appended as a column, which separates the pair.
     """
-    em = build_emulator(preprocess(g, seed=seed))
+    if not g.is_connected():
+        raise NotConnected("graph is not connected")
+    em = Emulator(g.n, 0.5, 0, max(1, g.n - 1), 1, seed, graph=g)
     emb = bourgain_embed(em, t_rep=_T_REP, seed=seed)
 
     n = g.n
@@ -732,7 +737,9 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         if repair is None:
             repair = mst_routing(gq, b_res, norm=b_norm)
         fq += repair.f
-        fq = _cancel_cycles(gq, fq)
+        # the skip threshold scales with the flow's value ||b||_1 / 2, so
+        # a demand scaled by c cancels as the unit one does
+        fq = _cancel_cycles(gq, fq, 0.5e-12 * b_norm)
 
     # expand back through the zero-edge contraction
     f = np.zeros(g.m, dtype=np.float64)

@@ -10,13 +10,19 @@ math.inf as the sentinel.  ``distance_array`` fixes the returned format:
 uint64 with INF while every finite distance is below INF, object with
 math.inf otherwise.
 
-``shortest_path_tree`` is the one search written in Python: ``dijkstra``
-reads its distances, and the exact path engine its tree.  ``distance_rows``
-gives many sources' rows at once: while (n-1) * max weight < 2^53 every
-distance is an integer that float64 holds exactly (``float_matrix``), so
-one ``scipy.sparse.csgraph.dijkstra`` call computes them all; past that
-bound it stacks ``dijkstra`` rows.  Every graph loaded from text with
-n < 8,193 is inside the bound, because W_MAX is 2^40.
+``shortest_path_tree`` is the one exact search written in Python, from
+a set of (vertex, offset) sources: ``dijkstra`` reads its distances, the
+emulator's set distances past the float-exact bound read them too, and
+the exact path engine reads its tree.  ``distance_rows`` gives many
+sources' rows at once: while (n-1) * max weight < 2^53 every distance is
+an integer that float64 holds exactly, so one
+``scipy.sparse.csgraph.dijkstra`` call on ``float_matrix`` computes them
+all; past that bound it stacks ``dijkstra`` rows.  ``float_matrix`` is
+g's own adjacency as a symmetric float64 CSR matrix, the one form every
+csgraph search here runs on, with ``directed=True``.  Every graph loaded
+from text with n < 8,193 is inside the bound, because W_MAX is 2^40.
+``bellman_ford_hops`` is the hop-limited reference the tests check
+searches against.
 """
 
 from __future__ import annotations
@@ -271,21 +277,30 @@ def dijkstra(g, source):
     source = checked_int(source, "source", error=GraphError)
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range")
-    dist = shortest_path_tree(g, source)[0]
+    return tree_distances(g, [(source, 0)])
+
+
+def tree_distances(g, sources):
+    """``shortest_path_tree``'s distances from (vertex, offset) pairs
+    ``sources`` (unchecked), in the format ``distance_array`` gives."""
+    dist = shortest_path_tree(g, sources)[0]
     return distance_array(np.array([math.inf if d is None else d for d in dist], dtype=object))
 
 
-def shortest_path_tree(g, source, target=None):
-    """Heap Dijkstra from vertex ``source`` (unchecked), stopped once
-    ``target`` settles: (dist, slot) as Python lists, dist[v] a Python
-    int or None when unreached, slot[v] the adjacency slot (index into
-    g.adj_e) of the edge that last lowered it.  The entries of settled
-    vertices, target's path back to the source among them, are final.
+def shortest_path_tree(g, sources, target=None):
+    """Heap Dijkstra from (vertex, offset) pairs ``sources`` (unchecked,
+    offsets Python ints), stopped once ``target`` settles: (dist, slot)
+    as Python lists, dist[v] the least offset + path weight over the
+    sources, a Python int, or None when unreached, slot[v] the adjacency
+    slot (index into g.adj_e) of the edge that last lowered it, None at a
+    source it never lowered.  The entries of settled vertices, target's
+    path back to its source among them, are final.
     """
     dist = [None] * g.n
     slot = [None] * g.n
-    dist[source] = 0
-    heap = [(0, source)]
+    heap = sorted((off, v) for v, off in sources)  # sorted, so already a heap
+    for off, v in reversed(heap):  # each vertex's least offset is written last
+        dist[v] = off
     # Python lists: indexing a numpy array one scalar at a time is slower
     indptr, adj_v, adj_w = g.indptr.tolist(), g.adj_v.tolist(), g.adj_w.tolist()
     while heap:
@@ -327,14 +342,15 @@ def float_matrix(g):
 
     While (n-1) * max weight < 2^53 every finite distance is an integer
     below 2^53, so float64 holds each one exactly, and a rounded candidate
-    sum is >= 2^53 and never wins.  Each edge is stored once, at (u, v)
-    with u < v, for searches with ``directed=False``; explicit zero
-    weights stay stored entries, which csgraph reads as edges.
+    sum is >= 2^53 and never wins.  The matrix is g's adjacency (indptr,
+    adj_v, adj_w), so it holds each edge in both directions, for searches
+    with ``directed=True``; explicit zero weights stay stored entries,
+    which csgraph reads as edges.
     """
     max_w = int(g.ew.max()) if g.m else 0
     if (g.n - 1) * max_w >= 1 << 53:
         return None
-    return csr_matrix((g.ew.astype(np.float64), (g.eu, g.ev)), shape=(g.n, g.n))
+    return csr_matrix((g.adj_w.astype(np.float64), g.adj_v, g.indptr), shape=(g.n, g.n))
 
 
 def distance_rows(g, sources=None):
@@ -359,7 +375,7 @@ def distance_rows(g, sources=None):
     mat = float_matrix(g)
     if mat is None:
         return _stacked_rows(g, sources)
-    return uint64_distances(csgraph.dijkstra(mat, directed=False, indices=sources))
+    return uint64_distances(csgraph.dijkstra(mat, directed=True, indices=sources))
 
 
 def uint64_distances(rows):

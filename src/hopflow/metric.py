@@ -3,7 +3,7 @@
 Both are classic constructions whose inner loop is an exact
 multi-source distance in the emulator.  A coordinate costs one minimum
 over stored rows on a one-level tower, and one ``csgraph.dijkstra``
-call on a deeper tower (see ``set_distance``); the cluster assignment
+call on any other emulator (see ``set_distance``); the cluster assignment
 is one bounded-depth pass over the emulator's edges:
 
 * ``bourgain_embed``: an l1 embedding from distances to random vertex

@@ -230,7 +230,7 @@ def shortcut_cycles(seq):
 
 def _exact_unit_flow(g, s, t, epsilon, seed):
     """Route one unit along an exact shortest s-t path (reference engine)."""
-    slot = shortest_path_tree(g, s, t)[1]
+    slot = shortest_path_tree(g, [(s, 0)], t)[1]
     f = np.zeros(g.m, dtype=np.float64)
     v = t
     while v != s:

@@ -23,6 +23,7 @@ from hopflow import (
     set_distance,
 )
 from hopflow import emulator as emulator_module
+from hopflow import graphs as graphs_module
 from hopflow.emulator import hop_bound_for, level_bound, stretch_bound_for
 from hopflow.flow import build_flow_runtime
 from hopflow.graphs import (INF, W_MAX, GraphError, NotConnected, bellman_ford_hops,
@@ -434,10 +435,10 @@ def test_set_distance_one_level_skips_scan(monkeypatch):
             bellman_ford_hops(em.graph, [(2, 3), (19, 0)], em.hop_bound),
             bellman_ford_hops(em.graph, [(7, int(INF) - 1)], em.hop_bound)]
 
-    def scan(*args):
-        raise AssertionError("one-level emulator scanned its graph")
+    def search(*args):
+        raise AssertionError("one-level emulator searched its graph")
 
-    monkeypatch.setattr("hopflow.emulator.bellman_ford_hops", scan)
+    monkeypatch.setattr(graphs_module, "shortest_path_tree", search)
     assert approx_sssp(em, 7).tolist() == want[0].tolist()
     assert set_distance(em, {2: 3, 19: 0}).tolist() == want[1].tolist()
     # a sum that would reach INF is read in Python ints, equal to the scan
@@ -507,7 +508,7 @@ def test_loaded_emulator_gets_true_distances(case):
 
 
 def test_loaded_emulator_gets_true_distances_past_float_bound():
-    # past 2^53 the scan runs, and it too runs past the header's hop bound
+    # past 2^53 the heap search runs, and it too reads no hop bound
     w = 1 << 60
     graph = Graph(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
     em = emulator_module.Emulator(4, 0.5, 0, 1, 1, 0, graph=graph)
@@ -515,6 +516,7 @@ def test_loaded_emulator_gets_true_distances_past_float_bound():
 
 
 def test_deep_set_distance_scans_only_past_float_bound(monkeypatch):
+    # the heap search runs once per set distance past 2^53, never below
     g = rand_connected_graph(40, 50, seed=19)
     em = build_emulator(preprocess(g, seed=19, b0=4))
     shifted = build_emulator(preprocess(
@@ -527,12 +529,13 @@ def test_deep_set_distance_scans_only_past_float_bound(monkeypatch):
     want = [bellman_ford_hops(e.graph, s, e.hop_bound)
             for (e, s) in ((em, [(5, 0)]), (em, below), (em, past), (shifted, [(5, 0)]))]
     scanned = []
+    search = graphs_module.shortest_path_tree
 
-    def scan(graph, sources, hops):
+    def counted(graph, sources, target=None):
         scanned.append(graph)
-        return bellman_ford_hops(graph, sources, hops)
+        return search(graph, sources, target)
 
-    monkeypatch.setattr("hopflow.emulator.bellman_ford_hops", scan)
+    monkeypatch.setattr(graphs_module, "shortest_path_tree", counted)
     assert approx_sssp(em, 5).tolist() == want[0].tolist()
     assert set_distance(em, below).tolist() == want[1].tolist()
     bourgain_embed(em, t_rep=2, seed=19)
@@ -542,6 +545,44 @@ def test_deep_set_distance_scans_only_past_float_bound(monkeypatch):
     got = approx_sssp(shifted, 5)
     assert got.dtype == want[3].dtype and got.tolist() == want[3].tolist()
     assert scanned == [em.graph, shifted.graph]
+
+
+@st.composite
+def _past_float_bound_case(draw):
+    """A connected graph with weights 0..9 shifted left by 50..62 bits, so
+    (n-1) * max weight mostly passes 2^53, a first ball of 2..6, and
+    sources whose offsets reach past 2^64."""
+    b0 = draw(st.integers(2, 6))
+    n = draw(st.integers(b0, 30))
+    shift = draw(st.integers(50, 62))
+    weight = st.integers(0, 9).map(lambda w: w << shift)
+    edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=40))
+    edges += [(u, v, w) for (u, v, w) in chords if u != v]
+    offset = st.one_of(st.just(0), st.integers(0, 1 << 53), st.integers(0, 1 << 66))
+    sources = draw(st.lists(st.tuples(st.integers(0, n - 1), offset), max_size=8))
+    return Graph(n, edges), b0, sources
+
+
+@settings(max_examples=60, deadline=None)
+@given(_past_float_bound_case(), st.integers(0, 1000))
+@example((Graph(4, [(0, 1, 1 << 60), (1, 2, 1 << 60), (2, 3, 1 << 60)]), 2,
+          [(0, 1 << 65), (3, 5), (3, 0)]), 0)
+def test_set_distance_past_float_bound_matches_scan(case, seed):
+    g, b0, sources = case
+    # the graph loaded as its own emulator with a hop bound of one, and
+    # the deep tower's emulator when its balls fit in uint64
+    ems = [emulator_module.Emulator(g.n, 0.5, 0, 1, 1, 0, graph=g)]
+    try:
+        ems.append(build_emulator(preprocess(g, seed=seed, b0=b0)))
+    except GraphError:
+        pass  # a ball distance past uint64, which compute_balls refuses
+    for em in ems:
+        got = set_distance(em, sources)
+        want = bellman_ford_hops(em.graph, sources, em.graph.n)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 def test_set_distance_returns_fresh_array():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hopflow.emulator
 import hopflow.flow
 from hopflow.emulator import build_emulator, preprocess
 from hopflow.graphs import Graph, NotConnected
@@ -294,26 +295,6 @@ def test_distinct_row_operator_on_benchmark_graph(flow64_runtime):
     assert D.shape[0] == 262 and P.r == 11940
     assert (D != rt.D).nnz == 0
     assert rt.N == 768.0 == _per_edge_norm(rt, g)
-
-
-def test_runtime_does_not_read_the_emulators_rows(monkeypatch):
-    g = rand_connected_graph(20, 16, seed=120)
-    rt = build_flow_runtime(g, seed=3)
-
-    # with the emulator's rows withheld, the runtime is the same
-    build = hopflow.flow.build_emulator
-
-    def rowless(stack):
-        em = build(stack)
-        em.dist = None
-        return em
-
-    monkeypatch.setattr(hopflow.flow, "build_emulator", rowless)
-    ref = build_flow_runtime(g, seed=3)
-    assert np.array_equal(rt.emb.points, ref.emb.points)
-    assert (rt.rescale, rt.alpha, rt.N, rt.kappa_cert) == (
-        ref.rescale, ref.alpha, ref.N, ref.kappa_cert)
-    assert (rt.M != ref.M).nnz == 0
 
 
 def _collapsing_graph():
@@ -1133,6 +1114,22 @@ def test_min_cost_flow_round_0_starts_at_the_grid_top():
     assert sol.iterations == 4323 and len(sol.trace) == 3
 
 
+def test_min_cost_flow_builds_no_tower(monkeypatch):
+    # the flow embeds its graph as its own exact emulator: with the tower
+    # and its all-pairs matrix unbuildable, flow64's pinned flow stands
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("the flow built a tower")
+
+    monkeypatch.setattr(hopflow.emulator, "preprocess", unbuildable)
+    monkeypatch.setattr(hopflow.emulator, "_top_matrix", unbuildable)
+    g = rand_connected_graph(64, 64, seed=1)
+    b = np.zeros(g.n)
+    b[0], b[63] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1)
+    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("7ff2611d")
+    assert sol.iterations == 4323
+
+
 def test_min_cost_flow_stops_once_the_repair_is_cheap(monkeypatch):
     # acceptance 07's unit instances 0 and 6 and its first multi-source one
     cases = []
@@ -1151,9 +1148,9 @@ def test_min_cost_flow_stops_once_the_repair_is_cheap(monkeypatch):
         routed.append(route(g, b, **kwargs))
         return routed[-1]
 
-    def seen_cancel(g, f):
+    def seen_cancel(g, f, tol):
         cancelled.append((g, f))
-        return cancel(g, f)
+        return cancel(g, f, tol)
 
     monkeypatch.setattr(hopflow.flow, "mst_routing", counted_route)
     monkeypatch.setattr(hopflow.flow, "_cancel_cycles", seen_cancel)
@@ -1208,6 +1205,23 @@ def test_min_cost_flow_small_demands_keep_their_rounds():
         assert sol.residual == float(np.abs(af - b).sum())
         assert (len(sol.trace), sol.iterations) == (len(unit.trace), unit.iterations)
     assert len(unit.trace) >= 1
+
+
+def test_min_cost_flow_tiny_demand_cancels_like_the_unit_one():
+    # acceptance 07's unit instance 4: cycle cancelling skips edges below
+    # a threshold relative to the flow's value, so the demand scaled to
+    # 1e-14 cancels the cycles the unit one does and gets its cost
+    g = rand_connected_graph(35, 35, seed=504)
+    t = int(np.argmax(sssp_oracle(g, 0)))
+    sols = []
+    for scale in (1.0, 1e-14):
+        b = np.zeros(g.n)
+        b[0], b[t] = scale, -scale
+        sols.append(min_cost_flow(g, b, epsilon=0.1, seed=4))
+    unit, tiny = sols
+    assert unit.iterations == tiny.iterations == 30376
+    assert np.abs(tiny.f / 1e-14 - unit.f).max() <= 1e-12 * np.abs(unit.f).max()
+    assert tiny.cost / 1e-14 == pytest.approx(unit.cost, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -1301,6 +1315,29 @@ def test_min_cost_flow_large_weights_still_solve():
         assert float(np.abs(af - b).sum()) <= 1e-6
         dist = float(sssp_oracle(g, 0)[11])
         assert dist * (1 - 1e-9) <= sol.cost <= 1.1 * dist
+
+
+@settings(max_examples=25, deadline=None)
+@given(_flow_case(), st.integers(0, 1000))
+@example((_shifted_weights(rand_connected_graph(12, 10, seed=3), 50), None), 3)
+@example((_shifted_weights(rand_connected_graph(12, 10, seed=3), 53), None), 3)
+@example((_shifted_weights(rand_connected_graph(12, 10, seed=3), 55), None), 3)
+@example((_collapsing_graph(), None), 592)
+def test_runtime_embeds_like_the_one_level_tower(case, seed):
+    # the runtime embeds g as its own exact emulator; its Bourgain points
+    # are the one-level tower's byte for byte, so the runtime is the one
+    # built from the tower's embedding, distance columns and rescale too
+    g = case[0]
+    rt = build_flow_runtime(g, seed=seed)
+    tower = bourgain_embed(build_emulator(preprocess(g, seed=seed)), t_rep=2, seed=seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hopflow.flow, "bourgain_embed", lambda em, t_rep, seed: tower)
+        ref = build_flow_runtime(g, seed=seed)
+    assert rt.emb.points.dtype == ref.emb.points.dtype
+    assert rt.emb.points.tolist() == ref.emb.points.tolist()
+    assert (rt.emb.Delta, rt.rescale, rt.alpha, rt.N, rt.kappa_cert) == (
+        ref.emb.Delta, ref.rescale, ref.alpha, ref.N, ref.kappa_cert)
+    assert (rt.M != ref.M).nnz == 0
 
 
 def test_flow_solution_to_dict_shape():

@@ -244,10 +244,9 @@ class FlowRuntime:
     P itself, and its global row ids, are never built on the flow path,
     so no row count bounds the flow, only the embedding's 2^60
     coordinate bound.  `M` is the precomposed (1/N)·D·A·W^-1
-    operator (CSC).  `MT2` stacks its transpose over its negation,
-    [Mᵀ; −Mᵀ] (CSR, 2m rows), so one matvec yields both halves of the
-    weight update at once; negation is exact, so its lower half is
-    bit-for-bit the negated upper one.  D gives every demand norm
+    operator (CSC), and the only one the MWU loop reads: its
+    transpose M.T is a CSR view of the same arrays, so nothing is
+    copied for the Mᵀ products.  D gives every demand norm
     ||Pb||_1 as ||Db||_1 (`_demand_norm`), and
     `precond.build_preconditioner(emb)` builds P where a test wants it.
     `kappa_cert` is P's certified condition bound 2·L·d·alpha; every
@@ -261,7 +260,6 @@ class FlowRuntime:
     rescale: int
     D: sparse.csr_matrix
     M: sparse.csc_matrix
-    MT2: sparse.csr_matrix
 
 
 def _distortion(emb, rows):
@@ -360,9 +358,7 @@ def build_flow_runtime(g, seed=0):
     # ||PAW^-1||_(1->1): the largest column l1 norm, which D preserves
     norm = float(abs(M).sum(axis=0).max())
     M.data /= norm
-    MT = M.T.tocsr()
-    MT2 = sparse.vstack([MT, -MT], format="csr")
-    return FlowRuntime(norm, alpha, kappa_cert, emb, rescale, D, M, MT2)
+    return FlowRuntime(norm, alpha, kappa_cert, emb, rescale, D, M)
 
 
 def _demand_norm(rt, b):
@@ -430,11 +426,13 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     than in log-space: renormalizing every iteration gives the same
     overflow safety without per-iteration exp/log calls.
 
-    Each iteration is two kernel matvecs (`_matvec`): M y, and MT2 sz =
-    [dz; -dz] with dz = Mᵀ sz, which updates both halves of the weights
-    in one pass (wts[m:] gets exactly 1 + half·(dz + q)) and whose max
-    over the running sum is max_j |(Mᵀ zsum)_j|.  Every vector lives in a
-    buffer allocated once per call, so an iteration allocates nothing.
+    Each iteration is two kernel matvecs (`_matvec`): M y, and dz = Mᵀ sz
+    (on the view M.T) into the upper half of the update buffer dz2,
+    whose lower half is then -dz.  Negation is exact, so one pass
+    updates both halves of the weights (wts[m:] gets exactly
+    1 + half·(dz + q)), and the max over the running sum of dz2 is
+    max_j |(Mᵀ zsum)_j|.  Every vector lives in a buffer allocated once
+    per call, so an iteration allocates nothing.
     """
     m = g.m
     eps = cfg.epsilon
@@ -453,7 +451,7 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     rows = len(c)
     if rt.M.shape != (rows, m):
         raise ValueError(f"runtime operator is {rt.M.shape}, graph needs ({rows}, {m})")
-    mv, mv2 = _matvec(rt.M), _matvec(rt.MT2)
+    mv, mvt = _matvec(rt.M), _matvec(rt.M.T)
     uniform = wts is None
     if uniform:
         wts = np.full(2 * m, 1.0 / (2 * m))
@@ -467,6 +465,7 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     absz = np.empty(rows)
     sz = np.empty(rows)
     dz2 = np.empty(2 * m)
+    dz, dzneg = dz2[:m], dz2[m:]
     zsum = np.zeros(rows)
     dz2sum = np.zeros(2 * m)
     qsum = 0.0
@@ -493,8 +492,9 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
                 half = 0.5 * eta
                 since = 0
         np.sign(z, out=sz)
-        dz2.fill(0.0)
-        mv2(sz, dz2)
+        dz.fill(0.0)
+        mvt(sz, dz)
+        np.negative(dz, out=dzneg)
         q = float(sz @ c)
         dz2sum += dz2
         # wts *= 1 - half * (dz2 - q), computed in dz2's buffer
@@ -616,16 +616,15 @@ def scale_search(rt, g, b, cfg, start=None):
     eps = cfg.epsilon
     top = grid_top(rt, cfg)
     probes = []
-    results = {}
-    warm = None  # the last ok probe's final weights
+    ok = None  # the last ok probe's outcome, always the bracket's hi
 
     def probe(j):
-        nonlocal warm
-        out = mwu_feasibility(rt, g, b, (1.0 + eps) ** j, cfg, warm)
-        results[j] = out
+        nonlocal ok
+        wts = None if ok is None else ok.wts
+        out = mwu_feasibility(rt, g, b, (1.0 + eps) ** j, cfg, wts)
         probes.append((j, out.status, out.iters))
         if out.status == "ok":
-            warm = out.wts
+            ok = out
         return out.status == "ok"
 
     # lo is 0 or just above a failed probe; hi is an ok probe
@@ -657,7 +656,7 @@ def scale_search(rt, g, b, cfg, start=None):
         else:
             lo = mid + 1
     s = (1.0 + eps) ** lo
-    x = results[lo].x * (s * pbn / rt.N)
+    x = ok.x * (s * pbn / rt.N)
     return x, probes
 
 

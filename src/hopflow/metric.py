@@ -3,8 +3,10 @@
 Both are classic constructions whose inner loop is an exact
 multi-source distance in the emulator.  A coordinate costs one minimum
 over stored rows on a one-level tower, and one ``csgraph.dijkstra``
-call on any other emulator (see ``set_distance``); the cluster assignment
-is one bounded-depth pass over the emulator's edges:
+call on any other emulator, or one ``shortest_path_tree`` search in
+Python ints once its distances may pass the float-exact bound 2^53 (see
+``set_distance``); the cluster assignment is one bounded-depth pass
+over the emulator's edges:
 
 * ``bourgain_embed``: an l1 embedding from distances to random vertex
   subsets at geometric sampling rates; every coordinate is 1-Lipschitz.
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from .emulator import _set_distance
-from .graphs import checked_int
+from .graphs import INF, NotConnected, checked_int
 
 
 class Embedding:
@@ -86,7 +88,9 @@ def bourgain_embed(em, t_rep=None, seed=0):
     (default 4*ceil(log2 n)).  A scale that samples an empty set is
     redrawn once, then falls back to a single random vertex.  Raises
     ValueError unless t_rep is an integer of at least 1 and seed a
-    non-negative integer.
+    non-negative integer, and NotConnected when a coordinate's vertex
+    set leaves a vertex unreached, which only a disconnected emulator
+    graph can do.
     """
     seed = checked_int(seed, "seed", 0)
     n = em.n
@@ -110,6 +114,14 @@ def bourgain_embed(em, t_rep=None, seed=0):
     cols = [column(ij) for ij in pairs]
     # uint64, or Python ints once one column is past uint64
     pts = np.stack(cols, axis=1)
+    # an unreached vertex is INF in a uint64 column and math.inf in an
+    # object one; stacked with object columns, INF reads as an int
+    if pts.dtype == object:
+        unreached = any(math.inf in c if c.dtype == object else INF in c for c in cols)
+    else:
+        unreached = pts.max() == INF
+    if unreached:
+        raise NotConnected("emulator graph is not connected")
     pts = pts - pts.min(axis=0) + 1
     return Embedding(pts, next_pow2(int(pts.max())), seed, t_rep, scales)
 

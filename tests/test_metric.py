@@ -7,12 +7,14 @@ import pytest
 
 from hopflow import (
     Graph,
+    NotConnected,
     bourgain_embed,
     build_emulator,
     low_diameter_decomposition,
     preprocess,
     set_distance,
 )
+from hopflow.emulator import Emulator
 from hopflow.metric import Embedding, next_pow2
 
 from conftest import all_pairs_oracle, rand_connected_graph
@@ -120,6 +122,23 @@ def test_embedding_matches_columns_through_set_distance(shift, b0):
     assert emb.points.dtype == pts.dtype == (object if shift else np.uint64)
     assert emb.points.tolist() == pts.tolist()
     assert emb.Delta == Delta
+
+
+@pytest.mark.parametrize("w01, w23", [(3, 5), (1 << 64, 1 << 64), (3, 1 << 64)])
+def test_embedding_rejects_unreached_vertices(w01, w23):
+    # an unreached vertex is INF in a uint64 column and math.inf in an
+    # object one; a uint64 INF stacked with object columns reads as an
+    # int.  Unchecked, the first wrapped to zero coordinates, the second
+    # overflowed and the third passed INF on as a coordinate
+    edges = [(0, 1, w01), (2, 3, w23)]
+    split = Emulator(4, 0.5, 0, 1, 1, 0, graph=Graph(4, edges, check_connected=False))
+    with pytest.raises(NotConnected):
+        bourgain_embed(split, t_rep=2, seed=0)
+    # joined, the same emulator embeds as its columns say
+    joined = Emulator(4, 0.5, 0, 3, 1, 0, graph=Graph(4, edges + [(1, 2, 1)]))
+    pts, Delta = _embedding_by_columns(joined, 2, 0)
+    emb = bourgain_embed(joined, t_rep=2, seed=0)
+    assert emb.points.tolist() == pts.tolist() and emb.Delta == Delta
 
 
 def test_embedding_rejects_t_rep_below_one():

@@ -22,7 +22,7 @@ from .metric import (Decomposition, Embedding, bourgain_embed,
                      low_diameter_decomposition)
 from .precond import (CompressedMatrix, CompressedVector, build_preconditioner,
                       matrix_vec, vector_mat)
-from .flow import FlowSolution, SolverConfig, min_cost_flow, mst_routing
+from .flow import FlowSolution, min_cost_flow, mst_routing
 from .paths import (Path, StuckVertex, WalkBudgetExceeded, approx_shortest_path,
                     contract, find_path, random_walk_length_check,
                     sample_pointers, shortcut_cycles)
@@ -36,8 +36,8 @@ __all__ = [
     "preprocess", "save_emulator", "set_distance", "Decomposition",
     "Embedding", "bourgain_embed", "low_diameter_decomposition",
     "CompressedMatrix", "CompressedVector", "build_preconditioner",
-    "matrix_vec", "vector_mat", "FlowSolution",
-    "SolverConfig", "min_cost_flow", "mst_routing", "Path", "StuckVertex",
+    "matrix_vec", "vector_mat", "FlowSolution", "min_cost_flow",
+    "mst_routing", "Path", "StuckVertex",
     "WalkBudgetExceeded", "approx_shortest_path", "contract", "find_path",
     "random_walk_length_check", "sample_pointers", "shortcut_cycles",
     "__version__",

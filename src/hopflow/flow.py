@@ -5,11 +5,16 @@ its own exact emulator -> Bourgain -> distinct rows D of the grid
 preconditioner P), then search a geometric grid for a scale s and run a
 multiplicative-weights feasibility solver on the preconditioned system
 PAW^-1 x = Pb, each probe after a search's first ok one starting from
-the last ok probe's weights.  The solver is composed with itself on the
-residual demand for at most 1 + ceil(log2 n) rounds (each round's search
-starting at the scale the round before chose), and whatever demand is
-still unrouted gets repaired exactly along a minimum spanning tree, so
-returned flows always satisfy Af = b.  Composition stops early, before
+the last ok probe's weights.  Each run takes the step min(0.125, 6 eps)
+and at most _T_CAP iterations in round 0, _T_CAP // 4 in later rounds,
+in place of the step eps/(8 kappa) and the count
+ceil(64 kappa^2 ln(2m)/eps^2) of Sherman's analysis: a step near the
+stability edge converges orders of magnitude faster.  The solver is
+composed with itself on the residual demand for at most
+1 + ceil(log2 n) rounds (each round's search starting at the scale the
+round before chose), and whatever demand is still unrouted gets
+repaired exactly along a minimum spanning tree, so returned flows
+always satisfy Af = b.  Composition stops early, before
 any round after the first, once that repair costs at most
 _STOP_FRAC * eps times the rounds' flow, which keeps the returned cost
 within (1 + _STOP_FRAC * eps) times the rounds'.
@@ -20,7 +25,7 @@ Everything here is deterministic given (graph, demand, epsilon, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -28,7 +33,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools, csgraph
 
 from .emulator import Emulator
-from .graphs import NotConnected, checked_int, contract_zero_edges, distance_rows
+from .graphs import checked_int, contract_zero_edges, distance_rows
 from .metric import Embedding, bourgain_embed, next_pow2
 from .precond import distinct_rows, grid_shape
 
@@ -58,44 +63,16 @@ _KAPPA = 2.0
 # Bourgain repetitions per sampling scale of the flow's embedding.
 _T_REP = 2
 
+# Iteration cap of each MWU run in composition round 0; later rounds fix
+# small residuals whose cost share is tiny, and run at _T_CAP // 4.
+_T_CAP = 12000
+
 # Composition stops before a round r >= 1 once the MST repair of the
 # residual costs at most _STOP_FRAC * eps times the rounds' flow; that
 # repair then ends the flow, so the returned cost is at most
 # (1 + _STOP_FRAC * eps) times the rounds' cost (cycle cancellation only
 # lowers it).
 _STOP_FRAC = 0.02
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for the MWU flow solver.
-
-    t_cap bounds iterations per MWU call (the formula value T =
-    ceil(64 kappa^2 ln(2m)/eps^2) is used when smaller) and must be at
-    least 1, so the top of the scale grid (`grid_top`) ends "ok" at its
-    first iteration.  A run stops as infeasible as soon as its averaged
-    dual certifies that no iterate can reach the exit threshold; a run
-    that reaches t_cap without converging also counts as infeasible at
-    that scale, which only ever moves the search toward more
-    conservative scales.  eta is the step size, None for the formula
-    step eps/(8 kappa), or a finite number in (0, 1): below 1 the
-    weight update factor 1 - (eta/2)(dz - q) stays positive, since
-    |dz| <= 1 and |q| <= 1/s <= 1 on the grid.
-    """
-
-    epsilon: float = 0.1
-    t_cap: int = 12000
-    eta: float | None = None
-
-    def __post_init__(self):
-        checked_epsilon(self.epsilon)
-        self.t_cap = checked_int(self.t_cap, "t_cap", 1)
-        try:
-            eta_ok = self.eta is None or 0.0 < self.eta < 1.0
-        except TypeError:
-            eta_ok = False
-        if not eta_ok:
-            raise ValueError(f"eta must be None or in (0, 1), got {self.eta!r}")
 
 
 @dataclass(slots=True, eq=False)
@@ -307,15 +284,14 @@ def build_flow_runtime(g, seed=0):
     """Embed g's metric and build the preconditioned flow operator + norms.
 
     g is its own exact emulator (stretch 1, hop bound n - 1), so each
-    Bourgain coordinate is one exact search of g.  Raises NotConnected
-    for a disconnected g, whose distances no embedding holds.  The
-    distortion ratios are read from g's exact distance rows, which
-    one ``distance_rows`` call gives.  Should the embedding collapse a
-    pair at positive distance, each collapsing source's distance row is
-    appended as a column, which separates the pair.
+    Bourgain coordinate is one exact search of g.  `bourgain_embed`
+    raises NotConnected for a disconnected g, whose distances no
+    embedding holds.  The distortion ratios are read from g's exact
+    distance rows, which one ``distance_rows`` call gives.  Should the
+    embedding collapse a pair at positive distance, each collapsing
+    source's distance row is appended as a column, which separates the
+    pair.
     """
-    if not g.is_connected():
-        raise NotConnected("graph is not connected")
     em = Emulator(g.n, 0.5, 0, max(1, g.n - 1), 1, seed, graph=g)
     emb = bourgain_embed(em, t_rep=_T_REP, seed=seed)
 
@@ -398,8 +374,11 @@ class MwuOutcome:
     wts: np.ndarray | None = None
 
 
-def mwu_feasibility(rt, g, b, s, cfg, wts=None):
-    """One MWU run on the scaled feasibility system at scale s.
+def mwu_feasibility(rt, g, b, s, eps, t_cap, wts=None):
+    """One MWU run of at most t_cap iterations on the scaled feasibility
+    system at scale s, with the step eta = min(0.125, 6 eps).  Below 1,
+    eta keeps every weight update factor 1 - (eta/2)(dz - q) positive,
+    since |dz| <= 1 and |q| <= 1/s <= 1 on the grid.
 
     The run starts from the weights `wts` (2m entries summing to 1, the
     `wts` of an earlier ok outcome; the array is not modified), or from
@@ -414,13 +393,12 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     scaled operator and demand.  As soon as that margin exceeds the exit
     threshold eps/(2 kappa) (by the relative guard _CERT_GUARD), no later
     iterate could succeed, and the run stops with status "fail".  The
-    certificate holds for any sign vectors, so for any starting weights.
-    Running out of iterations reports "fail" at the formula count from
-    uniform weights, whose regret bound the formula assumes, and "cap"
-    otherwise: at an earlier configured cap, or from given weights.  The
-    caller treats both as infeasible.  From uniform weights the first
-    iterate is y = 0, whose residual ||c||_1 is 1/s, so at every
-    s >= 2 kappa/eps the run ends "ok" at iteration 1 with x' = 0.
+    certificate holds for any sign vectors, so for any starting weights,
+    and "fail" means only that it fired.  A run that reaches t_cap ends
+    "cap", which the caller treats as infeasible too.  From uniform
+    weights the first iterate is y = 0, whose residual ||c||_1 is 1/s,
+    so at every s >= 2 kappa/eps the run ends "ok" at iteration 1 with
+    x' = 0.
 
     Weights are held as an explicitly normalized distribution rather
     than in log-space: renormalizing every iteration gives the same
@@ -435,12 +413,8 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     per call, so an iteration allocates nothing.
     """
     m = g.m
-    eps = cfg.epsilon
-    kappa = _KAPPA
-    T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
-    T = min(T_formula, cfg.t_cap)
-    eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
-    thresh = eps / (2.0 * kappa)
+    eta = min(0.125, 6.0 * eps)
+    thresh = eps / (2.0 * _KAPPA)
     cert_thresh = thresh * (1.0 + _CERT_GUARD)
 
     pb = rt.D @ b
@@ -452,8 +426,7 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     if rt.M.shape != (rows, m):
         raise ValueError(f"runtime operator is {rt.M.shape}, graph needs ({rows}, {m})")
     mv, mvt = _matvec(rt.M), _matvec(rt.M.T)
-    uniform = wts is None
-    if uniform:
+    if wts is None:
         wts = np.full(2 * m, 1.0 / (2 * m))
     else:
         wts = np.array(wts, dtype=np.float64)
@@ -473,7 +446,7 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
     half = 0.5 * eta
     best = np.inf
     since = 0
-    for it in range(1, T + 1):
+    for it in range(1, t_cap + 1):
         np.subtract(wpos, wneg, out=y)
         z.fill(0.0)
         mv(y, z)
@@ -507,8 +480,7 @@ def mwu_feasibility(rt, g, b, s, cfg, wts=None):
         qsum += q
         if abs(qsum) - float(np.maximum.reduce(dz2sum)) > it * cert_thresh:
             return MwuOutcome("fail", None, it, zsum)
-    status = "fail" if uniform and T >= T_formula else "cap"
-    return MwuOutcome(status, None, T, zsum)
+    return MwuOutcome("cap", None, t_cap, zsum)
 
 
 def _cancel_cycles(g, f, tol=1e-12):
@@ -565,25 +537,26 @@ def _cancel_cycles(g, f, tol=1e-12):
     return f
 
 
-def grid_top(rt, cfg):
+def grid_top(rt, eps):
     """The top j of the scale grid s = (1+eps)^j, j = 0 .. top.
 
     The grid spans the preconditioner's certificate, (1+eps)^top >=
     kappa_cert, and reaches one step past 2 _KAPPA/eps, where a probe's
     first iterate y = 0 already meets the exit threshold (see
-    mwu_feasibility): the top probe ends "ok" at iteration 1, the extra
-    step absorbing the rounding of s and of the residual's sum.  That
-    bound counts steps of the probes' float base 1.0 + eps, which at
-    eps = 1e-8 drifts more than a step from log1p(eps) over the grid.
+    mwu_feasibility): the top probe ends "ok" at its first iteration,
+    which every run takes (_T_CAP // 4 >= 1), the extra step absorbing
+    the rounding of s and of the residual's sum.  That bound counts
+    steps of the probes' float base 1.0 + eps, which at eps = 1e-8
+    drifts more than a step from log1p(eps) over the grid.
     """
-    eps = cfg.epsilon
     cert = math.ceil(math.log(max(rt.kappa_cert, 1.0 + eps)) / math.log1p(eps))
     ok_at_zero = math.ceil(math.log(2.0 * _KAPPA / eps) / math.log(1.0 + eps)) + 1
     return max(cert, ok_at_zero)
 
 
-def scale_search(rt, g, b, cfg, start=None):
-    """Smallest feasible scale on the (1+eps)-geometric grid.
+def scale_search(rt, g, b, eps, t_cap, start=None):
+    """Smallest feasible scale on the (1+eps)-geometric grid, each probe
+    one `mwu_feasibility` run of at most t_cap iterations.
 
     Returns (x, probes) where x = x' * s * ||Pb||_1 / ||PAW^-1||_(1->1)
     and probes is the scale-search trace of (j, status, iterations).  A
@@ -613,15 +586,14 @@ def scale_search(rt, g, b, cfg, start=None):
     pbn = _demand_norm(rt, b)
     if pbn <= 0.0:
         return np.zeros(g.m, dtype=np.float64), []
-    eps = cfg.epsilon
-    top = grid_top(rt, cfg)
+    top = grid_top(rt, eps)
     probes = []
     ok = None  # the last ok probe's outcome, always the bracket's hi
 
     def probe(j):
         nonlocal ok
         wts = None if ok is None else ok.wts
-        out = mwu_feasibility(rt, g, b, (1.0 + eps) ** j, cfg, wts)
+        out = mwu_feasibility(rt, g, b, (1.0 + eps) ** j, eps, t_cap, wts)
         probes.append((j, out.status, out.iters))
         if out.status == "ok":
             ok = out
@@ -684,12 +656,8 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     b_norm = float(np.abs(b).sum())
     checked_epsilon(epsilon)
     seed = checked_int(seed, "seed", 0)
-    # the public epsilon splits five ways across composition and repair;
-    # the formula step size pairs with the astronomical formula T, but at
-    # capped iteration counts a step near the stability edge converges
-    # orders of magnitude faster
+    # the public epsilon splits five ways across composition and repair
     inner_eps = max(1e-4, epsilon / 5.0)
-    run_cfg = SolverConfig(epsilon=inner_eps, eta=min(0.125, 6.0 * inner_eps))
 
     if not b.any():
         return FlowSolution(np.zeros(g.m), 0.0, 0.0, 0)
@@ -716,11 +684,8 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
                     break  # the exact repair is cheap; it ends the flow
             if pbn_prev <= 1e-8 * pbn0:
                 break  # leftover is dust; exact repair costs nothing
-            if round_no == 1:
-                # later rounds fix small residuals whose cost share is
-                # tiny, so they get a smaller iteration budget
-                run_cfg = replace(run_cfg, t_cap=max(2000, run_cfg.t_cap // 4))
-            x_r, probes = scale_search(rt, gq, b_res, run_cfg, start=start)
+            t_cap = _T_CAP // 4 if round_no else _T_CAP
+            x_r, probes = scale_search(rt, gq, b_res, inner_eps, t_cap, start=start)
             total_iters += sum(p[2] for p in probes)
             trace.append(probes)
             start = min(j for (j, status, _) in probes if status == "ok")

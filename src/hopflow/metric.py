@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .emulator import _set_distance
-from .graphs import INF, NotConnected, checked_int
+from .graphs import NotConnected, checked_int
 
 
 class Embedding:
@@ -88,9 +88,8 @@ def bourgain_embed(em, t_rep=None, seed=0):
     (default 4*ceil(log2 n)).  A scale that samples an empty set is
     redrawn once, then falls back to a single random vertex.  Raises
     ValueError unless t_rep is an integer of at least 1 and seed a
-    non-negative integer, and NotConnected when a coordinate's vertex
-    set leaves a vertex unreached, which only a disconnected emulator
-    graph can do.
+    non-negative integer, and NotConnected for a disconnected emulator
+    graph, before any coordinate is computed.
     """
     seed = checked_int(seed, "seed", 0)
     n = em.n
@@ -110,18 +109,12 @@ def bourgain_embed(em, t_rep=None, seed=0):
             mask[int(rng.integers(n))] = True
         return _set_distance(em, np.flatnonzero(mask))
 
-    pairs = [(i, j) for i in range(1, scales + 1) for j in range(t_rep)]
-    cols = [column(ij) for ij in pairs]
-    # uint64, or Python ints once one column is past uint64
-    pts = np.stack(cols, axis=1)
-    # an unreached vertex is INF in a uint64 column and math.inf in an
-    # object one; stacked with object columns, INF reads as an int
-    if pts.dtype == object:
-        unreached = any(math.inf in c if c.dtype == object else INF in c for c in cols)
-    else:
-        unreached = pts.max() == INF
-    if unreached:
+    # a one-level tower is connected by construction
+    if em.dist is None and not em.graph.is_connected():
         raise NotConnected("emulator graph is not connected")
+    pairs = [(i, j) for i in range(1, scales + 1) for j in range(t_rep)]
+    # uint64, or Python ints once one column is past uint64
+    pts = np.stack([column(ij) for ij in pairs], axis=1)
     pts = pts - pts.min(axis=0) + 1
     return Embedding(pts, next_pow2(int(pts.max())), seed, t_rep, scales)
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .flow import checked_epsilon, min_cost_flow, _apply_incidence
+from .flow import checked_epsilon, min_cost_flow, validate_demand, _apply_incidence
 from .graphs import Graph, checked_int, shortest_path_tree
 
 _FLOW_TOL = 1e-12
@@ -378,11 +378,12 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
     Walks start at a source drawn by supply, step proportionally to
     positive outflow, and stop at the unique sink.  Returns summary
     statistics including the exact target value.  Raises ValueError
-    unless trials is an integer of at least 1.
+    unless trials is an integer of at least 1 and the demand one that
+    `flow.validate_demand` accepts.
     """
     trials = checked_int(trials, "trials", 1)
     f = _flow_values(f)
-    b = np.asarray(demand, dtype=np.float64)
+    b = validate_demand(demand, g.n)
     sinks = np.flatnonzero(b < -1e-12)
     if len(sinks) != 1:
         raise ValueError("walk check needs exactly one sink")

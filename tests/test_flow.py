@@ -3,7 +3,6 @@ and the composed min-cost-flow pipeline."""
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +21,12 @@ from hopflow.flow import (
     _KAPPA,
     _PLATEAU_PATIENCE,
     _STOP_FRAC,
+    _T_CAP,
     _cancel_cycles,
     _demand_norm,
     _distortion,
     _matvec,
     MwuOutcome,
-    SolverConfig,
     build_flow_runtime,
     grid_top,
     min_cost_flow,
@@ -234,7 +233,7 @@ def _contract_residual(rt, g, b, s, x, P=None):
     return matrix_vec(P, gv).norm1()
 
 
-def certificate_rejects_all(g, rt, b, s, outcome, cfg):
+def certificate_rejects_all(g, rt, b, s, outcome, eps):
     """Recheck an outcome's averaged-dual certificate at scale s.
 
     Averages the sign-vector sums over outcome.iters and evaluates the
@@ -242,12 +241,12 @@ def certificate_rejects_all(g, rt, b, s, outcome, cfg):
     matrix and the edge weights rather than the solver's M^T; True when
     it exceeds eps/(2 _KAPPA) by the same guard the MWU loop applies,
     so that no y with ||y||_1 <= 1 meets the exit threshold at this
-    scale.  Every run takes at least one iteration (t_cap >= 1).
+    scale.  Every run takes at least one iteration.
     """
     zt = rt.D.T @ (outcome.zsum / outcome.iters)
     q = abs(float(zt @ b)) / (s * _demand_norm(rt, b))
     dz = (zt[g.eu] - zt[g.ev]) / g.ew.astype(np.float64) / rt.N
-    thresh = cfg.epsilon / (2.0 * _KAPPA)
+    thresh = eps / (2.0 * _KAPPA)
     return bool(q - float(np.abs(dz).max()) > thresh * (1.0 + _CERT_GUARD))
 
 
@@ -336,17 +335,16 @@ def test_collapsed_embedding_gets_a_distance_column():
 
 def test_mwu_feasible_above_critical_scale(mwu_instance):
     g, b, rt = mwu_instance
-    cfg = SolverConfig(epsilon=0.4)
-    out = mwu_feasibility(rt, g, b, 3.0, cfg)
+    out = mwu_feasibility(rt, g, b, 3.0, 0.4, _T_CAP)
     assert out.status == "ok"
-    assert out.iters == 99  # deterministic; doubles as a regression canary
+    assert out.iters == 21  # deterministic; doubles as a regression canary
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
     assert _contract_residual(rt, g, b, 3.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
 
 
 def test_mwu_feasible_at_critical_scale(mwu_instance):
     g, b, rt = mwu_instance
-    out = mwu_feasibility(rt, g, b, 2.0, SolverConfig(epsilon=0.4))
+    out = mwu_feasibility(rt, g, b, 2.0, 0.4, _T_CAP)
     assert out.status == "ok"
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
     assert _contract_residual(rt, g, b, 2.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
@@ -354,26 +352,20 @@ def test_mwu_feasible_at_critical_scale(mwu_instance):
 
 def test_mwu_fails_below_critical_scale_with_certificate(mwu_instance):
     g, b, rt = mwu_instance
-    cfg = SolverConfig(epsilon=0.4)
-    kappa = _KAPPA
-    t_formula = math.ceil(64.0 * kappa * kappa * math.log(2 * g.m) / 0.4**2)
-    assert t_formula == 3328
     margin = _dense_certificate(rt, g)
     for s in (1.0, 0.5):
-        out = mwu_feasibility(rt, g, b, s, cfg)
-        # the averaged dual certifies the scale before the formula count
-        assert out.status == "fail"
-        assert out.iters < t_formula
-        assert certificate_rejects_all(g, rt, b, s, out, cfg)
-        assert margin(b, s, out) > 0.4 / (2.0 * kappa)
+        out = mwu_feasibility(rt, g, b, s, 0.4, _T_CAP)
+        # the averaged dual certifies the scale long before the cap
+        assert (out.status, out.iters) == ("fail", 1)
+        assert certificate_rejects_all(g, rt, b, s, out, 0.4)
+        assert margin(b, s, out) > 0.4 / (2.0 * _KAPPA)
 
 
 def test_certificate_never_fires_on_success(mwu_instance):
     g, b, rt = mwu_instance
-    cfg = SolverConfig(epsilon=0.4)
-    out = mwu_feasibility(rt, g, b, 3.0, cfg)
+    out = mwu_feasibility(rt, g, b, 3.0, 0.4, _T_CAP)
     assert out.status == "ok"
-    assert not certificate_rejects_all(g, rt, b, 3.0, out, cfg)
+    assert not certificate_rejects_all(g, rt, b, 3.0, out, 0.4)
 
 
 def test_mwu_compressed_path_matches_contract(mwu_instance):
@@ -382,7 +374,7 @@ def test_mwu_compressed_path_matches_contract(mwu_instance):
     contract, measured with the reference matrix_vec on all r rows."""
     g, b, _ = mwu_instance
     rt2 = build_flow_runtime(g, seed=1)
-    out = mwu_feasibility(rt2, g, b, 3.0, SolverConfig(epsilon=0.4))
+    out = mwu_feasibility(rt2, g, b, 3.0, 0.4, _T_CAP)
     assert out.status == "ok"
     assert np.abs(out.x).sum() <= 1.0 + 1e-12
     assert _contract_residual(rt2, g, b, 3.0, out.x) <= 0.4 / (2.0 * 2.0) + 1e-12
@@ -393,22 +385,21 @@ def test_mwu_rejects_a_graph_the_runtime_was_not_built_for(mwu_instance):
     g, b, rt = mwu_instance
     other = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 5), (0, 2, 3)])
     with pytest.raises(ValueError, match="runtime operator"):
-        mwu_feasibility(rt, other, b, 3.0, SolverConfig(epsilon=0.4))
+        mwu_feasibility(rt, other, b, 3.0, 0.4, _T_CAP)
     for wts in (np.full(2 * g.m - 1, 1.0), np.full((g.m, 2), 1.0)):
         with pytest.raises(ValueError, match="starting weights"):
-            mwu_feasibility(rt, g, b, 3.0, SolverConfig(epsilon=0.4), wts)
+            mwu_feasibility(rt, g, b, 3.0, 0.4, _T_CAP, wts)
 
 
 def test_mwu_starts_from_given_weights_without_changing_them(mwu_instance):
     g, b, rt = mwu_instance
-    cfg = SolverConfig(epsilon=0.4)
-    first = mwu_feasibility(rt, g, b, 3.0, cfg)
+    first = mwu_feasibility(rt, g, b, 3.0, 0.4, _T_CAP)
     start = first.wts.copy()
-    again = mwu_feasibility(rt, g, b, 2.0, cfg, start)
+    again = mwu_feasibility(rt, g, b, 2.0, 0.4, _T_CAP, start)
     assert np.array_equal(start, first.wts)
-    cold = mwu_feasibility(rt, g, b, 2.0, cfg)
+    cold = mwu_feasibility(rt, g, b, 2.0, 0.4, _T_CAP)
     assert again.status == cold.status == "ok" and again.iters != cold.iters
-    uniform = mwu_feasibility(rt, g, b, 2.0, cfg, np.full(2 * g.m, 0.5 / g.m))
+    uniform = mwu_feasibility(rt, g, b, 2.0, 0.4, _T_CAP, np.full(2 * g.m, 0.5 / g.m))
     assert (uniform.iters, uniform.x.tobytes()) == (cold.iters, cold.x.tobytes())
 
 
@@ -416,18 +407,14 @@ def test_mwu_starts_from_given_weights_without_changing_them(mwu_instance):
 # the averaged-dual stop against the loop that runs every probe to its end
 
 
-def _reference_mwu(rt, g, b, s, cfg, wts=None):
+def _reference_mwu(rt, g, b, s, eps, t_cap, wts=None):
     """mwu_feasibility as it was before the averaged-dual stop (less its
     collect_certificate flag), kept as the reference: an infeasible scale
-    runs to t_cap or the formula count.  It starts from the same optional
-    weights and returns an ok run's final weights."""
+    runs to t_cap.  It starts from the same optional weights and returns
+    an ok run's final weights."""
     m = g.m
-    eps = cfg.epsilon
-    kappa = _KAPPA
-    T_formula = math.ceil(64.0 * kappa * kappa * math.log(max(2 * m, 2)) / (eps * eps))
-    T = min(T_formula, cfg.t_cap)
-    eta = cfg.eta if cfg.eta is not None else eps / (8.0 * kappa)
-    thresh = eps / (2.0 * kappa)
+    eta = min(0.125, 6.0 * eps)
+    thresh = eps / (2.0 * _KAPPA)
 
     pb = rt.D @ b
     pbn = float(np.abs(pb).sum())
@@ -435,13 +422,12 @@ def _reference_mwu(rt, g, b, s, cfg, wts=None):
         raise ValueError("||Pb||_1 must be positive")
     c = pb / (s * pbn)
     M, MT = rt.M, rt.M.T
-    uniform = wts is None
-    wts = np.full(2 * m, 1.0 / (2 * m)) if uniform else wts.copy()
+    wts = np.full(2 * m, 1.0 / (2 * m)) if wts is None else wts.copy()
     eta0 = eta
     half = 0.5 * eta
     best = np.inf
     since = 0
-    for it in range(1, T + 1):
+    for it in range(1, t_cap + 1):
         y = wts[:m] - wts[m:]
         z = M @ y
         z -= c
@@ -462,27 +448,25 @@ def _reference_mwu(rt, g, b, s, cfg, wts=None):
         wts[:m] *= 1.0 - half * (dz - q)
         wts[m:] *= 1.0 + half * (dz + q)
         wts /= wts.sum()
-    status = "fail" if uniform and T >= T_formula else "cap"
-    return MwuOutcome(status, None, T, None)
+    return MwuOutcome("cap", None, t_cap, None)
 
 
-def _assert_probes_match_reference(rt, g, b, cfg):
+def _assert_probes_match_reference(rt, g, b, eps, t_cap):
     """Every scale of the search grid, from uniform weights and, walking
     down from the top as a search does, from the weights of the last ok
     run of that walk: the same ok decision, x, final weights and
     iterations as the reference; an early stop is a "fail" whose margin,
     recomputed on the dense P, beats the exit threshold."""
-    eps = cfg.epsilon
     thresh = eps / (2.0 * _KAPPA)
-    top = grid_top(rt, cfg)
+    top = grid_top(rt, eps)
     margin = _dense_certificate(rt, g)
     early = 0
     warm = None
     for j in range(top, -1, -1):
         s = (1.0 + eps) ** j
         for wts in [None] if warm is None else [None, warm]:
-            out = mwu_feasibility(rt, g, b, s, cfg, wts)
-            ref = _reference_mwu(rt, g, b, s, cfg, wts)
+            out = mwu_feasibility(rt, g, b, s, eps, t_cap, wts)
+            ref = _reference_mwu(rt, g, b, s, eps, t_cap, wts)
             assert (out.status == "ok") == (ref.status == "ok"), j
             if ref.status == "ok":
                 assert out.iters == ref.iters and np.array_equal(out.x, ref.x), j
@@ -490,7 +474,7 @@ def _assert_probes_match_reference(rt, g, b, cfg):
             elif out.iters < ref.iters:
                 early += 1
                 assert out.status == "fail", j
-                assert certificate_rejects_all(g, rt, b, s, out, cfg), j
+                assert certificate_rejects_all(g, rt, b, s, out, eps), j
                 assert margin(b, s, out) > thresh, j
             else:
                 assert (out.status, out.iters) == (ref.status, ref.iters), j
@@ -524,17 +508,15 @@ def _flow_case(draw):
 def test_certificate_stop_matches_reference(case, seed):
     g, b = case
     rt = build_flow_runtime(g, seed=seed)
-    cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
-    _assert_probes_match_reference(rt, g, b, cfg)
+    _assert_probes_match_reference(rt, g, b, 0.1, 2000)
 
 
 def test_certificate_stop_matches_reference_on_benchmark_graph(flow64_runtime):
     g, rt = flow64_runtime
     b = np.zeros(g.n)
     b[0], b[63] = 1.0, -1.0
-    # min_cost_flow's working config at epsilon=0.1, with its later-round cap
-    cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=3000)
-    assert _assert_probes_match_reference(rt, g, b, cfg) > 0
+    # min_cost_flow's inner epsilon at epsilon=0.1, with its later-round cap
+    assert _assert_probes_match_reference(rt, g, b, 0.02, _T_CAP // 4) > 0
 
 
 def test_min_cost_flow_identical_with_reference_loop(monkeypatch):
@@ -555,13 +537,11 @@ def test_step_halving_matches_reference(mwu_instance, monkeypatch):
     """With a short plateau patience the step halves many times inside a
     run; the loop must still match the reference at every scale."""
     g, b, rt = mwu_instance
-    cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=1000)
-    top = grid_top(rt, cfg)
+    top = grid_top(rt, 0.02)
 
     def outcomes():
         return [(out.status, out.iters) for out in (
-            mwu_feasibility(rt, g, b, (1.0 + cfg.epsilon) ** j, cfg)
-            for j in range(top + 1))]
+            mwu_feasibility(rt, g, b, 1.02**j, 0.02, 1000) for j in range(top + 1))]
 
     monkeypatch.setattr(hopflow.flow, "_PLATEAU_PATIENCE", 10**9)
     never = outcomes()
@@ -569,7 +549,7 @@ def test_step_halving_matches_reference(mwu_instance, monkeypatch):
     monkeypatch.setitem(globals(), "_PLATEAU_PATIENCE", 20)
     # the halving changes most of the runs, so it fires in them
     assert sum(x != y for x, y in zip(never, outcomes())) > top // 2
-    _assert_probes_match_reference(rt, g, b, cfg)
+    _assert_probes_match_reference(rt, g, b, 0.02, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +663,8 @@ def test_distortion_exact_past_2_53():
 
 def test_scale_search_probe_count(mwu_instance):
     g, b, rt = mwu_instance
-    eps = 0.4
-    cfg = SolverConfig(epsilon=eps)
-    x, probes = scale_search(rt, g, b, cfg)
-    top = grid_top(rt, cfg)
+    x, probes = scale_search(rt, g, b, 0.4, _T_CAP)
+    top = grid_top(rt, 0.4)
     # the gallop from the top probes top, then top - 2^i for i = 0, 1, ...
     # until a probe fails or reaches 0, which takes i <= ceil(log2 top):
     # at most ceil(log2 top) + 2 probes.  The bisection of the last
@@ -701,7 +679,7 @@ def test_scale_search_probe_count(mwu_instance):
 
 def test_scale_search_zero_demand_short_circuit(mwu_instance):
     g, b, rt = mwu_instance
-    x, probes = scale_search(rt, g, np.zeros(4), SolverConfig(epsilon=0.4))
+    x, probes = scale_search(rt, g, np.zeros(4), 0.4, _T_CAP)
     assert np.all(x == 0.0)
     assert probes == []
 
@@ -718,8 +696,7 @@ def test_grid_top_is_ok_at_the_first_iteration(case, seed, eps):
     rt = build_flow_runtime(g, seed=seed)
     # kappa_cert = 2 L d alpha >= 4, so the constant kappa is its old clamp
     assert rt.kappa_cert >= 2.0 * _KAPPA
-    cfg = SolverConfig(epsilon=eps, t_cap=1)
-    out = mwu_feasibility(rt, g, b, (1.0 + eps) ** grid_top(rt, cfg), cfg)
+    out = mwu_feasibility(rt, g, b, (1.0 + eps) ** grid_top(rt, eps), eps, 1)
     assert (out.status, out.iters) == ("ok", 1)
     assert not out.x.any()
 
@@ -737,24 +714,24 @@ def _chosen(probes):
     return min(j for (j, status, _) in probes if status == "ok")
 
 
-def _recorded_search(rt, g, b, cfg, start=None):
-    """scale_search(rt, g, b, cfg, start) as (x, probes, runs), where
-    runs[k] = (s, starting weights, outcome) of the k-th probe."""
+def _recorded_search(rt, g, b, eps, t_cap, start=None):
+    """scale_search(rt, g, b, eps, t_cap, start) as (x, probes, runs),
+    where runs[k] = (s, starting weights, outcome) of the k-th probe."""
     runs = []
 
-    def recording(rt_, g_, b_, s, cfg_, wts=None):
-        runs.append((s, wts, mwu_feasibility(rt_, g_, b_, s, cfg_, wts)))
+    def recording(rt_, g_, b_, s, eps_, t_cap_, wts=None):
+        runs.append((s, wts, mwu_feasibility(rt_, g_, b_, s, eps_, t_cap_, wts)))
         return runs[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hopflow.flow, "mwu_feasibility", recording)
-        x, probes = scale_search(rt, g, b, cfg, start=start)
-    assert [(1.0 + cfg.epsilon) ** j for (j, _, _) in probes] == [s for (s, _, _) in runs]
+        x, probes = scale_search(rt, g, b, eps, t_cap, start=start)
+    assert [(1.0 + eps) ** j for (j, _, _) in probes] == [s for (s, _, _) in runs]
     assert [p[1:] for p in probes] == [(out.status, out.iters) for (_, _, out) in runs]
     return x, probes, runs
 
 
-def _assert_search_sound(rt, g, b, cfg, x, probes, runs):
+def _assert_search_sound(rt, g, b, eps, x, probes, runs):
     """What a scale search guarantees although a probe's outcome depends
     on its starting weights, for the output of _recorded_search:
 
@@ -768,8 +745,8 @@ def _assert_search_sound(rt, g, b, cfg, x, probes, runs):
       search or j = 0, and returns that probe's x rescaled.
 
     Returns the j it ended on."""
-    top = grid_top(rt, cfg)
-    thresh = cfg.epsilon / (2.0 * _KAPPA)
+    top = grid_top(rt, eps)
+    thresh = eps / (2.0 * _KAPPA)
     P = build_preconditioner(rt.emb)
     js = [j for (j, _, _) in probes]
     assert all(0 <= j <= top for j in js) and len(set(js)) == len(js)
@@ -781,7 +758,7 @@ def _assert_search_sound(rt, g, b, cfg, x, probes, runs):
             assert _contract_residual(rt, g, b, s, out.x, P) <= thresh + 1e-12, j
             warm = out.wts
         elif out.status == "fail":
-            assert certificate_rejects_all(g, rt, b, s, out, cfg), j
+            assert certificate_rejects_all(g, rt, b, s, out, eps), j
     if top in js:
         assert runs[js.index(top)][1] is None
     j = _chosen(probes)
@@ -796,17 +773,16 @@ def _assert_search_sound(rt, g, b, cfg, x, probes, runs):
 def test_warm_start_matches_cold_search(case, seed, data):
     g, b = case
     rt = build_flow_runtime(g, seed=seed)
-    cfg = SolverConfig(epsilon=0.1, eta=0.125, t_cap=2000)
-    top = grid_top(rt, cfg)
-    cold = [mwu_feasibility(rt, g, b, 1.1**j, cfg).status for j in range(top + 1)]
+    top = grid_top(rt, 0.1)
+    cold = [mwu_feasibility(rt, g, b, 1.1**j, 0.1, 2000).status for j in range(top + 1)]
     assert cold[top] == "ok"
     seen = list(enumerate(cold))
     starts = [None, -5, top + 5] + data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
     for j0 in starts:
-        x, probes, runs = _recorded_search(rt, g, b, cfg, start=j0)
+        x, probes, runs = _recorded_search(rt, g, b, 0.1, 2000, start=j0)
         assert probes[0][0] == (top if j0 is None else min(max(j0, 0), top))
         _scale_search_ends_ok(probes, top)
-        _assert_search_sound(rt, g, b, cfg, x, probes, runs)
+        _assert_search_sound(rt, g, b, 0.1, x, probes, runs)
         seen += [(j, status) for (j, status, _) in probes]
     # feasibility is monotone in j and a "fail" certifies its scale, so
     # every fail, cold or inside a search, lies below every ok, and
@@ -819,12 +795,12 @@ def test_warm_start_at_the_answer_takes_two_probes(flow64_runtime):
     g, rt = flow64_runtime
     b = np.zeros(g.n)
     b[0], b[63] = 1.0, -1.0
-    cfg = SolverConfig(epsilon=0.02, eta=0.12, t_cap=3000)  # min_cost_flow's round 1
-    x, probes, runs = _recorded_search(rt, g, b, cfg)
-    j = _assert_search_sound(rt, g, b, cfg, x, probes, runs)
-    xw, pw, rw = _recorded_search(rt, g, b, cfg, start=j)
+    # min_cost_flow's round 1 at epsilon=0.1
+    x, probes, runs = _recorded_search(rt, g, b, 0.02, _T_CAP // 4)
+    j = _assert_search_sound(rt, g, b, 0.02, x, probes, runs)
+    xw, pw, rw = _recorded_search(rt, g, b, 0.02, _T_CAP // 4, start=j)
     assert [(p[0], p[1]) for p in pw] == [(j, "ok"), (j - 1, "fail")]
-    _assert_search_sound(rt, g, b, cfg, xw, pw, rw)
+    _assert_search_sound(rt, g, b, 0.02, xw, pw, rw)
     # the search from the top reaches j from the weights of its ok probe
     # at j + 3, which converge there in fewer iterations than uniform ones
     assert probes[-3] == (j, "ok", 910) and pw[0] == (j, "ok", 1722)
@@ -832,22 +808,21 @@ def test_warm_start_at_the_answer_takes_two_probes(flow64_runtime):
 
 def test_warm_start_from_every_start_stays_on_grid(mwu_instance):
     g, b, rt = mwu_instance
-    cfg = SolverConfig(epsilon=0.4)
-    top = grid_top(rt, cfg)
-    _, probes = scale_search(rt, g, b, cfg)
+    top = grid_top(rt, 0.4)
+    _, probes = scale_search(rt, g, b, 0.4, _T_CAP)
     starts = list(range(-3, top + 4))
     for start in starts:
-        x, pw, runs = _recorded_search(rt, g, b, cfg, start=start)
-        assert _assert_search_sound(rt, g, b, cfg, x, pw, runs) == _chosen(probes)
+        x, pw, runs = _recorded_search(rt, g, b, 0.4, _T_CAP, start=start)
+        assert _assert_search_sound(rt, g, b, 0.4, x, pw, runs) == _chosen(probes)
 
     # one iteration per probe: only the scales where y = 0 already meets
     # the exit threshold are ok, the top among them
-    first_ok = math.ceil(math.log(2.0 * _KAPPA / cfg.epsilon) / math.log(1.4))
+    first_ok = math.ceil(math.log(2.0 * _KAPPA / 0.4) / math.log(1.4))
     assert first_ok < top
     for start in [None] + starts:
-        x, pw, runs = _recorded_search(rt, g, b, replace(cfg, t_cap=1), start=start)
+        x, pw, runs = _recorded_search(rt, g, b, 0.4, 1, start=start)
         assert _scale_search_ends_ok(pw, top) == first_ok
-        _assert_search_sound(rt, g, b, replace(cfg, t_cap=1), x, pw, runs)
+        _assert_search_sound(rt, g, b, 0.4, x, pw, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -975,26 +950,6 @@ def test_min_cost_flow_output_has_no_cycle_to_cancel():
 # the composed solver
 
 
-def test_config_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.6)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
-
-
-@pytest.mark.parametrize("t_cap", [0, -3, 1.5])
-def test_config_rejects_t_cap_below_one(t_cap):
-    with pytest.raises(ValueError, match="t_cap"):
-        SolverConfig(t_cap=t_cap)
-
-
-@pytest.mark.parametrize("eta", [-1, 0, 1, 3, math.inf, math.nan, "x", 1j])
-def test_config_rejects_eta_outside_the_unit_interval(eta):
-    # below 1 the update factor 1 - (eta/2)(dz - q) stays positive
-    with pytest.raises(ValueError, match="eta"):
-        SolverConfig(eta=eta)
-
-
 def test_min_cost_flow_rejects_bad_epsilon():
     g = Graph(2, [(0, 1, 1)])
     with pytest.raises(ValueError):
@@ -1072,9 +1027,9 @@ def test_min_cost_flow_warm_start_keeps_the_flow(monkeypatch):
         b[0], b[t] = 1.0, -1.0
         cases.append((g, b, fseed, float(dist[t])))
 
-    def sound(rt, g, b, cfg, start=None):
-        x, probes, runs = _recorded_search(rt, g, b, cfg, start)
-        _assert_search_sound(rt, g, b, cfg, x, probes, runs)
+    def sound(rt, g, b, eps, t_cap, start=None):
+        x, probes, runs = _recorded_search(rt, g, b, eps, t_cap, start)
+        _assert_search_sound(rt, g, b, eps, x, probes, runs)
         return x, probes
 
     monkeypatch.setattr(hopflow.flow, "scale_search", sound)
@@ -1083,8 +1038,8 @@ def test_min_cost_flow_warm_start_keeps_the_flow(monkeypatch):
         for prev, rnd in zip(sol.trace, sol.trace[1:]):
             assert rnd[0][0] == _chosen(prev)
 
-    def from_the_top(rt, g, b, cfg, start=None):
-        return sound(rt, g, b, cfg)
+    def from_the_top(rt, g, b, eps, t_cap, start=None):
+        return sound(rt, g, b, eps, t_cap)
 
     monkeypatch.setattr(hopflow.flow, "scale_search", from_the_top)
     cold = [min_cost_flow(g, b, epsilon=0.1, seed=fseed) for (g, b, fseed, _) in cases]
@@ -1111,6 +1066,20 @@ def test_min_cost_flow_round_0_starts_at_the_grid_top():
     assert sol.trace[0][0] == (377, "ok", 1)
     assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("7ff2611d")
     assert sol.iterations == 4323 and len(sol.trace) == 3
+
+
+def test_min_cost_flow_runs_the_production_caps():
+    # round 0 runs each probe to at most _T_CAP iterations, later rounds
+    # to _T_CAP // 4; both caps are reached on this instance
+    assert (_T_CAP, _T_CAP // 4) == (12000, 3000)
+    g = rand_connected_graph(128, 128, seed=1)
+    b = np.zeros(g.n)
+    b[0], b[127] = 1.0, -1.0
+    sol = min_cost_flow(g, b, epsilon=0.1)
+    assert hashlib.sha256(sol.f.tobytes()).hexdigest().startswith("b1425602")
+    assert sol.iterations == 49846
+    assert (123, "cap", 12000) in sol.trace[0]
+    assert (117, "cap", 3000) in sol.trace[1]
 
 
 def test_min_cost_flow_builds_no_tower(monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import hopflow.graphs
 from hopflow import (
     Graph,
-    SolverConfig,
     approx_shortest_path,
     bourgain_embed,
     build_emulator,
@@ -536,7 +535,6 @@ _NON_NUMERIC_ARGS = {
                              [[5], np.array([0, 1]), 5]),
     "min_cost_flow epsilon": (lambda x: min_cost_flow(_PATH3, [1.0, 0.0, -1.0], epsilon=x),
                               ValueError, ["0.1", None]),
-    "SolverConfig epsilon": (lambda x: SolverConfig(epsilon=x), ValueError, ["0.1", None]),
     "approx_shortest_path epsilon": (lambda x: approx_shortest_path(_PATH3, 0, 2, x),
                                      ValueError, ["0.2", None]),
     "preprocess k": (lambda x: preprocess(_PATH3, k=x), ValueError, ["1", [1]]),

@@ -126,10 +126,9 @@ def test_embedding_matches_columns_through_set_distance(shift, b0):
 
 @pytest.mark.parametrize("w01, w23", [(3, 5), (1 << 64, 1 << 64), (3, 1 << 64)])
 def test_embedding_rejects_unreached_vertices(w01, w23):
-    # an unreached vertex is INF in a uint64 column and math.inf in an
-    # object one; a uint64 INF stacked with object columns reads as an
-    # int.  Unchecked, the first wrapped to zero coordinates, the second
-    # overflowed and the third passed INF on as a coordinate
+    # unchecked, a vertex a column leaves unreached wrapped to zero
+    # coordinates (3, 5), overflowed (2^64, 2^64) or passed INF on as a
+    # coordinate (3, 2^64)
     edges = [(0, 1, w01), (2, 3, w23)]
     split = Emulator(4, 0.5, 0, 1, 1, 0, graph=Graph(4, edges, check_connected=False))
     with pytest.raises(NotConnected):
@@ -139,6 +138,14 @@ def test_embedding_rejects_unreached_vertices(w01, w23):
     pts, Delta = _embedding_by_columns(joined, 2, 0)
     emb = bourgain_embed(joined, t_rep=2, seed=0)
     assert emb.points.tolist() == pts.tolist() and emb.Delta == Delta
+
+
+def test_embedding_rejects_components_every_column_reaches():
+    # the one column's vertex set holds both vertices, so no coordinate
+    # is unreached: unchecked, both points were [1]
+    split = Emulator(2, 0.5, 0, 1, 1, 0, graph=Graph(2, [], check_connected=False))
+    with pytest.raises(NotConnected):
+        bourgain_embed(split, t_rep=1, seed=0)
 
 
 def test_embedding_rejects_t_rep_below_one():

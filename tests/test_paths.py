@@ -329,6 +329,14 @@ def test_walk_check_needs_single_sink():
                                  np.array([2.0, -1.0, -1.0]))
 
 
+def test_walk_check_rejects_unbalanced_demand():
+    # one sink and no supply would draw the walks' starts from 0 / 0
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    for demand in ([0.0, 0.0, -1.0], [1.0, -1.0], [np.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="demand"):
+            random_walk_length_check(g, np.array([1.0, 1.0]), np.array(demand))
+
+
 def test_walk_check_stuck_flow():
     g = Graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(StuckVertex):

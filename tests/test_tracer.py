@@ -5,8 +5,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hopflow
 from hopflow import Graph
+
+from conftest import rand_connected_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +49,22 @@ def test_tracer_installs_and_restores_the_library():
     assert after.keys() == before.keys()
     assert all(after[key] is val for key, val in before.items())
     assert vars(hopflow.graphs.Graph)["__init__"] is init
+
+
+def test_tracer_hooks_count_the_flow_solver():
+    # the benchmark's flow counters are read from these hooks
+    g = rand_connected_graph(12, 10, seed=3)
+    b = np.zeros(g.n)
+    b[0], b[11] = 1.0, -1.0
+    tr = _load_tracer().Tracer()
+    tr.install()
+    try:
+        tr.begin_op("solve")
+        sol = hopflow.min_cost_flow(g, b)
+    finally:
+        tr.remove()
+    assert tr.count_of("mwu_iters") == sol.iterations == 2646
+    assert tr.count_of("flow_rounds") == len(sol.trace)
+    assert tr.calls_of("mwu_feasibility") == tr.count_of("flow_probes") == sum(
+        len(probes) for probes in sol.trace)
+    assert tr.calls_of("scale_search") == len(sol.trace)

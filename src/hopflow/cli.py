@@ -202,6 +202,8 @@ def _run(args):
             demand[0], demand[-1] = 1.0, -1.0
             clock("min_cost_flow",
                   lambda: min_cost_flow(g, demand, epsilon=args.eps, seed=seed))
+            clock("stpath",
+                  lambda: approx_shortest_path(g, 0, g.n - 1, args.eps, seed=seed))
         text = "".join(f"{a},{b}\n" for a, b in rows)
         if args.out:
             with open(args.out, "w") as fh:

@@ -13,13 +13,14 @@ math.inf otherwise.
 ``shortest_path_tree`` is the one exact search written in Python, from
 a set of (vertex, offset) sources: ``dijkstra`` reads its distances, the
 emulator's set distances past the float-exact bound read them too, and
-the exact path engine reads its tree.  ``distance_rows`` gives many
-sources' rows at once: while (n-1) * max weight < 2^53 every distance is
-an integer that float64 holds exactly, so one
-``scipy.sparse.csgraph.dijkstra`` call on ``float_matrix`` computes them
-all; past that bound it stacks ``dijkstra`` rows.  ``float_matrix`` is
-g's own adjacency as a symmetric float64 CSR matrix, the one form every
-csgraph search here runs on, with ``directed=True``.  Every graph loaded
+the exact path engine reads its tree there or on a zero weight.
+``distance_rows`` gives many sources' rows at once: while
+(n-1) * max weight < 2^53 every distance is an integer that float64
+holds exactly, so one ``scipy.sparse.csgraph.dijkstra`` call on
+``float_matrix`` computes them all; past that bound it stacks
+``dijkstra`` rows.  ``float_matrix`` is g's own adjacency as a
+symmetric float64 CSR matrix, the one form every csgraph search here
+runs on, with ``directed=True``.  Every graph loaded
 from text with n < 8,193 is inside the bound, because W_MAX is 2^40.
 ``bellman_ford_hops`` is the hop-limited reference the tests check
 searches against.

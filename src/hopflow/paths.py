@@ -12,6 +12,16 @@ last-appearance scan.  Repeating the whole extraction and keeping the
 shortest result turns the per-trial expectation bound into a
 high-probability (1+eps) guarantee; a seedless engine such as `exact`
 gives the same path on every trial, so it runs once.
+
+The `exact` engine makes one ``scipy.sparse.csgraph.dijkstra`` search
+from s when ``float_matrix`` says every distance is exact in float64
+and every weight is positive.  Walking back from t, v's predecessor is
+the neighbour p that minimises (d[p], p) among those with
+d[p] + w(p, v) = d[v]: the edge the heap search ``shortest_path_tree``
+records, since with positive weights it settles vertices in (dist, id)
+order and lowers dist[v] only on a strict improvement.  Past the float
+bound, or with a zero weight (where the heap's pop order is not
+(dist, id)), the engine walks ``shortest_path_tree``'s slots instead.
 """
 
 from __future__ import annotations
@@ -19,9 +29,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .flow import checked_epsilon, min_cost_flow, validate_demand, _apply_incidence
-from .graphs import Graph, checked_int, shortest_path_tree
+from .graphs import Graph, checked_int, float_matrix, shortest_path_tree
 
 _FLOW_TOL = 1e-12
 
@@ -53,12 +64,15 @@ def _flow_values(f):
 def _out_edges(g, f):
     """Positive-outflow edges grouped by tail vertex, in CSR form.
 
-    Returns (bounds, targets, flows, edge weights, inflow): the out-edges
-    of v are positions bounds[v]:bounds[v + 1] of the three lists, in
-    ascending edge order, which fixes the order of the draws in
+    Returns (bounds, targets, flows, edge weights, inflow) as arrays: the
+    out-edges of v are positions bounds[v]:bounds[v + 1] of the middle
+    three, in ascending edge order, which fixes the order of the draws in
     `sample_pointers`.  The inflow per vertex is summed in edge order.
+    Raises ValueError for a flow value that is not finite.
     """
     f = _flow_values(f)
+    if not np.isfinite(f).all():
+        raise ValueError("flow values must be finite")
     fwd = f > _FLOW_TOL
     live = np.flatnonzero(fwd | (f < -_FLOW_TOL))
     src = np.where(fwd, g.eu, g.ev)[live]
@@ -67,17 +81,20 @@ def _out_edges(g, f):
     inflow = np.bincount(dst, weights=amount, minlength=g.n)
     order = np.argsort(src, kind="stable")
     bounds = np.searchsorted(src[order], np.arange(g.n + 1))
-    return (bounds, dst[order].tolist(), amount[order].tolist(),
-            g.ew[live[order]].tolist(), inflow)
+    return bounds, dst[order], amount[order], g.ew[live[order]], inflow
 
 
 def sample_pointers(g, f, t, seed):
     """One out-pointer per vertex other than t, sampled by outflow share.
 
+    The draws are one ``rng.random(k)`` for the k flow-carrying
+    vertices, in vertex order: a vertex with one out-edge takes its only
+    neighbour, one with several the index ``rng.choice(p=...)`` gives for
+    its uniform, so the stream is that of one choice per vertex.
     Vertices untouched by the flow point at their smallest neighbor
     (any deterministic choice works: they contract away harmlessly).
     Raises StuckVertex when positive flow enters a vertex that cannot
-    pass it on.
+    pass it on, and ValueError for a flow value that is not finite.
     """
     bounds, out_nbr, out_flow, _, inflow = _out_edges(g, f)
     idle = bounds[1:] == bounds[:-1]
@@ -91,14 +108,17 @@ def sample_pointers(g, f, t, seed):
                           else f"vertex {v} is isolated")
     ptr = np.full(g.n, -1, dtype=np.int64)
     ptr[idle] = g.adj_v[g.indptr[:-1][idle]]  # adjacency rows are sorted by id
-    # draws in vertex order, one per flow-carrying vertex
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 17]))
-    bounds = bounds.tolist()
-    for v in np.flatnonzero(carries).tolist():
-        lo, hi = bounds[v], bounds[v + 1]
-        flows = out_flow[lo:hi]
-        probs = np.asarray(flows) / float(sum(flows))
-        ptr[v] = out_nbr[lo + int(rng.choice(hi - lo, p=probs))]
+    live = np.flatnonzero(carries)
+    u = rng.random(len(live))
+    pick = bounds[live]
+    deg = bounds[live + 1] - pick
+    for j in np.flatnonzero(deg > 1).tolist():
+        flows = out_flow[pick[j]:pick[j] + deg[j]]
+        cdf = (flows / float(sum(flows.tolist()))).cumsum()
+        cdf /= cdf[-1]
+        pick[j] += int(cdf.searchsorted(u[j], side="right"))
+    ptr[live] = out_nbr[pick]
     return ptr
 
 
@@ -229,21 +249,62 @@ def shortcut_cycles(seq):
 
 
 def _exact_unit_flow(g, s, t, epsilon, seed):
-    """Route one unit along an exact shortest s-t path (reference engine)."""
-    slot = shortest_path_tree(g, [(s, 0)], t)[1]
+    """Route one unit along an exact shortest s-t path (reference engine).
+
+    Inside ``float_matrix``'s bound, with every weight positive, one
+    csgraph search from s gives d, and each vertex v on the walk back
+    from t takes the neighbour p with the least (d[p], p) among those
+    with d[p] + w(p, v) = d[v]: the edge ``shortest_path_tree`` records.
+    Otherwise the walk follows ``shortest_path_tree``'s slots.  Raises
+    ValueError when t is unreachable.
+    """
+    mat = float_matrix(g)
+    edge, tail, head = (_heap_steps(g, s, t) if mat is None or not g.ew.all()
+                        else _tight_steps(g, mat, s, t))
     f = np.zeros(g.m, dtype=np.float64)
+    # each edge carries the unit from tail to head; stored edges run eu < ev
+    f[edge] = np.where(np.asarray(tail) < np.asarray(head), 1.0, -1.0)
+    return f
+
+
+def _tight_steps(g, mat, s, t):
+    """Edges, tails and heads from t back to s, each tail the least
+    (d[p], p) tight neighbour of its head."""
+    d = csgraph.dijkstra(mat, directed=True, indices=s)
+    if d[t] == math.inf:
+        raise ValueError("target unreachable")
+    # slot k of v's row is tight when d[adj_v[k]] + w == d[v]
+    tight = np.flatnonzero(d[g.adj_v] + mat.data == np.repeat(d, np.diff(g.indptr)))
+    bounds = np.searchsorted(tight, g.indptr).tolist()
+    nbr, eid, d = g.adj_v[tight].tolist(), g.adj_e[tight].tolist(), d.tolist()
+    edge, tail, head = [], [], []
+    v = t
+    while v != s:
+        # rows are sorted by neighbour id, so the first least d[p] wins ties
+        j = min(range(bounds[v], bounds[v + 1]), key=lambda j: d[nbr[j]])
+        edge.append(eid[j])
+        tail.append(nbr[j])
+        head.append(v)
+        v = nbr[j]
+    return edge, tail, head
+
+
+def _heap_steps(g, s, t):
+    """Edges, tails and heads from t back to s along
+    ``shortest_path_tree``'s slots."""
+    slot = shortest_path_tree(g, [(s, 0)], t)[1]
+    edge, tail, head = [], [], []
     v = t
     while v != s:
         if slot[v] is None:
             raise ValueError("target unreachable")
         i = int(g.adj_e[slot[v]])
-        if int(g.ev[i]) == v:
-            f[i] += 1.0
-            v = int(g.eu[i])
-        else:
-            f[i] -= 1.0
-            v = int(g.ev[i])
-    return f
+        p = int(g.eu[i]) + int(g.ev[i]) - v
+        edge.append(i)
+        tail.append(p)
+        head.append(v)
+        v = p
+    return edge, tail, head
 
 
 def _mwu_unit_flow(g, s, t, epsilon, seed):
@@ -314,10 +375,9 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
         raise WalkBudgetExceeded("flow solver kept returning infeasible flows")
 
     ptr = sample_pointers(g, f, t, seed)
-    wmap = _edge_weight_map(g)
     seq = _chain_to_target(ptr.tolist(), s, t)
     if seq is None:
-        level = contract(g, ptr, t, wmap)
+        level = contract(g, ptr, t)
         sub_seed = np.random.SeedSequence(entropy=[seed, 29]).generate_state(1)[0]
         sub = find_path(level.graph, level.local_root(s), level.local_root(t),
                         epsilon, int(sub_seed), flow_engine)
@@ -331,14 +391,14 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
             seq += _pointer_path(level, y)            # y ... root_b
         seq = shortcut_cycles(seq)
 
-    length = 0
-    for i in range(len(seq) - 1):
-        u, v = seq[i], seq[i + 1]
-        key = (u, v) if u < v else (v, u)
-        if key not in wmap:
-            raise AssertionError("expanded walk used a non-edge")
-        length += wmap[key]
-    return Path(seq, length)
+    # g's edges are sorted by (eu, ev), so their keys eu * n + ev are too
+    a, b = np.asarray(seq[:-1]), np.asarray(seq[1:])
+    want = np.minimum(a, b) * g.n + np.maximum(a, b)
+    keys = g.eu * g.n + g.ev
+    pos = np.searchsorted(keys, want)
+    if (pos >= g.m).any() or (keys[pos] != want).any():
+        raise AssertionError("expanded walk used a non-edge")
+    return Path(seq, sum(g.ew[pos].tolist()))
 
 
 def approx_shortest_path(g, s, t, epsilon, seed=0, trials=None, flow_engine="exact"):
@@ -378,8 +438,8 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
     Walks start at a source drawn by supply, step proportionally to
     positive outflow, and stop at the unique sink.  Returns summary
     statistics including the exact target value.  Raises ValueError
-    unless trials is an integer of at least 1 and the demand one that
-    `flow.validate_demand` accepts.
+    unless trials is an integer of at least 1, the demand one that
+    `flow.validate_demand` accepts and every flow value finite.
     """
     trials = checked_int(trials, "trials", 1)
     f = _flow_values(f)
@@ -391,7 +451,7 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
     supply = np.clip(b, 0.0, None)
     supply = supply / supply.sum()
     bounds, out_nbr, out_flow, out_w, _ = _out_edges(g, f)
-    bounds = bounds.tolist()
+    bounds, out_nbr, out_w = bounds.tolist(), out_nbr.tolist(), out_w.tolist()
     cum = [None] * g.n
     for v in range(g.n):
         lo, hi = bounds[v], bounds[v + 1]

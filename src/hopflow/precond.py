@@ -135,7 +135,7 @@ def _level_runs(emb):
     order.  Raises ValueError for a coordinate at or above 2^60 or below
     1, or a Delta that is not a power of two."""
     pts = emb.points
-    if max((int(x) for x in pts.flat), default=0) >= (1 << 60):
+    if int(pts.max()) >= (1 << 60):
         raise ValueError("coordinates too large for flow preconditioning")
     pts = pts.astype(np.int64)
     if int(pts.min()) < 1:
@@ -150,10 +150,17 @@ def _level_runs(emb):
         starts[:, 1:] = ends[:, :-1] + 1
         keep = starts <= ends  # a repeated end starts past itself
         v, t1 = np.nonzero(keep)[0], starts[keep]
-        corners, cell = np.unique((pts[v] + (t1 - 1)[:, None]) // side, axis=0,
-                                  return_inverse=True)
-        runs.append((np.full(len(v), l), v, cell.reshape(-1) + cells, t1, ends[keep]))
-        cells += len(corners)
+        corners = (pts[v] + (t1 - 1)[:, None]) // side
+        # number the distinct corners in sorted row order: lexsort's last
+        # key is the primary one, so the columns go in reversed
+        order = np.lexsort(corners.T[::-1])
+        ranked = corners[order]
+        new = np.ones(len(order), dtype=np.int64)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        cell = np.empty_like(new)
+        cell[order] = np.cumsum(new) - 1
+        runs.append((np.full(len(v), l), v, cell + cells, t1, ends[keep]))
+        cells += int(new.sum())
     return [np.concatenate(a) for a in zip(*runs)]
 
 

@@ -185,7 +185,7 @@ def test_bench_csv(graph_file, capsys, monkeypatch):
     assert stages.index("emulator_build") == stages.index("preprocess") + 1
     assert float(dict(ln.split(",") for ln in lines[1:])["emulator_build"]) >= 0.05
     assert stages.index("embed") == stages.index("approx_sssp") + 1
-    assert stages[-1] == "min_cost_flow"
+    assert stages[-2:] == ["min_cost_flow", "stpath"]
     for ln in lines[1:]:
         float(ln.split(",")[1])  # parsable timings
 
@@ -196,7 +196,8 @@ def test_bench_skips_flow_on_one_vertex(tmp_path, capsys):
     code = main(["bench", "--graph", str(one), "--seed", "1"])
     assert code == 0
     stages = [ln.split(",")[0] for ln in capsys.readouterr().out.strip().splitlines()]
-    assert "oracle_query" in stages and "min_cost_flow" not in stages
+    assert "oracle_query" in stages
+    assert "min_cost_flow" not in stages and "stpath" not in stages
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(graph_file, tmp_path, capsys):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopflow import paths
+from hopflow import graphs, paths
 from hopflow.emulator import build_emulator, preprocess
 from hopflow.flow import _apply_incidence, min_cost_flow
 from hopflow.metric import bourgain_embed, low_diameter_decomposition
-from hopflow.graphs import Graph, dijkstra
+from hopflow.graphs import Graph, dijkstra, float_matrix, shortest_path_tree
 from hopflow.paths import (
     Path,
     StuckVertex,
@@ -83,6 +83,18 @@ def test_sample_pointers_stuck_vertex(split_flow):
     # one unit enters vertex 1 and vanishes there
     with pytest.raises(StuckVertex):
         sample_pointers(g, np.array([1.0, 0.0, 0.0]), 2, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_flows_are_rejected(bad):
+    # a NaN flow used to read as no flow, an infinite one as NaN shares
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 2, 1)])
+    f = np.array([1.0, 1.0, 1.0, 1.0])
+    f[1] = bad
+    with pytest.raises(ValueError, match="flow values must be finite"):
+        sample_pointers(g, f, 3, 0)
+    with pytest.raises(ValueError, match="flow values must be finite"):
+        random_walk_length_check(g, f, [1.0, 0.0, 0.0, -1.0], trials=2)
 
 
 def test_sample_pointers_untouched_vertex_gets_smallest_neighbor(split_flow):
@@ -430,9 +442,8 @@ def _reference_find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
 
 
 @st.composite
-def _small_graph(draw, lo=2, hi=12):
+def _small_graph(draw, lo=2, hi=12, weight=st.integers(0, 9)):
     n = draw(st.integers(lo, hi))
-    weight = st.integers(0, 9)
     edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
     chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
                            max_size=2 * n))
@@ -544,3 +555,120 @@ def test_approx_shortest_path_engine_calls(monkeypatch):
     assert calls["exact"] == 2
     approx_shortest_path(g, 0, t, 0.2, seed=4, trials=7, flow_engine="mwu")
     assert calls["mwu"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the exact engine's compiled search against the heap search's walk
+
+
+def _reference_exact_flow(g, s, t):
+    """One unit walked back from t along shortest_path_tree's slots."""
+    slot = shortest_path_tree(g, [(s, 0)], t)[1]
+    f = np.zeros(g.m)
+    v = t
+    while v != s:
+        i = int(g.adj_e[slot[v]])
+        if int(g.ev[i]) == v:
+            f[i] += 1.0
+            v = int(g.eu[i])
+        else:
+            f[i] -= 1.0
+            v = int(g.ev[i])
+    return f
+
+
+def _heap_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return shortest_path_tree(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "shortest_path_tree", counted)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 9]).flatmap(lambda w: _small_graph(weight=st.integers(1, w))),
+       st.data())
+def test_compiled_engine_matches_the_heap_walk(g, data):
+    # weights 1..2 leave many tied shortest paths: the tie rule must pick
+    # the edge the heap search records
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 1))
+    want = _reference_exact_flow(g, s, t)
+    assert paths._exact_unit_flow(g, s, t, 0.1, 0).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("wmax", [3, 10])
+def test_compiled_engine_runs_no_heap_search_on_a_grid(monkeypatch, wmax):
+    g = grid_graph(32, 5, wmax)
+    rows = (0, 7, 31)
+    want = [approx_shortest_path(g, 32 * r, 32 * r + 31, 0.2, seed=r) for r in rows]
+    dist = [int(dijkstra(g, 32 * r)[32 * r + 31]) for r in rows]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("heap search called")
+
+    monkeypatch.setattr(graphs, "shortest_path_tree", refuse)
+    monkeypatch.setattr(paths, "shortest_path_tree", refuse)
+    for r, p, d in zip(rows, want, dist):
+        got = approx_shortest_path(g, 32 * r, 32 * r + 31, 0.2, seed=r)
+        assert (got.vertices, got.length) == (p.vertices, p.length)
+        assert got.length == d
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_small_graph(weight=st.integers(0, 3)),
+                 st.integers(50, 55).flatmap(
+                     lambda k: _small_graph(weight=st.integers(1, 9).map(lambda w: w << k)))),
+       st.data())
+def test_heap_engine_on_zero_weights_and_past_the_float_bound(g, data):
+    # a zero weight breaks the heap's (dist, id) pop order, and past 2^53
+    # float64 rounds distances: both take the heap search's walk
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 1))
+    want = _reference_exact_flow(g, s, t)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _heap_calls(mp)
+        got = paths._exact_unit_flow(g, s, t, 0.1, 0)
+    assert got.tolist() == want.tolist()
+    heap = float_matrix(g) is None or not (g.ew > 0).all()
+    assert calls == ([g.n] if heap else [])
+
+
+def test_heap_engine_where_no_distance_rule_holds(monkeypatch):
+    # s-x weight 1, x-u and u-p weight 0, ids u < p < x: the heap settles
+    # u before p, though (d, id) orders p before x as u's predecessor
+    s, u, p, x = 0, 1, 2, 3
+    g = Graph(4, [(s, x, 1), (u, x, 0), (u, p, 0)])
+    calls = _heap_calls(monkeypatch)
+    f = paths._exact_unit_flow(g, s, p, 0.1, 0)
+    assert calls == [4]
+    assert f.tolist() == _reference_exact_flow(g, s, p).tolist()
+    assert find_path(g, s, p, 0.1).vertices == [s, x, u, p]
+
+
+@pytest.mark.parametrize("w", [1, 0, 1 << 60])
+def test_exact_engine_rejects_an_unreachable_target(w):
+    g = Graph(4, [(0, 1, w), (2, 3, 1)], check_connected=False)
+    with pytest.raises(ValueError, match="target unreachable"):
+        paths._exact_unit_flow(g, 0, 3, 0.1, 0)
+
+
+@pytest.mark.parametrize("walk", [[0, 2, 1, 0, 3], [0, 1, 2, 3]])
+def test_find_path_rejects_a_walk_over_a_non_edge(monkeypatch, walk):
+    # (0, 2) falls between two edge keys, (2, 3) past the last one
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1)])
+    monkeypatch.setattr(paths, "_chain_to_target", lambda ptr, s, t: walk)
+    with pytest.raises(AssertionError, match="expanded walk used a non-edge"):
+        find_path(g, 0, 3, 0.1)
+
+
+@pytest.mark.parametrize("w", [1 << 62, 1 << 63])
+def test_find_path_length_is_an_exact_int(w):
+    # uint64 weights, then Python-int weights: the sum passes 2^64
+    g = Graph(6, [(i, i + 1, w + i) for i in range(5)])
+    p = find_path(g, 0, 5, 0.1)
+    assert p.vertices == [0, 1, 2, 3, 4, 5]
+    assert type(p.length) is int and p.length == 5 * w + 10

@@ -3,8 +3,12 @@
 The tower repeatedly compresses the graph: level i holds graph H_i, a
 ball size b_i, and for every vertex its stored ball (open ball plus
 leader, with exact H_i distances) and its leader in the next level.
-Ball sizes grow as b^(5/4), so the tower has O(log k) levels; the final
-level keeps only the pairwise distances of what is left, as one matrix.
+Both directions of a membership hold the same exact distance, so a
+level keeps its balls as one symmetric pair map: a sorted key
+min(u, v) * n + max(u, v) per unordered pair, with its distance, and
+the same map as a dict.  Ball sizes grow as b^(5/4), so the tower has
+O(log k) levels; the final level keeps only the pairwise distances of
+what is left, as one matrix.
 While (n-1) * max weight < 2^53, where float64 sums are exact, it is
 built from ``scipy.sparse.csgraph.dijkstra`` calls on blocks of
 ``_TOP_BLOCK`` source rows and stored in the narrowest unsigned dtype
@@ -17,7 +21,8 @@ Two consumers sit on top:
 
 * ``oracle_query`` walks a pair of vertices up the tower, charging both
   leader hops, and stops at the first level where one endpoint lies in
-  the other's stored ball; at the top every pair is one matrix read.
+  the other's stored ball: one dict read per level and list reads for
+  the hops; at the top every pair is one matrix read.
 * ``build_emulator`` returns the emulator: a single graph on the
   original vertices, flattened from the whole tower, whose
   16*ceil(log2(k)+1)-hop distances already equal its true distances,
@@ -35,9 +40,10 @@ n(n-1)/2 edges are never built on that path.  Every other emulator
 searches its graph: a deeper tower's, one read back by
 ``load_emulator``, and a graph passed as its own exact emulator, as the
 flow passes its input.  The search is one
-``scipy.sparse.csgraph.dijkstra`` call on ``float_matrix`` while max
-offset + (n-1) * max weight < 2^53 keeps every distance exact in
-float64, and ``shortest_path_tree`` on Python ints past that bound.
+``scipy.sparse.csgraph.dijkstra`` call on the graph's cached
+``float_matrix`` while max offset + (n-1) * max weight < 2^53 keeps
+every distance exact in float64, and ``shortest_path_tree`` on Python
+ints past that bound.
 """
 
 from __future__ import annotations
@@ -55,34 +61,28 @@ from .subemulator import build_subemulator
 
 
 class Level:
-    __slots__ = ("graph", "vertices", "b", "ball_ids", "ball_dist",
+    __slots__ = ("graph", "vertices", "b", "pair_key", "pair_dist", "pairs",
                  "leader_dist", "leader_next", "dist")
 
-    def __init__(self, graph, vertices, b, ball_ids=None, ball_dist=None, leader_dist=None,
+    def __init__(self, graph, vertices, b, pair_key=None, pair_dist=None, leader_dist=None,
                  leader_next=None, dist=None):
         self.graph = graph          # H_i on local ids
         self.vertices = vertices    # original id of each local vertex
         self.b = b
-        # below the top, per local v: views of its stored ball (local ids
-        # sorted, exact H_i distances), its leader's distance and local id
-        # in level i+1; the top holds only dist, H_t's all-pairs matrix
-        # (the narrowest unsigned dtype that holds it, or Python ints
-        # past uint64)
-        self.ball_ids = ball_ids
-        self.ball_dist = ball_dist
+        # below the top: every stored membership (u in v's open ball plus
+        # leader) as one sorted key min(u, v) * n + max(u, v) per unordered
+        # pair, its exact H_i distance alongside, and the same map as a
+        # dict for the oracle walk; per local vertex, lists of its leader's
+        # distance and local id in level i+1.  The top holds only dist,
+        # H_t's all-pairs matrix (the narrowest unsigned dtype that holds
+        # it, or Python ints past uint64)
+        self.pair_key = pair_key
+        self.pair_dist = pair_dist
+        self.pairs = (None if pair_key is None else
+                      dict(zip(pair_key.tolist(), pair_dist.tolist())))
         self.leader_dist = leader_dist
         self.leader_next = leader_next
         self.dist = dist
-
-    def ball_lookup(self, v, u):
-        """Stored distance d_{H_i}(v, u) if u is in the ball of v, else None."""
-        if self.dist is not None:
-            return int(self.dist[v, u])
-        ids = self.ball_ids[v]
-        pos = ids.searchsorted(u)  # the method skips numpy's dispatch wrapper
-        if pos < len(ids) and ids[pos] == u:
-            return int(self.ball_dist[v][pos])
-        return None
 
 
 class LevelStack:
@@ -117,19 +117,18 @@ def level_bound(k):
     return 4 * max(0, math.ceil(math.log2(k) + 1))
 
 
-def _stored_balls(sub):
-    """Every vertex's open ball plus its leader, sorted by id, as
-    per-vertex views (ids, dists) of two flat arrays."""
+def _stored_pairs(sub):
+    """Every vertex's open ball plus its leader as sorted unordered pair
+    keys min(v, u) * n + max(v, u) and their exact H_i distances."""
     n = len(sub.leader)
     owner, ids, ds = sub.balls.open_members()
-    # one (owner, id) key per membership; a leader inside the open ball
-    # appears twice, at the same distance, and unique keeps one of them
-    key, first = np.unique(np.concatenate([owner, np.arange(n)]) * n
-                           + np.concatenate([ids, sub.leader]), return_index=True)
-    ds = np.concatenate([ds, sub.leader_dist])[first]
-    # every vertex holds at least its leader, so no view is empty
-    cuts = np.searchsorted(key, np.arange(1, n) * n)
-    return np.split(key % n, cuts), np.split(ds, cuts)
+    v = np.concatenate([owner, np.arange(n)])
+    u = np.concatenate([ids, sub.leader])
+    # u in B(v) and v in B(u) share a key, and a leader inside the open
+    # ball appears twice; every copy holds the exact H_i distance, so
+    # unique may keep any one of them
+    key, first = np.unique(np.minimum(v, u) * n + np.maximum(v, u), return_index=True)
+    return key, np.concatenate([ds, sub.leader_dist])[first]
 
 
 def preprocess(g, k=None, seed=0, b0=None):
@@ -165,11 +164,11 @@ def preprocess(g, k=None, seed=0, b0=None):
             break
         level_seed = np.random.SeedSequence(entropy=[seed, len(levels)])
         sub = build_subemulator(h, b, level_seed)
-        ball_ids, ball_dist = _stored_balls(sub)
+        pair_key, pair_dist = _stored_pairs(sub)
         # leaders are kept vertices, so each one's local id is its rank
         leader_next = np.searchsorted(sub.vertices, sub.leader)
-        levels.append(Level(h, vertices, b, ball_ids, ball_dist, sub.leader_dist,
-                            leader_next))
+        levels.append(Level(h, vertices, b, pair_key, pair_dist, sub.leader_dist.tolist(),
+                            leader_next.tolist()))
         h = sub.graph
         vertices = vertices[sub.vertices]
         b = min(math.ceil(b ** 1.25), max(n, 2))
@@ -232,14 +231,16 @@ def oracle_query(stack, u, v):
         raise ValueError(f"query vertices {u!r}, {v!r} are not both integers")
     total = 0
     for visits, lvl in enumerate(stack.levels, start=1):
-        d = lvl.ball_lookup(uu, vv)
-        if d is None:
-            d = lvl.ball_lookup(vv, uu)
+        pairs = lvl.pairs
+        if pairs is None:
+            return total + int(lvl.dist[uu, vv]), visits
+        n = lvl.graph.n
+        d = pairs.get(uu * n + vv if uu < vv else vv * n + uu)
         if d is not None:
             return total + d, visits
-        total += int(lvl.leader_dist[uu]) + int(lvl.leader_dist[vv])
-        uu = int(lvl.leader_next[uu])
-        vv = int(lvl.leader_next[vv])
+        ld, nxt = lvl.leader_dist, lvl.leader_next
+        total += ld[uu] + ld[vv]
+        uu, vv = nxt[uu], nxt[vv]
     raise AssertionError("query fell off the level stack")
 
 
@@ -258,7 +259,7 @@ class Emulator:
     """
 
     __slots__ = ("n", "k", "t", "hop_bound", "stretch_bound", "seed", "dist",
-                 "_graph", "_stack", "_search")
+                 "_graph", "_stack")
 
     def __init__(self, n, k, t, hop_bound, stretch_bound, seed, dist=None,
                  graph=None, stack=None):
@@ -275,8 +276,6 @@ class Emulator:
         # a built graph, or the tower it is built from on first read
         self._graph = graph
         self._stack = stack
-        # _search_matrix's (span, matrix), built on the first search
-        self._search = None
 
     @property
     def graph(self):
@@ -284,15 +283,6 @@ class Emulator:
             self._graph = Graph(self.n, _emulator_edges(self._stack), check_connected=False)
             self._stack = None
         return self._graph
-
-    def _search_matrix(self):
-        """(span, float_matrix(graph)): span = (n-1) * max weight, which
-        bounds every distance from one vertex.  Built on the first call
-        and cached."""
-        if self._search is None:
-            g = self.graph
-            self._search = ((g.n - 1) * (int(g.ew.max()) if g.m else 0), float_matrix(g))
-        return self._search
 
     def edge_count(self):
         """The graph's edge count m.  On a one-level tower it is n(n-1)/2
@@ -313,18 +303,22 @@ def stretch_bound_for(k):
 def _edge_families(stack):
     """Each leader map and ball table as (a, b, level distance, scale).
 
-    Endpoints are original ids; pairs with a == b are dropped.  The top
-    level's matrix is symmetric, so each pair is read once, a < b.
+    Endpoints are original ids; pairs with a == b are dropped.  The ball
+    table and the top level's matrix are symmetric, so each pair is read
+    once: a stored membership in either direction is one pair, at the
+    one distance both directions hold, and the matrix is read at a < b.
     """
     t = stack.t
     for i, lvl in enumerate(stack.levels[:-1]):
         orig = lvl.vertices
         nxt = stack.levels[i + 1].vertices
-        sizes = [len(ids) for ids in lvl.ball_ids]
+        n = lvl.graph.n
+        # ball distances, a leader's included, are below the uint64 INF
         for (a, b, d, scale) in (
-                (orig, nxt[lvl.leader_next], lvl.leader_dist, 27 ** (t - i - 1)),
-                (np.repeat(orig, sizes), orig[np.concatenate(lvl.ball_ids)],
-                 np.concatenate(lvl.ball_dist), 27 ** (t - i))):
+                (orig, nxt[np.asarray(lvl.leader_next)],
+                 np.asarray(lvl.leader_dist, dtype=np.uint64), 27 ** (t - i - 1)),
+                (orig[lvl.pair_key // n], orig[lvl.pair_key % n], lvl.pair_dist,
+                 27 ** (t - i))):
             keep = a != b
             yield a[keep], b[keep], d[keep], scale
     top = stack.levels[-1]
@@ -411,10 +405,13 @@ def _set_distance(em, vs, offsets=None):
             return np.minimum.reduce(rows, axis=0)
         return distance_array((rows.astype(object) + offsets.astype(object)[:, None])
                               .min(axis=0))
-    span, mat = em._search_matrix()
-    if (0 if offsets is None else int(offsets.max())) + span >= 1 << 53:
+    g = em.graph
+    mat = float_matrix(g)
+    # (n-1) * max weight bounds every distance from one source
+    if mat is None or (offsets is not None and int(offsets.max())
+                       + (g.n - 1) * (int(g.ew.max()) if g.m else 0) >= 1 << 53):
         offs = [0] * len(vs) if offsets is None else offsets.tolist()
-        return tree_distances(em.graph, zip(vs.tolist(), offs))
+        return tree_distances(g, zip(vs.tolist(), offs))
     if offsets is None:
         return uint64_distances(csgraph.dijkstra(mat, directed=True, indices=vs, min_only=True))
     # vertex n is the root; csgraph reads every stored entry as an edge, so

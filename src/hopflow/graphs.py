@@ -20,8 +20,9 @@ holds exactly, so one ``scipy.sparse.csgraph.dijkstra`` call on
 ``float_matrix`` computes them all; past that bound it stacks
 ``dijkstra`` rows.  ``float_matrix`` is g's own adjacency as a
 symmetric float64 CSR matrix, the one form every csgraph search here
-runs on, with ``directed=True``.  Every graph loaded
-from text with n < 8,193 is inside the bound, because W_MAX is 2^40.
+runs on, with ``directed=True``; it is built once per graph and cached.
+Every graph loaded from text with n < 8,193 is inside the bound,
+because W_MAX is 2^40.
 ``bellman_ford_hops`` is the hop-limited reference the tests check
 searches against.
 """
@@ -76,13 +77,16 @@ class Graph:
         a given weight reaches 2^63, and then exact Python ints.
     """
 
-    __slots__ = ("n", "m", "eu", "ev", "ew", "indptr", "adj_v", "adj_w", "adj_e")
+    __slots__ = ("n", "m", "eu", "ev", "ew", "indptr", "adj_v", "adj_w", "adj_e", "_float")
 
     def __init__(self, n, edges, check_connected=True):
         self.n = checked_int(n, "vertex count", 1, GraphError)
         self.eu, self.ev, self.ew = _merged_edges(self.n, edges)
         self.m = len(self.eu)
         self._build_csr()
+        # float_matrix's result, built on its first call: False until
+        # then, since None means past the float-exact bound
+        self._float = False
         if check_connected and not self.is_connected():
             raise NotConnected("graph is not connected")
 
@@ -346,12 +350,15 @@ def float_matrix(g):
     sum is >= 2^53 and never wins.  The matrix is g's adjacency (indptr,
     adj_v, adj_w), so it holds each edge in both directions, for searches
     with ``directed=True``; explicit zero weights stay stored entries,
-    which csgraph reads as edges.
+    which csgraph reads as edges.  A graph is static, so the result is
+    built on the first call and cached on g; callers must not modify it.
     """
-    max_w = int(g.ew.max()) if g.m else 0
-    if (g.n - 1) * max_w >= 1 << 53:
-        return None
-    return csr_matrix((g.adj_w.astype(np.float64), g.adj_v, g.indptr), shape=(g.n, g.n))
+    if g._float is False:
+        max_w = int(g.ew.max()) if g.m else 0
+        g._float = (None if (g.n - 1) * max_w >= 1 << 53 else
+                    csr_matrix((g.adj_w.astype(np.float64), g.adj_v, g.indptr),
+                               shape=(g.n, g.n)))
+    return g._float
 
 
 def distance_rows(g, sources=None):

@@ -255,12 +255,21 @@ def test_stored_balls_match_per_vertex_reference(case, seed):
         return  # a ball distance past uint64, which compute_balls refuses
     for i, lvl in enumerate(stack.levels[:-1]):
         sub = build_subemulator(lvl.graph, lvl.b, np.random.SeedSequence(entropy=[seed, i]))
-        assert len(lvl.ball_ids) == len(lvl.ball_dist) == lvl.graph.n
-        for v in range(lvl.graph.n):
+        n = lvl.graph.n
+        # the union of every vertex's stored ball, as unordered pairs; each
+        # membership reads its own distance from the one symmetric map
+        union = set()
+        for v in range(n):
             ids, ds = _reference_stored_ball(sub, v)
-            assert (lvl.ball_ids[v].dtype, lvl.ball_dist[v].dtype) == (ids.dtype, ds.dtype)
-            assert lvl.ball_ids[v].tolist() == ids.tolist()
-            assert lvl.ball_dist[v].tolist() == ds.tolist()
+            for u, d in zip(ids.tolist(), ds.tolist()):
+                key = min(u, v) * n + max(u, v)
+                union.add(key)
+                assert lvl.pairs[key] == d
+        assert lvl.pair_key.tolist() == sorted(union)
+        assert lvl.pair_dist.dtype == np.uint64
+        assert lvl.pairs == dict(zip(lvl.pair_key.tolist(), lvl.pair_dist.tolist()))
+        assert lvl.leader_dist == sub.leader_dist.tolist()
+        assert lvl.leader_next == np.searchsorted(sub.vertices, sub.leader).tolist()
     # the top level is one matrix of exact distances: the narrowest
     # unsigned dtype inside the float-exact bound, uint64 past it, and
     # object past uint64
@@ -272,9 +281,53 @@ def test_stored_balls_match_per_vertex_reference(case, seed):
     assert top.dist.dtype == (object if wide else np.uint64 if not exact
                               else np.min_scalar_type(max(int(r.max()) for r in rows)))
     assert top.dist.tolist() == [[int(d) for d in r] for r in rows]
-    assert top.ball_ids is None and top.leader_dist is None
+    assert top.pairs is None and top.pair_key is None and top.leader_dist is None
     em = build_emulator(stack)
     assert (em.dist is not None) == (stack.t == 0)
+
+
+def _reference_tower(stack, seed):
+    """Per level below the top: each vertex's sorted stored ball, in its
+    owner's direction only, and the subemulator's leader arrays; then the
+    top level's Dijkstra rows."""
+    levels = []
+    for i, lvl in enumerate(stack.levels[:-1]):
+        sub = build_subemulator(lvl.graph, lvl.b, np.random.SeedSequence(entropy=[seed, i]))
+        balls = [_reference_stored_ball(sub, v) for v in range(lvl.graph.n)]
+        levels.append((balls, sub.leader_dist, np.searchsorted(sub.vertices, sub.leader)))
+    top = stack.levels[-1].graph
+    return levels, [dijkstra(top, v) for v in range(top.n)]
+
+
+def _reference_oracle(ref, u, v):
+    """The oracle walk on per-vertex sorted balls: v in B(u), then u in
+    B(v), then both leader hops as int() reads of numpy arrays."""
+    levels, top_rows = ref
+    total = 0
+    for visits, (balls, leader_dist, leader_next) in enumerate(levels, start=1):
+        for a, b in ((u, v), (v, u)):
+            ids, ds = balls[a]
+            pos = int(np.searchsorted(ids, b))
+            if pos < len(ids) and ids[pos] == b:
+                return total + int(ds[pos]), visits
+        total += int(leader_dist[u]) + int(leader_dist[v])
+        u, v = int(leader_next[u]), int(leader_next[v])
+    return total + int(top_rows[u][v]), len(levels) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deep_tower_case(), st.integers(0, 1000))
+@example((_wide_graph(rand_connected_graph(40, 40, seed=4), 1 << 62), 4), 0)
+def test_oracle_walk_matches_per_vertex_reference(case, seed):
+    g, b0 = case
+    try:
+        stack = preprocess(g, seed=seed, b0=b0)
+    except GraphError:
+        return  # a ball distance past uint64, which compute_balls refuses
+    ref = _reference_tower(stack, seed)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert oracle_query(stack, u, v) == _reference_oracle(ref, u, v)
 
 
 def test_wide_deep_tower_keeps_an_object_top_matrix():

@@ -33,9 +33,10 @@ from hopflow.graphs import (
     WeightTooLarge,
     W_MAX,
     bellman_ford_hops,
+    float_matrix,
 )
 
-from conftest import rand_connected_graph, sssp_oracle
+from conftest import grid_graph, rand_connected_graph, sssp_oracle
 
 
 def test_parse_basic():
@@ -306,6 +307,26 @@ def test_distance_rows_unreachable_is_inf():
     assert distance_rows(g, []).shape == (0, 6)
     with pytest.raises(GraphError):
         distance_rows(g, [0, 6])
+
+
+def test_float_matrix_is_built_once_per_graph(monkeypatch):
+    g = rand_connected_graph(30, 30, seed=4)
+    assert float_matrix(g) is float_matrix(g)
+    # (n - 1) * max weight = 2^53: past the bound, cached as None
+    wide = Graph(3, [(0, 1, 1 << 52), (1, 2, 1 << 52)])
+    assert float_matrix(wide) is None and float_matrix(wide) is None
+    grid = grid_graph(32, 7, 10)
+    built = []
+    real = hopflow.graphs.csr_matrix
+
+    def counted(arg, *args, **kwargs):
+        built.append(arg)
+        return real(arg, *args, **kwargs)
+
+    monkeypatch.setattr(hopflow.graphs, "csr_matrix", counted)
+    paths = [approx_shortest_path(grid, s, 1023 - s, 0.2).vertices for s in range(10)]
+    assert len(built) == 1 and built[0][2] is grid.indptr
+    assert all(p[0] == s and p[-1] == 1023 - s for s, p in enumerate(paths))
 
 
 def test_distance_rows_exact_past_float64(monkeypatch):

@@ -70,8 +70,7 @@ _T_CAP = 12000
 # Composition stops before a round r >= 1 once the MST repair of the
 # residual costs at most _STOP_FRAC * eps times the rounds' flow; that
 # repair then ends the flow, so the returned cost is at most
-# (1 + _STOP_FRAC * eps) times the rounds' cost (cycle cancellation only
-# lowers it).
+# (1 + _STOP_FRAC * eps) times the rounds' cost.
 _STOP_FRAC = 0.02
 
 
@@ -483,60 +482,6 @@ def mwu_feasibility(rt, g, b, s, eps, t_cap, wts=None):
     return MwuOutcome("cap", None, t_cap, zsum)
 
 
-def _cancel_cycles(g, f, tol=1e-12):
-    """Strip circulations from a feasible flow; cost never increases.
-
-    Uncapacitated optimal flows are forest-supported, so any directed
-    cycle in the positive-flow digraph is pure waste (all weights here
-    are positive).  One depth-first pass cancels the bottleneck of each
-    cycle as it closes, so Af is unchanged.  A cancellation only drops
-    edges (|f| falls to <= tol; the scan skips them), so finished
-    vertices stay finished and the pass resumes below the lowest tree
-    edge it saturated: it cancels the cycles, in order, that a search
-    restarted after each cancellation would.
-    """
-    f = f.copy()
-    adj = [[] for _ in range(g.n)]
-    for i in np.flatnonzero(np.abs(f) > tol).tolist():
-        u, v, sgn = (g.eu[i], g.ev[i], 1.0) if f[i] > 0 else (g.ev[i], g.eu[i], -1.0)
-        adj[int(u)].append((int(v), i, sgn))
-    WHITE, DONE = -1, -2
-    depth = [WHITE] * g.n  # else the vertex's position on the stack
-    for start in range(g.n):
-        if depth[start] != WHITE:
-            continue
-        # frame: [vertex, next adjacency slot, entering edge, entering sign]
-        stack = [[start, 0, -1, 0.0]]
-        depth[start] = 0
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            if frame[1] == len(adj[v]):
-                depth[v] = DONE
-                stack.pop()
-                continue
-            u, ei, sgn = adj[v][frame[1]]
-            frame[1] += 1
-            if depth[u] == DONE or abs(f[ei]) <= tol:
-                continue
-            if depth[u] == WHITE:
-                depth[u] = len(stack)
-                stack.append([u, 0, ei, sgn])
-                continue
-            # v -> u closes a cycle through the stack
-            cycle = [(ei, sgn)] + [(fr[2], fr[3]) for fr in stack[depth[u] + 1:]]
-            delta = min(abs(float(f[e])) for (e, _) in cycle)
-            for (e, sg) in cycle:
-                f[e] -= sg * delta
-            for j in range(depth[u] + 1, len(stack)):
-                if abs(f[stack[j][2]]) <= tol:
-                    for fr in stack[j:]:
-                        depth[fr[0]] = WHITE
-                    del stack[j:]
-                    break
-    return f
-
-
 def grid_top(rt, eps):
     """The top j of the scale grid s = (1+eps)^j, j = 0 .. top.
 
@@ -701,9 +646,6 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
         if repair is None:
             repair = mst_routing(gq, b_res, norm=b_norm)
         fq += repair.f
-        # the skip threshold scales with the flow's value ||b||_1 / 2, so
-        # a demand scaled by c cancels as the unit one does
-        fq = _cancel_cycles(gq, fq, 0.5e-12 * b_norm)
 
     # expand back through the zero-edge contraction
     f = np.zeros(g.m, dtype=np.float64)

@@ -3,15 +3,16 @@
 A unit of flow is traced by sampling one out-pointer per vertex
 (proportional to positive outflow).  When s's pointer chain reaches t,
 which it always does for an acyclic flow, that chain is the path: it
-cannot repeat a vertex, so it is already simple.  Only when the chain
-closes a cycle is the pointer forest contracted and the extraction
-recursed on the contracted graph: each level at least halves the vertex
-count, contracted edge weights already account for the climb to the
-component roots, and the lifted walk is finally de-cycled by a
-last-appearance scan.  Repeating the whole extraction and keeping the
-shortest result turns the per-trial expectation bound into a
-high-probability (1+eps) guarantee; a seedless engine such as `exact`
-gives the same path on every trial, so it runs once.
+cannot repeat a vertex, so it is already simple.  A flow may carry a
+circulation (the composed `mwu` flow can keep a small one), and only
+when the chain closes such a cycle is the pointer forest contracted and
+the extraction recursed on the contracted graph: each level at least
+halves the vertex count, contracted edge weights already account for
+the climb to the component roots, and the lifted walk is finally
+de-cycled by a last-appearance scan.  Repeating the whole extraction
+and keeping the shortest result turns the per-trial expectation bound
+into a high-probability (1+eps) guarantee; a seedless engine such as
+`exact` gives the same path on every trial, so it runs once.
 
 The `exact` engine makes one ``scipy.sparse.csgraph.dijkstra`` search
 from s when ``float_matrix`` says every distance is exact in float64
@@ -84,6 +85,15 @@ def _out_edges(g, f):
     return bounds, dst[order], amount[order], g.ew[live[order]], inflow
 
 
+def _checked_vertex(v, n, name):
+    """v as a Python int in [0, n).  Raises ValueError naming ``name``
+    otherwise."""
+    v = checked_int(v, name)
+    if not 0 <= v < n:
+        raise ValueError(f"{name} out of range")
+    return v
+
+
 def sample_pointers(g, f, t, seed):
     """One out-pointer per vertex other than t, sampled by outflow share.
 
@@ -94,8 +104,11 @@ def sample_pointers(g, f, t, seed):
     Vertices untouched by the flow point at their smallest neighbor
     (any deterministic choice works: they contract away harmlessly).
     Raises StuckVertex when positive flow enters a vertex that cannot
-    pass it on, and ValueError for a flow value that is not finite.
+    pass it on, and ValueError for a flow value that is not finite, a t
+    that is not a vertex id or a seed that is not a non-negative integer.
     """
+    t = _checked_vertex(t, g.n, "target")
+    seed = checked_int(seed, "seed", 0)
     bounds, out_nbr, out_flow, _, inflow = _out_edges(g, f)
     idle = bounds[1:] == bounds[:-1]
     carries = ~idle
@@ -108,7 +121,7 @@ def sample_pointers(g, f, t, seed):
                           else f"vertex {v} is isolated")
     ptr = np.full(g.n, -1, dtype=np.int64)
     ptr[idle] = g.adj_v[g.indptr[:-1][idle]]  # adjacency rows are sorted by id
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 17]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 17]))
     live = np.flatnonzero(carries)
     u = rng.random(len(live))
     pick = bounds[live]
@@ -142,14 +155,16 @@ def _edge_weight_map(g):
     return dict(zip(zip(g.eu.tolist(), g.ev.tolist()), g.ew.tolist()))
 
 
-def contract(g, pointers, t, wmap=None):
+def contract(g, pointers, t):
     """Contract the pointer graph; roots are t or min-id cycle vertices.
 
-    `wmap` is g's `_edge_weight_map`, built here when not passed in.
+    Climb distances, and the contracted weights built from them, are
+    exact Python ints however far they pass 2^63.  Raises ValueError for
+    a t that is not a vertex id.
     """
     n = g.n
-    if wmap is None:
-        wmap = _edge_weight_map(g)
+    t = _checked_vertex(t, n, "target")
+    wmap = _edge_weight_map(g)
 
     def pw(u, v):
         return wmap[(u, v) if u < v else (v, u)]
@@ -188,7 +203,7 @@ def contract(g, pointers, t, wmap=None):
         p = int(pointers[v])
         if p >= 0 and root[v] != v:
             children[p].append(v)
-    l = np.zeros(n, dtype=np.int64)
+    l = np.zeros(n, dtype=object)  # Python ints: a climb can pass 2^63
     for r in np.unique(root):
         stack = [int(r)]
         while stack:
@@ -347,17 +362,16 @@ def find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
     """Sample out-pointers from a unit s-t flow and follow them to t.
 
     When s's pointer chain reaches t it is the path.  When it closes a
-    cycle instead (a cyclic flow, which only a custom engine returns),
-    the pointer forest is contracted, the extraction recurses on the
-    contracted graph, and the lifted walk is de-cycled.  Raises ValueError
-    for an endpoint that is not a vertex id, an epsilon outside (0, 0.5)
-    or a seed that is not a non-negative integer.
+    cycle instead (the flow carries a circulation, as the composed `mwu`
+    flow may keep a small one), the pointer forest is contracted, the
+    extraction recurses on the contracted graph, and the lifted walk is
+    de-cycled.  Raises ValueError for an endpoint that is not a vertex
+    id, an epsilon outside (0, 0.5) or a seed that is not a non-negative
+    integer.
     """
     checked_epsilon(epsilon)
     seed = checked_int(seed, "seed", 0)
-    s, t = checked_int(s, "endpoint"), checked_int(t, "endpoint")
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError("endpoint out of range")
+    s, t = _checked_vertex(s, g.n, "endpoint"), _checked_vertex(t, g.n, "endpoint")
     engine = _engine(flow_engine)[0]
     if s == t:
         return Path([s], 0)
@@ -438,10 +452,12 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
     Walks start at a source drawn by supply, step proportionally to
     positive outflow, and stop at the unique sink.  Returns summary
     statistics including the exact target value.  Raises ValueError
-    unless trials is an integer of at least 1, the demand one that
-    `flow.validate_demand` accepts and every flow value finite.
+    unless trials is an integer of at least 1, seed a non-negative
+    integer, the demand one that `flow.validate_demand` accepts and
+    every flow value finite.
     """
     trials = checked_int(trials, "trials", 1)
+    seed = checked_int(seed, "seed", 0)
     f = _flow_values(f)
     b = validate_demand(demand, g.n)
     sinks = np.flatnonzero(b < -1e-12)
@@ -463,7 +479,7 @@ def random_walk_length_check(g, f, demand, trials=1000, seed=0, step_cap=None):
     w = g.ew.astype(np.float64)
     target = float(np.dot(w, np.abs(f)))
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 37]))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 37]))
     lengths = np.empty(trials, dtype=np.float64)
     starts = rng.choice(g.n, size=trials, p=supply)
     for k in range(trials):

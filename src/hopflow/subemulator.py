@@ -129,12 +129,12 @@ def connect_edges(g, balls, leader, leader_dist, categories=("original", "ball")
     return edges
 
 
-def build_subemulator(g, b, seed, categories=("original", "ball")):
+def build_subemulator(g, b, seed):
     """Run one full compression level with ball size b."""
     balls = compute_balls(g, b)
     kept, sampled = sample_vertices(g, balls, seed)
     leader, leader_dist = assign_leaders(g, balls, kept)
-    raw = connect_edges(g, balls, leader, leader_dist, categories)
+    raw = connect_edges(g, balls, leader, leader_dist)
 
     vertices = np.flatnonzero(kept).astype(np.int64)
     index = np.full(g.n, -1, dtype=np.int64)

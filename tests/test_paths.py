@@ -134,6 +134,25 @@ def test_contract_single_chain_into_target():
     assert lev.graph.n == 1 and lev.graph.m == 0
 
 
+def test_contract_climbs_are_exact_past_int64():
+    # the climbs reach 4 * 2^62 = 2^64, which an int64 sum would wrap
+    w = 1 << 62
+    g = Graph(5, [(0, 1, w), (1, 2, w), (2, 3, w), (3, 4, w), (0, 2, w)])
+    lev = contract(g, np.array([1, 2, 3, 4, -1]), 4)
+    assert lev.l.tolist() == [4 * w, 3 * w, 2 * w, w, 0]
+    assert lev.graph.n == 1 and lev.graph.m == 0
+    # with a 2-cycle of 5 and 6 beside that chain, the edge (0, 5) joins
+    # the two roots at 0's climb plus its own weight
+    g = Graph(7, [(0, 1, w), (1, 2, w), (2, 3, w), (3, 4, w), (5, 6, 1), (0, 5, 1)])
+    lev = contract(g, np.array([1, 2, 3, 4, -1, 6, 5]), 4)
+    assert lev.roots.tolist() == [4, 5]
+    assert lev.l.tolist() == [4 * w, 3 * w, 2 * w, w, 0, 0, 1]
+    h = lev.graph
+    assert [(int(h.eu[i]), int(h.ev[i]), int(h.ew[i])) for i in range(h.m)] == [
+        (0, 1, 4 * w + 1)]
+    assert lev.witness == {(0, 1): (0, 5)}
+
+
 def test_contract_rejects_self_loop_pointers():
     # all-self-pointers keep every vertex a root, violating the halving
     # guarantee the recursion depends on
@@ -301,6 +320,26 @@ def test_bad_path_arguments_raise_value_errors():
                                  trials=0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda g, f: sample_pointers(g, f, 2, 1.5), "seed must be an integer"),
+    (lambda g, f: sample_pointers(g, f, 2, -1), "seed must be at least 0"),
+    (lambda g, f: sample_pointers(g, f, -1, 0), "target out of range"),
+    (lambda g, f: sample_pointers(g, f, 3, 0), "target out of range"),
+    (lambda g, f: sample_pointers(g, f, 2.5, 0), "target must be an integer"),
+    (lambda g, f: contract(g, np.array([1, 2, -1]), -1), "target out of range"),
+    (lambda g, f: contract(g, np.array([1, 2, -1]), 3), "target out of range"),
+    (lambda g, f: contract(g, np.array([1, 2, -1]), 1.5), "target must be an integer"),
+    (lambda g, f: random_walk_length_check(g, f, np.array([1.0, 0.0, -1.0]), seed=1.5),
+     "seed must be an integer"),
+], ids=["pointers-seed-1.5", "pointers-seed-neg", "pointers-t-neg", "pointers-t-n",
+        "pointers-t-2.5", "contract-t-neg", "contract-t-n", "contract-t-1.5", "walk-seed-1.5"])
+def test_path_primitives_check_their_arguments(call, match):
+    # no float seed runs as its floor and no target wraps to n - 1
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match=match):
+        call(g, np.array([1.0, 1.0]))
+
+
 def test_path_to_dict():
     assert Path([0, 3, 2], 11).to_dict() == {"vertices": [0, 3, 2], "length": 11}
 
@@ -424,8 +463,7 @@ def _reference_find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
             break
     assert f is not None
     ptr = _reference_sample_pointers(g, f, t, seed)
-    wmap = paths._edge_weight_map(g)
-    level = contract(g, ptr, t, wmap)
+    level = contract(g, ptr, t)
     sub_seed = np.random.SeedSequence(entropy=[int(seed), 29]).generate_state(1)[0]
     sub = _reference_find_path(level.graph, level.local_root(s), level.local_root(t),
                                epsilon, int(sub_seed), flow_engine)
@@ -437,6 +475,7 @@ def _reference_find_path(g, s, t, epsilon, seed=0, flow_engine="exact"):
         seq += paths._pointer_path(level, x)[::-1][1:]
         seq += paths._pointer_path(level, y)
     seq = shortcut_cycles(seq)
+    wmap = paths._edge_weight_map(g)
     length = sum(wmap[(min(u, v), max(u, v))] for u, v in zip(seq, seq[1:]))
     return Path(seq, length)
 

@@ -9,13 +9,17 @@ min(u, v) * n + max(u, v) per unordered pair, with its distance, and
 the same map as a dict.  Ball sizes grow as b^(5/4), so the tower has
 O(log k) levels; the final level keeps only the pairwise distances of
 what is left, as one matrix.
-While (n-1) * max weight < 2^53, where float64 sums are exact, it is
-built from ``scipy.sparse.csgraph.dijkstra`` calls on blocks of
-``_TOP_BLOCK`` source rows and stored in the narrowest unsigned dtype
-that holds it (uint8, 16, 32 or 64), which the first block fixes; past
-that bound ``distance_rows`` stacks one Python Dijkstra per vertex
-(uint64, or Python ints past uint64).  Every reader widens what it
-takes from the matrix before it adds to it.
+While (n-1) * max weight < 2^53, where float64 sums are exact, only the
+rows of a vertex cover are searched: a greedy independent set I, taken
+in (degree, id) order among the non-isolated vertices, is left out, and
+``scipy.sparse.csgraph.dijkstra`` runs from the rest in blocks of
+``_TOP_BLOCK`` source rows.  A row of I is then the min over its
+neighbours u, all searched, of w(v, u) + row(u), since every path from v
+leaves it along one of its edges.  The matrix is stored in the
+narrowest unsigned dtype that holds it (uint8, 16, 32 or 64), which the
+first searched block fixes; past that bound ``distance_rows`` stacks one
+Python Dijkstra per vertex (uint64, or Python ints past uint64).  Every
+reader widens what it takes from the matrix before it adds to it.
 
 Two consumers sit on top:
 
@@ -137,10 +141,10 @@ def preprocess(g, k=None, seed=0, b0=None):
     ``b0`` overrides the first ball size; the default formula exceeds n
     for any graph that fits in memory, which collapses the tower to its
     single exact level, so small overrides are how deep towers are
-    exercised.  Raises NotConnected for a disconnected graph, whose
-    distances no tower represents, and ValueError for a k outside its
-    range, a b0 that is not an integer or a seed that is not a
-    non-negative integer.
+    exercised; ``b0=1`` runs as 2.  Raises NotConnected for a
+    disconnected graph, whose distances no tower represents, and
+    ValueError for a k outside its range, a b0 that is not an integer
+    of at least 1 or a seed that is not a non-negative integer.
     """
     if not g.is_connected():
         raise NotConnected("graph is not connected")
@@ -153,7 +157,7 @@ def preprocess(g, k=None, seed=0, b0=None):
             raise ValueError(f"k={k} outside [0.5, max(0.5, log2(n)/2)]")
     except TypeError:
         raise ValueError(f"k must be a number, got {k!r}") from None
-    b = checked_int(b0, "b0") if b0 is not None else initial_ball_size(n, k)
+    b = checked_int(b0, "b0", 1) if b0 is not None else initial_ball_size(n, k)
     b = max(2, b)
 
     levels = []
@@ -187,32 +191,88 @@ def preprocess(g, k=None, seed=0, b0=None):
 def _top_matrix(h):
     """h's exact all-pairs matrix, for a connected h.
 
-    Inside the float-exact bound it is built from csgraph calls on
-    blocks of ``_TOP_BLOCK`` source rows, each cast into one preallocated
-    matrix, so no n x n float64 or uint64 array exists.  The first block
-    fixes the dtype: every distance is at most 2 * the eccentricity of
-    any source, by the triangle inequality, or the block's own max when
-    it holds every row.  Past the bound it is ``distance_rows(h)``.
+    Inside the float-exact bound csgraph searches only from the vertices
+    outside ``_independent_set(h)``, in blocks of ``_TOP_BLOCK`` source
+    rows, each cast into one preallocated matrix, and ``_derive_rows``
+    then fills the set's rows from their neighbours' rows; so no n x n
+    float64 or uint64 array exists.  The first searched block fixes the
+    dtype: every distance is at most 2 * the eccentricity of any source,
+    by the triangle inequality.  When n <= ``_TOP_BLOCK`` the finished
+    matrix is narrowed to its exact maximum's dtype instead.  Past the
+    bound it is ``distance_rows(h)``.
     """
     mat = float_matrix(h)
     if mat is None:
         return distance_rows(h)
     n = h.n
+    derived = _independent_set(h)
+    searched = np.setdiff1d(np.arange(n), derived)
     out = bound = None
-    for lo in range(0, n, _TOP_BLOCK):
-        block = csgraph.dijkstra(mat, directed=True,
-                                 indices=np.arange(lo, min(lo + _TOP_BLOCK, n)))
+    for lo in range(0, len(searched), _TOP_BLOCK):
+        rows = searched[lo:lo + _TOP_BLOCK]
+        block = csgraph.dijkstra(mat, directed=True, indices=rows)
         if out is None:
-            bound = block.max() if len(block) == n else 2 * block.max(axis=1).min()
+            bound = 2 * block.max(axis=1).min()
             if not np.isfinite(bound):
                 raise AssertionError("top level is not connected")
-            out = np.empty((n, n), dtype=np.min_scalar_type(int(bound)))
+            bound = int(bound)
+            out = np.empty((n, n), dtype=np.min_scalar_type(bound))
         # a float -> narrow assignment wraps silently; an inf fails here too
         if not block.max() <= bound:
-            raise AssertionError(f"top-level distance past its bound {int(bound)}")
-        out[lo:lo + len(block)] = block
+            raise AssertionError(f"top-level distance past its bound {bound}")
+        out[rows] = block
         del block  # so two blocks never coexist
+    # non-increasing degree, so each block's rows with more than r
+    # neighbours are a prefix
+    _derive_rows(h, out, derived[::-1], bound)
+    if n <= _TOP_BLOCK:
+        out = out.astype(np.min_scalar_type(int(out.max())), copy=False)
     return out
+
+
+def _independent_set(h):
+    """A greedy independent set of h's non-isolated vertices: scan them
+    in (degree, id) order and take each one that no taken vertex
+    neighbours.  Returned in that order, as int64 ids."""
+    indptr, adj_v = h.indptr.tolist(), h.adj_v.tolist()
+    free = [True] * h.n
+    taken = []
+    for v in np.argsort(np.diff(h.indptr), kind="stable").tolist():
+        if free[v] and indptr[v] < indptr[v + 1]:
+            taken.append(v)
+            for u in adj_v[indptr[v]:indptr[v + 1]]:
+                free[u] = False
+    return np.array(taken, dtype=np.int64)
+
+
+def _derive_rows(h, out, vs, bound):
+    """Fill the rows ``vs`` of the distance matrix ``out``: an independent
+    set of non-isolated vertices in non-increasing degree order, whose
+    neighbours' rows are complete and at most ``bound``.
+
+    d(v, x) = min over v's neighbours u of w(v, u) + d(u, x) for x != v,
+    and 0 at x = v.  Each block of ``_TOP_BLOCK`` rows is summed in the
+    narrowest dtype that holds bound + max weight, checked against the
+    bound and only then cast into ``out``.
+    """
+    if not len(vs):
+        return
+    wide = np.min_scalar_type(bound + int(h.ew.max()))
+    adj_w = h.adj_w.astype(wide)
+    for lo in range(0, len(vs), _TOP_BLOCK):
+        v = vs[lo:lo + _TOP_BLOCK]
+        first = h.indptr[v]
+        deg = h.indptr[v + 1] - first
+        acc = out[h.adj_v[first]].astype(wide, copy=False)  # a gather is a copy already
+        acc += adj_w[first][:, None]
+        for r in range(1, int(deg[0])):
+            k = int(np.count_nonzero(deg > r))
+            slot = first[:k] + r
+            np.minimum(acc[:k], out[h.adj_v[slot]] + adj_w[slot][:, None], out=acc[:k])
+        acc[np.arange(len(v)), v] = 0
+        if not acc.max() <= bound:
+            raise AssertionError(f"top-level distance past its bound {bound}")
+        out[v] = acc
 
 
 def oracle_query(stack, u, v):

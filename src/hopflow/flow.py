@@ -127,11 +127,16 @@ def validate_demand(b, n, norm=None):
     demand's sum is not refused.
 
     Raises ValueError for anything else, non-numeric input included: a
-    NaN would pass the zero-sum check and an infinite demand would drive
-    every scale of the search to its iteration cap.
+    NaN would pass the zero-sum check, an infinite demand would drive
+    every scale of the search to its iteration cap, and numpy would read
+    a string or bytes entry such as "1" as a number.
     """
     try:
-        b = np.asarray(b, dtype=np.float64)
+        raw = np.asarray(b)
+        if raw.dtype.kind in "SU" or (raw.dtype == object and
+                                      any(isinstance(x, (str, bytes)) for x in raw.flat)):
+            raise ValueError("strings are not numbers")
+        b = raw.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"demand must be {n} numbers: {exc}") from None
     if b.shape != (n,):

@@ -4,11 +4,14 @@ import hashlib
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from hopflow import (
     Graph,
@@ -416,10 +419,94 @@ def test_top_matrix_refuses_a_disconnected_level(monkeypatch):
             emulator_module._top_matrix(g)
 
 
+def _greedy_independent_set(g):
+    """The non-isolated vertices taken by a scan in (degree, id) order,
+    each one unless a taken vertex neighbours it."""
+    nbrs = [set(g.neighbors(v)[0].tolist()) for v in range(g.n)]
+    taken = []
+    for v in sorted(range(g.n), key=lambda v: (len(nbrs[v]), v)):
+        if nbrs[v] and not nbrs[v] & set(taken):
+            taken.append(v)
+    return taken
+
+
+@st.composite
+def _top_level_graph(draw):
+    """A connected path, star or random tree, with chords and parallel
+    edges, weights from 0 up to 9, 200 or 70,000."""
+    n = draw(st.integers(1, 24))
+    weight = st.integers(0, draw(st.sampled_from([9, 200, 70_000])))
+    shape = draw(st.sampled_from(["path", "star", "tree"]))
+    parents = [i - 1 if shape == "path" else 0 if shape == "star"
+               else draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = [(p, i, draw(weight)) for i, p in enumerate(parents, start=1)]
+    if edges:
+        edges += [(u, v, draw(weight)) for (u, v, _) in draw(st.lists(st.sampled_from(edges),
+                                                                      max_size=5))]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                           max_size=draw(st.sampled_from([0, 3, 40]))))
+    return Graph(n, edges + [(u, v, w) for (u, v, w) in chords if u != v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_top_level_graph())
+@example(Graph(300, [(i, i + 1, 1) for i in range(299)]))
+@example(Graph(5, [(0, 1, 127), (0, 2, 128), (0, 3, 1), (0, 4, 0)]))
+@example(Graph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)]))
+def test_top_matrix_derives_the_independent_set_rows(g):
+    rows = distance_rows(g)
+    want = _greedy_independent_set(g)
+    assert emulator_module._independent_set(g).tolist() == want
+    searched = [v for v in range(g.n) if v not in set(want)]
+    for block in (1, 2, 3, emulator_module._TOP_BLOCK):
+        with mock.patch.object(emulator_module, "_TOP_BLOCK", block):
+            dist = emulator_module._top_matrix(g)
+        # the exact maximum when every row fits one block, else twice
+        # the smallest eccentricity of the first searched block
+        top = (int(rows.max()) if g.n <= block else
+               2 * min(int(rows[v].max()) for v in searched[:block]))
+        assert dist.dtype == np.min_scalar_type(top)
+        assert dist.tolist() == rows.tolist()
+
+
+def test_top_matrix_searches_only_outside_the_independent_set(monkeypatch):
+    # oracle1000's instance: 390 rows derived, 610 searched, not 1,000
+    g = rand_connected_graph(1000, 1000, seed=1)
+    ind = emulator_module._independent_set(g)
+    members = set(ind.tolist())
+    for v in members:
+        nbrs = set(g.neighbors(v)[0].tolist())
+        assert nbrs and not nbrs & members
+    sources = []
+    real = csgraph.dijkstra
+
+    def spy(mat, *args, indices=None, **kwargs):
+        sources.extend(np.atleast_1d(indices).tolist())
+        return real(mat, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(emulator_module, "csgraph", SimpleNamespace(dijkstra=spy))
+    dist = preprocess(g).levels[-1].dist
+    assert sorted(sources) == sorted(set(range(g.n)) - members)
+    assert (len(sources), len(members)) == (610, 390)
+    assert dist.tolist() == distance_rows(g).tolist()
+
+
+def test_preprocess_refuses_a_ball_size_below_one():
+    g = rand_connected_graph(12, 10, 3)
+    for b0 in (-5, 0):
+        with pytest.raises(ValueError, match="b0 must be at least 1"):
+            preprocess(g, b0=b0)
+    # b0=1 runs as 2, the smallest ball that compresses
+    assert [lvl.b for lvl in preprocess(g, b0=1).levels] == \
+        [lvl.b for lvl in preprocess(g, b0=2).levels]
+
+
 def test_one_level_preprocess_memory():
-    # oracle1000's instance: a uint8 matrix (1 MB) and one float64 block
-    # of 256 rows (2 MB) at a time, where a float64 and a uint64 n x n
-    # matrix (16 MB) were held at once
+    # oracle1000's instance: a uint8 matrix (1 MB), one float64 block of
+    # 256 searched rows (2 MB) at a time, then per block of 256 derived
+    # rows an accumulator, a gathered neighbour row set and their sum,
+    # each 256 x n narrow (0.25 MB at uint8); a float64 and a uint64
+    # n x n matrix (16 MB) were once held at once
     g = rand_connected_graph(1000, 1000, seed=1)
     tracemalloc.start()
     try:

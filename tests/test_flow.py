@@ -68,6 +68,13 @@ def test_validate_demand_tolerance_is_relative_to_the_demand():
         validate_demand([1e-8, 0.0, 0.0], 3, norm=1.0)
 
 
+def test_validate_demand_reads_python_ints_past_int64():
+    # an object array of exact ints; strings in one are refused
+    assert validate_demand([2**70, 0, -2**70], 3).tolist() == [2.0**70, 0.0, -2.0**70]
+    with pytest.raises(ValueError):
+        validate_demand([2**70, "0", -2**70], 3)
+
+
 @pytest.mark.parametrize("demand", [
     [math.nan, 0.0, 0.0],
     [math.inf, 0.0, -math.inf],

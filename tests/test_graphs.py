@@ -556,6 +556,9 @@ _NON_NUMERIC_ARGS = {
                              [[5], np.array([0, 1]), 5]),
     "min_cost_flow epsilon": (lambda x: min_cost_flow(_PATH3, [1.0, 0.0, -1.0], epsilon=x),
                               ValueError, ["0.1", None]),
+    "min_cost_flow demand": (lambda x: min_cost_flow(_PATH3, x), ValueError,
+                             [["1", "0", "-1"], [b"1", b"0", b"-1"], [1, "0", -1],
+                              [2**70, "0", -2**70], np.array(["1", "0", "-1"])]),
     "approx_shortest_path epsilon": (lambda x: approx_shortest_path(_PATH3, 0, 2, x),
                                      ValueError, ["0.2", None]),
     "preprocess k": (lambda x: preprocess(_PATH3, k=x), ValueError, ["1", [1]]),

@@ -9,17 +9,24 @@ min(u, v) * n + max(u, v) per unordered pair, with its distance, and
 the same map as a dict.  Ball sizes grow as b^(5/4), so the tower has
 O(log k) levels; the final level keeps only the pairwise distances of
 what is left, as one matrix.
-While (n-1) * max weight < 2^53, where float64 sums are exact, only the
-rows of a vertex cover are searched: a greedy independent set I, taken
-in (degree, id) order among the non-isolated vertices, is left out, and
+While (n-1) * max weight < 2^53, where float64 sums are exact, a level
+of more than ``_TOP_BLOCK`` vertices is first shrunk by min-plus vertex
+elimination: each step removes a greedy independent set of vertices of
+degree at most ``_ELIM_DEGREE`` and joins each removed vertex's
+neighbours a, b by an edge of weight w(a, v) + w(v, b), which keeps every
+distance among the rest.  Of the core that is left only the rows of a
+vertex cover are searched: a greedy independent set I, taken in
+(degree, id) order among the non-isolated vertices, is left out, and
 ``scipy.sparse.csgraph.dijkstra`` runs from the rest in blocks of
 ``_TOP_BLOCK`` source rows.  A row of I is then the min over its
 neighbours u, all searched, of w(v, u) + row(u), since every path from v
-leaves it along one of its edges.  The matrix is stored in the
-narrowest unsigned dtype that holds it (uint8, 16, 32 or 64), which the
-first searched block fixes; past that bound ``distance_rows`` stacks one
-Python Dijkstra per vertex (uint64, or Python ints past uint64).  Every
-reader widens what it takes from the matrix before it adds to it.
+leaves it along one of its edges, and the removed vertices' rows and
+columns are filled back the same way, last step first.  The matrix is
+stored in the narrowest unsigned dtype (uint8, 16, 32 or 64) that holds
+a bound on its distances fixed before it is allocated; past that bound
+``distance_rows`` stacks one Python Dijkstra per vertex (uint64, or
+Python ints past uint64).  Every reader widens what it takes from the
+matrix before it adds to it.
 
 Two consumers sit on top:
 
@@ -58,9 +65,9 @@ import math
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .graphs import (INF, Graph, NotConnected, checked_int, checked_sources,
-                     distance_array, distance_rows, float_matrix, tree_distances,
-                     uint64_distances)
+from .graphs import (INF, Graph, NotConnected, adjacency_matrix, checked_int,
+                     checked_sources, distance_array, distance_rows, float_matrix,
+                     tree_distances, uint64_distances)
 from .subemulator import build_subemulator
 
 
@@ -113,8 +120,20 @@ def initial_ball_size(n, k):
     return max(math.ceil((75.0 * math.log(n)) ** 2), math.ceil(n ** (1.0 / (2.0 * k))), 2)
 
 
-# source rows per csgraph call when building the top level's matrix
+# source rows per csgraph call when building the top level's matrix, and
+# the vertex count above which the top level is shrunk by elimination
 _TOP_BLOCK = 256
+# Only vertices of at most this degree are eliminated: one of degree d
+# adds up to d(d-1)/2 fill edges.  _top_matrix on rand_connected_graph
+# (n, n, seed=1), median of 7 (2-core box), at n = 1,000 / 2,000: a cap
+# of 3 took 74 / 296 ms, 4 took 59 / 247, 5 to 12 took 46-57 / 178-212,
+# and no cap 102 / 283 ms, its fill growing a 273-vertex core to 15,795
+# edges.  5 adds the fewest edges in that flat range.
+_ELIM_DEGREE = 5
+# Elimination stops at a set of at most this share of the graph's
+# vertices: a step costs about one Graph build, some ten csgraph rows at
+# these sizes, and oracle1000's third set would hold 8 of 488 vertices.
+_ELIM_SHARE = 0.05
 
 
 def level_bound(k):
@@ -191,21 +210,91 @@ def preprocess(g, k=None, seed=0, b0=None):
 def _top_matrix(h):
     """h's exact all-pairs matrix, for a connected h.
 
-    Inside the float-exact bound csgraph searches only from the vertices
-    outside ``_independent_set(h)``, in blocks of ``_TOP_BLOCK`` source
-    rows, each cast into one preallocated matrix, and ``_derive_rows``
-    then fills the set's rows from their neighbours' rows; so no n x n
-    float64 or uint64 array exists.  The first searched block fixes the
-    dtype: every distance is at most 2 * the eccentricity of any source,
-    by the triangle inequality.  When n <= ``_TOP_BLOCK`` the finished
-    matrix is narrowed to its exact maximum's dtype instead.  Past the
-    bound it is ``distance_rows(h)``.
+    Past the float-exact bound it is ``distance_rows(h)``.  Inside it,
+    ``_eliminate`` shrinks h to a core while h has more than
+    ``_TOP_BLOCK`` vertices, ``_searched_matrix`` builds the core's
+    matrix, and the eliminated vertices' rows and columns are filled back
+    a step at a time, deepest first, by ``_derive_rows``.  A vertex v
+    eliminated from g has only neighbours that g keeps, so
+    d(v, x) = min over v's neighbours u in g of w(v, u) + d(u, x): first
+    for each x that g keeps, whose rows are complete by then, which also
+    gives x's column of v; then for each x eliminated with v.
+
+    The work runs on a matrix in elimination order (the core first, each
+    step's vertices after it, the first step's last), where every step's
+    rows and columns are contiguous slices, and is gathered into vertex
+    order at the end.  The dtype is fixed before either matrix is
+    allocated, so no n x n float64 or uint64 array exists: every distance
+    is at most both r(v) + (a core distance) + r(x), with r the distance
+    to the core, and 2 * the eccentricity of the core vertex whose core
+    row has the least maximum.  ``_fill_column`` gives r and that
+    vertex's column in O(m) per step.
     """
     mat = float_matrix(h)
     if mat is None:
         return distance_rows(h)
-    n = h.n
-    derived = _independent_set(h)
+    steps, core, kept = _eliminate(h)
+    if not steps:
+        return _searched_matrix(h, mat)
+    n, c = h.n, core.n
+    # every core weight is the length of a path of h and every core
+    # distance a distance of h, so both are inside h's float-exact bound,
+    # whatever the core's own (n-1) * max weight
+    inner = _searched_matrix(core, adjacency_matrix(core))
+    order = np.concatenate([kept] + [ids[gone[::-1]] for (_, gone, ids) in reversed(steps)])
+    at = np.empty(n, dtype=np.int64)
+    at[order] = np.arange(n)
+    reach = _fill_column(steps, at, np.zeros(n, dtype=np.uint64))
+    center = np.zeros(n, dtype=np.uint64)
+    center[:c] = inner[np.argmin(inner.max(axis=1))]
+    bound = min(int(inner.max()) + 2 * int(reach.max()),
+                2 * int(_fill_column(steps, at, center).max()))
+    # the result first, below the working matrix in the heap, so the
+    # allocator can give back what the work leaves behind
+    dist = np.empty((n, n), dtype=np.min_scalar_type(bound))
+    out = np.empty_like(dist)
+    out[:c, :c] = inner
+    del inner
+    hi = c
+    for g, gone, ids in reversed(steps):
+        lo, hi = hi, hi + len(gone)
+        pos = at[ids]
+        _derive_rows(g, out, gone[::-1], bound, pos, 0, lo)
+        out[:lo, lo:hi] = out[lo:hi, :lo].T
+        _derive_rows(g, out, gone[::-1], bound, pos, lo, hi)
+    # in blocks of rows, so no third n x n array exists; faster than a 2-d
+    # gather, and C-ordered, as every reader takes rows
+    for lo in range(0, n, _TOP_BLOCK):
+        out.take(at[lo:lo + _TOP_BLOCK], axis=0).take(at, axis=1, out=dist[lo:lo + _TOP_BLOCK])
+    return dist
+
+
+def _fill_column(steps, at, col):
+    """Complete ``col``, a column of h's distances by position ``at``
+    whose core entries are set, through the elimination ``steps``,
+    deepest first: an eliminated v's entry is the min over its neighbours
+    u in g of w(v, u) + col(u).  Returns ``col``, filled in place."""
+    for g, gone, ids in reversed(steps):
+        # a connected g of 2 or more vertices has no empty adjacency row
+        near = np.minimum.reduceat(g.adj_w + col[at[ids[g.adj_v]]], g.indptr[:-1])
+        col[at[ids[gone]]] = near[gone]
+    return col
+
+
+def _searched_matrix(g, mat):
+    """g's exact all-pairs matrix from csgraph searches on ``mat``, g's
+    adjacency, for a connected g whose distances are all below 2^53.
+
+    csgraph searches only from the vertices outside
+    ``_independent_set(g)``, in blocks of ``_TOP_BLOCK`` source rows, each
+    cast into one preallocated matrix, and ``_derive_rows`` then fills the
+    set's rows from their neighbours' rows.  The first searched block
+    fixes the dtype: every distance is at most 2 * the eccentricity of any
+    source, by the triangle inequality.  When n <= ``_TOP_BLOCK`` the
+    finished matrix is narrowed to its exact maximum's dtype instead.
+    """
+    n = g.n
+    derived = _independent_set(g)
     searched = np.setdiff1d(np.arange(n), derived)
     out = bound = None
     for lo in range(0, len(searched), _TOP_BLOCK):
@@ -224,20 +313,78 @@ def _top_matrix(h):
         del block  # so two blocks never coexist
     # non-increasing degree, so each block's rows with more than r
     # neighbours are a prefix
-    _derive_rows(h, out, derived[::-1], bound)
+    _derive_rows(g, out, derived[::-1], bound)
     if n <= _TOP_BLOCK:
         out = out.astype(np.min_scalar_type(int(out.max())), copy=False)
     return out
 
 
-def _independent_set(h):
-    """A greedy independent set of h's non-isolated vertices: scan them
-    in (degree, id) order and take each one that no taken vertex
-    neighbours.  Returned in that order, as int64 ids."""
-    indptr, adj_v = h.indptr.tolist(), h.adj_v.tolist()
-    free = [True] * h.n
+def _eliminate(h):
+    """Min-plus vertex elimination of h, down to a core.
+
+    While the graph g has more than ``_TOP_BLOCK`` vertices, take
+    ``_independent_set(g, _ELIM_DEGREE)`` and, unless it is at most
+    ``_ELIM_SHARE`` of g's vertices, replace g by ``_eliminated_graph``.
+    Returns the steps as (g, the set, h's id of each of g's vertices), the
+    core and h's id of each of its vertices.
+    """
+    steps = []
+    g, ids = h, np.arange(h.n)
+    while g.n > _TOP_BLOCK:
+        gone = _independent_set(g, _ELIM_DEGREE)
+        if len(gone) <= _ELIM_SHARE * g.n:
+            break
+        steps.append((g, gone, ids))
+        g, ids = _eliminated_graph(g, gone), np.delete(ids, gone)
+    return steps, g, ids
+
+
+def _eliminated_graph(g, gone):
+    """g without ``gone``, an independent set, on its other vertices
+    renumbered in order.
+
+    Each shortest path through a v in ``gone`` enters and leaves it by two
+    of its neighbours a and b, so an edge (a, b) of weight
+    w(a, v) + w(v, b) replaces the detour and keeps every distance among
+    the rest; ``Graph`` keeps the least of parallel edges.  So, step after
+    step, the weight of (a, b) is the length of the shortest a-b path of h
+    whose inner vertices are all eliminated: at most (n-1) * h's max
+    weight, inside the float-exact bound when h is.
+    """
+    keep = np.ones(g.n, dtype=bool)
+    keep[gone] = False
+    new_id = np.cumsum(keep) - 1
+    stay = keep[g.eu] & keep[g.ev]
+    a, b, w = [g.eu[stay]], [g.ev[stay]], [g.ew[stay].astype(np.int64)]
+    first = g.indptr[gone]
+    deg = g.indptr[gone + 1] - first
+    adj_w = g.adj_w.astype(np.int64)
+    most = int(deg.max())
+    for i in range(most):
+        for j in range(i + 1, most):
+            si = first[deg > j] + i
+            sj = si + j - i
+            a.append(g.adj_v[si])
+            b.append(g.adj_v[sj])
+            w.append(adj_w[si] + adj_w[sj])
+    edges = np.stack([new_id[np.concatenate(a)], new_id[np.concatenate(b)], np.concatenate(w)],
+                     axis=1)
+    return Graph(int(keep.sum()), edges, check_connected=False)
+
+
+def _independent_set(g, max_degree=None):
+    """A greedy independent set of g's non-isolated vertices of degree at
+    most ``max_degree`` (any, when None): scan them in (degree, id) order
+    and take each one that no taken vertex neighbours.  Returned in that
+    order, as int64 ids."""
+    indptr, adj_v = g.indptr.tolist(), g.adj_v.tolist()
+    deg = np.diff(g.indptr)
+    order = np.argsort(deg, kind="stable")
+    if max_degree is not None:
+        order = order[:np.count_nonzero(deg <= max_degree)]
+    free = [True] * g.n
     taken = []
-    for v in np.argsort(np.diff(h.indptr), kind="stable").tolist():
+    for v in order.tolist():
         if free[v] and indptr[v] < indptr[v + 1]:
             taken.append(v)
             for u in adj_v[indptr[v]:indptr[v + 1]]:
@@ -245,10 +392,13 @@ def _independent_set(h):
     return np.array(taken, dtype=np.int64)
 
 
-def _derive_rows(h, out, vs, bound):
-    """Fill the rows ``vs`` of the distance matrix ``out``: an independent
-    set of non-isolated vertices in non-increasing degree order, whose
-    neighbours' rows are complete and at most ``bound``.
+def _derive_rows(g, out, vs, bound, at=None, lo=0, hi=None):
+    """Fill, for the vertices ``vs`` of g, columns [lo, hi) of their rows
+    of the distance matrix ``out``: ``vs`` is an independent set of
+    non-isolated vertices in non-increasing degree order, whose
+    neighbours' rows are complete over those columns and at most
+    ``bound``.  Vertex v of g is row and column at[v] of ``out`` (v when
+    ``at`` is None); ``hi`` defaults to every column.
 
     d(v, x) = min over v's neighbours u of w(v, u) + d(u, x) for x != v,
     and 0 at x = v.  Each block of ``_TOP_BLOCK`` rows is summed in the
@@ -257,22 +407,27 @@ def _derive_rows(h, out, vs, bound):
     """
     if not len(vs):
         return
-    wide = np.min_scalar_type(bound + int(h.ew.max()))
-    adj_w = h.adj_w.astype(wide)
-    for lo in range(0, len(vs), _TOP_BLOCK):
-        v = vs[lo:lo + _TOP_BLOCK]
-        first = h.indptr[v]
-        deg = h.indptr[v + 1] - first
-        acc = out[h.adj_v[first]].astype(wide, copy=False)  # a gather is a copy already
+    at = np.arange(g.n) if at is None else at
+    hi = out.shape[1] if hi is None else hi
+    wide = np.min_scalar_type(bound + int(g.ew.max()))
+    adj_w = g.adj_w.astype(wide)
+    adj_at = at[g.adj_v]
+    for start in range(0, len(vs), _TOP_BLOCK):
+        v = vs[start:start + _TOP_BLOCK]
+        first = g.indptr[v]
+        deg = g.indptr[v + 1] - first
+        acc = out[adj_at[first], lo:hi].astype(wide, copy=False)  # a gather is a copy already
         acc += adj_w[first][:, None]
         for r in range(1, int(deg[0])):
             k = int(np.count_nonzero(deg > r))
             slot = first[:k] + r
-            np.minimum(acc[:k], out[h.adj_v[slot]] + adj_w[slot][:, None], out=acc[:k])
-        acc[np.arange(len(v)), v] = 0
+            np.minimum(acc[:k], out[adj_at[slot], lo:hi] + adj_w[slot][:, None], out=acc[:k])
+        row = at[v]
+        own = (lo <= row) & (row < hi)
+        acc[own, row[own] - lo] = 0
         if not acc.max() <= bound:
             raise AssertionError(f"top-level distance past its bound {bound}")
-        out[v] = acc
+        out[row, lo:hi] = acc
 
 
 def oracle_query(stack, u, v):

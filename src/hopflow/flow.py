@@ -595,12 +595,14 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     it costs at most _STOP_FRAC * epsilon times the rounds' flow so far,
     composition stops and that routing is the repair, so the cost is at
     most (1 + _STOP_FRAC * epsilon) times the rounds' cost.  Only an
-    exactly zero b returns the zero flow at once.  The residuals'
-    zero-sum checks and the 1e-12 guards on the contracted demand and
-    the zero-weight rebalance are relative to ‖b‖₁, and the dust test to
-    the first residual's norm, so none depends on b's scale.  Raises
-    ValueError for an invalid demand, an epsilon outside (0, 0.5) or a
-    seed that is not a non-negative integer.
+    exactly zero b returns the zero flow at once.  When the graph is a
+    tree after the zero-weight contraction, the one flow that meets b is
+    ``mst_routing``'s, returned with no rounds and 0 iterations.  The
+    residuals' zero-sum checks and the 1e-12 guards on the contracted
+    demand and the zero-weight rebalance are relative to ‖b‖₁, and the
+    dust test to the first residual's norm, so none depends on b's
+    scale.  Raises ValueError for an invalid demand, an epsilon outside
+    (0, 0.5) or a seed that is not a non-negative integer.
     """
     b = validate_demand(b, g.n)
     b_norm = float(np.abs(b).sum())
@@ -618,7 +620,11 @@ def min_cost_flow(g, b, epsilon=0.1, seed=0):
     trace = []
 
     fq = np.zeros(gq.m, dtype=np.float64)
-    if gq.n > 1 and np.any(np.abs(bq) > 1e-12 * b_norm):
+    routed = gq.n > 1 and np.any(np.abs(bq) > 1e-12 * b_norm)
+    if routed and gq.m == gq.n - 1 and gq.is_connected():
+        # a tree carries exactly one flow that meets the demand
+        fq = mst_routing(gq, bq, norm=b_norm).f
+    elif routed:
         rt = build_flow_runtime(gq, seed=seed)
         depth = 1 + math.ceil(math.log2(max(gq.n, 2)))
         wq = gq.ew.astype(np.float64)

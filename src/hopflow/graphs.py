@@ -21,6 +21,8 @@ holds exactly, so one ``scipy.sparse.csgraph.dijkstra`` call on
 ``dijkstra`` rows.  ``float_matrix`` is g's own adjacency as a
 symmetric float64 CSR matrix, the one form every csgraph search here
 runs on, with ``directed=True``; it is built once per graph and cached.
+``adjacency_matrix`` builds the same matrix unchecked, for a graph whose
+distances the caller knows are inside the bound.
 Every graph loaded from text with n < 8,193 is inside the bound,
 because W_MAX is 2^40.
 ``bellman_ford_hops`` is the hop-limited reference the tests check
@@ -355,10 +357,15 @@ def float_matrix(g):
     """
     if g._float is False:
         max_w = int(g.ew.max()) if g.m else 0
-        g._float = (None if (g.n - 1) * max_w >= 1 << 53 else
-                    csr_matrix((g.adj_w.astype(np.float64), g.adj_v, g.indptr),
-                               shape=(g.n, g.n)))
+        g._float = None if (g.n - 1) * max_w >= 1 << 53 else adjacency_matrix(g)
     return g._float
+
+
+def adjacency_matrix(g):
+    """g's adjacency as a fresh float64 CSR matrix, with no bound checked:
+    a csgraph search on it is exact only where the caller knows that every
+    weight and every distance it reads are below 2^53."""
+    return csr_matrix((g.adj_w.astype(np.float64), g.adj_v, g.indptr), shape=(g.n, g.n))
 
 
 def distance_rows(g, sources=None):

@@ -113,9 +113,10 @@ def bourgain_embed(em, t_rep=None, seed=0):
     if em.dist is None and not em.graph.is_connected():
         raise NotConnected("emulator graph is not connected")
     pairs = [(i, j) for i in range(1, scales + 1) for j in range(t_rep)]
-    # uint64, or Python ints once one column is past uint64
-    pts = np.stack([column(ij) for ij in pairs], axis=1)
-    pts = pts - pts.min(axis=0) + 1
+    # uint64, or Python ints once one column is past uint64; each column
+    # is 0 at its sampled vertices, so shifting its minimum to 1 adds 1
+    pts = np.ascontiguousarray(np.stack([column(ij) for ij in pairs]).T)
+    pts += 1
     return Embedding(pts, next_pow2(int(pts.max())), seed, t_rep, scales)
 
 

@@ -118,12 +118,23 @@ def test_ldd_bad_beta_reports_error_json(graph_file, capsys, beta):
 def test_flow_subcommand(graph_file, tmp_path, capsys):
     dem = tmp_path / "b.json"
     dem.write_text("[1, 0, -1]")
+    # the path is a tree: its one flow, with no rounds
     code, doc = run_json(capsys, ["flow", "--graph", graph_file,
+                                  "--demand", str(dem), "--seed", "3"])
+    assert code == 0
+    assert doc["residual"] <= 1e-8 and doc["cost"] == 3.0
+    assert len(doc["edges"]) == 2 and doc["edges"][0][:2] == [0, 1]
+    assert doc["iterations"] == doc["rounds"] == 0
+    assert doc["iterations_by_status"] == {"ok": 0, "fail": 0, "cap": 0}
+    # a chord 0-2 of weight 5 closes a cycle, which the rounds solve
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("3 3\n0 1 1\n1 2 2\n0 2 5\n")
+    code, doc = run_json(capsys, ["flow", "--graph", str(cycle),
                                   "--demand", str(dem), "--seed", "3"])
     assert code == 0
     assert doc["residual"] <= 1e-8
     assert 3.0 - 1e-9 <= doc["cost"] <= 3.3
-    assert len(doc["edges"]) == 2 and doc["edges"][0][:2] == [0, 1]
+    assert len(doc["edges"]) == 3 and doc["edges"][0][:2] == [0, 1]
     assert doc["iterations"] >= 1 and doc["rounds"] >= 1
     by_status = doc["iterations_by_status"]
     assert set(by_status) == {"ok", "fail", "cap"}

@@ -1,6 +1,7 @@
 """Level tower, distance oracle, and the flattened low-hop graph."""
 
 import hashlib
+import itertools
 import math
 import os
 import tracemalloc
@@ -399,13 +400,32 @@ def test_top_matrix_past_float_bound_is_unchanged():
         assert _check_top_matrix_readers(g).dtype == np.uint64
 
 
-def test_top_matrix_in_several_blocks():
-    # 300 vertices: two csgraph blocks; the path's bound 2 * 149 needs
-    # uint16, and so does its largest distance 299
-    for g in (Graph(300, [(i, i + 1, 1) for i in range(299)]),
-              rand_connected_graph(300, 300, seed=5)):
+def _csgraph_spy(monkeypatch):
+    """Patch the emulator's csgraph searches; returns the list that gets
+    each call's (matrix size, source rows)."""
+    calls = []
+    real = csgraph.dijkstra
+
+    def spy(mat, *args, indices=None, **kwargs):
+        calls.append((mat.shape[0], np.atleast_1d(indices).tolist()))
+        return real(mat, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(emulator_module, "csgraph", SimpleNamespace(dijkstra=spy))
+    return calls
+
+
+def test_top_matrix_in_several_blocks(monkeypatch):
+    # in blocks of 64 rows the random graph's 142-vertex core searches 108
+    # rows in two csgraph calls; the path's 37-vertex core searches 18 in
+    # one.  The path's largest distance, 299, needs uint16
+    monkeypatch.setattr(emulator_module, "_TOP_BLOCK", 64)
+    calls = _csgraph_spy(monkeypatch)
+    for g, blocks in ((Graph(300, [(i, i + 1, 1) for i in range(299)]), 1),
+                      (rand_connected_graph(300, 300, seed=5), 2)):
+        calls.clear()
         rows = distance_rows(g)
         dist = preprocess(g).levels[-1].dist
+        assert len(calls) == blocks
         assert dist.tolist() == rows.tolist()
         assert dist.dtype == np.min_scalar_type(int(rows.max()))
 
@@ -419,15 +439,48 @@ def test_top_matrix_refuses_a_disconnected_level(monkeypatch):
             emulator_module._top_matrix(g)
 
 
-def _greedy_independent_set(g):
-    """The non-isolated vertices taken by a scan in (degree, id) order,
-    each one unless a taken vertex neighbours it."""
-    nbrs = [set(g.neighbors(v)[0].tolist()) for v in range(g.n)]
+def _adjacency(g):
+    """Each vertex's neighbours and their (merged) edge weights, as dicts."""
+    adj = [{} for _ in range(g.n)]
+    for u, v, w in g.edge_list():
+        adj[u][v] = adj[v][u] = w
+    return adj
+
+
+def _greedy_independent_set(adj, vertices, cap=math.inf):
+    """The non-isolated vertices of degree at most ``cap`` taken by a
+    scan in (degree, id) order, each one unless a taken vertex
+    neighbours it."""
     taken = []
-    for v in sorted(range(g.n), key=lambda v: (len(nbrs[v]), v)):
-        if nbrs[v] and not nbrs[v] & set(taken):
+    for v in sorted(vertices, key=lambda v: (len(adj[v]), v)):
+        if 0 < len(adj[v]) <= cap and not set(adj[v]) & set(taken):
             taken.append(v)
     return taken
+
+
+def _reference_core(g, block, cap, share):
+    """(the vertices elimination keeps, its step count), on dicts: while
+    more than ``block`` vertices are left, take the greedy independent set
+    of degree at most ``cap``, stop unless it is more than ``share`` of
+    them, and replace each taken v by edges (a, b) of weight
+    w(a, v) + w(v, b) over its neighbours, each kept when lighter than
+    any edge (a, b) already there."""
+    adj = _adjacency(g)
+    left, steps = list(range(g.n)), 0
+    while len(left) > block:
+        taken = _greedy_independent_set(adj, left, cap)
+        if len(taken) <= share * len(left):
+            break
+        for v in taken:
+            for a, b in itertools.combinations(adj[v], 2):
+                w = adj[v][a] + adj[v][b]
+                if w < adj[a].get(b, math.inf):
+                    adj[a][b] = adj[b][a] = w
+            for a in adj[v]:
+                del adj[a][v]
+        left = [v for v in left if v not in set(taken)]
+        steps += 1
+    return left, steps
 
 
 @st.composite
@@ -454,41 +507,84 @@ def _top_level_graph(draw):
 @example(Graph(5, [(0, 1, 127), (0, 2, 128), (0, 3, 1), (0, 4, 0)]))
 @example(Graph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)]))
 def test_top_matrix_derives_the_independent_set_rows(g):
+    # at a share of 0, elimination runs down to the block size or to a
+    # graph with no vertex of degree 1 to cap
     rows = distance_rows(g)
-    want = _greedy_independent_set(g)
+    adj = _adjacency(g)
+    want = _greedy_independent_set(adj, range(g.n))
     assert emulator_module._independent_set(g).tolist() == want
     searched = [v for v in range(g.n) if v not in set(want)]
-    for block in (1, 2, 3, emulator_module._TOP_BLOCK):
-        with mock.patch.object(emulator_module, "_TOP_BLOCK", block):
+    for block, cap in itertools.product((1, 2, 3, emulator_module._TOP_BLOCK),
+                                        (2, emulator_module._ELIM_DEGREE)):
+        assert (emulator_module._independent_set(g, cap).tolist() ==
+                _greedy_independent_set(adj, range(g.n), cap))
+        with mock.patch.multiple(emulator_module, _TOP_BLOCK=block, _ELIM_DEGREE=cap,
+                                 _ELIM_SHARE=0):
             dist = emulator_module._top_matrix(g)
-        # the exact maximum when every row fits one block, else twice
-        # the smallest eccentricity of the first searched block
-        top = (int(rows.max()) if g.n <= block else
-               2 * min(int(rows[v].max()) for v in searched[:block]))
+            kept = emulator_module._eliminate(g)[2]
+        core, steps = _reference_core(g, block, cap, 0)
+        assert kept.tolist() == core
+        if steps:
+            # a core distance plus twice the largest distance to the core,
+            # or twice the eccentricity of the core vertex whose core row
+            # has the least maximum, the first such one, if that is less
+            inner = rows[np.ix_(core, core)]
+            top = min(int(inner.max()) + 2 * int(rows[:, core].min(axis=1).max()),
+                      2 * int(rows[core[np.argmin(inner.max(axis=1))]].max()))
+        elif g.n <= block:
+            top = int(rows.max())  # the exact maximum
+        else:
+            # twice the smallest eccentricity of the first searched block
+            top = 2 * min(int(rows[v].max()) for v in searched[:block])
         assert dist.dtype == np.min_scalar_type(top)
         assert dist.tolist() == rows.tolist()
 
 
-def test_top_matrix_searches_only_outside_the_independent_set(monkeypatch):
-    # oracle1000's instance: 390 rows derived, 610 searched, not 1,000
+def test_top_matrix_searches_only_the_core(monkeypatch):
+    # oracle1000's instance: two steps eliminate 382 and 130 vertices of
+    # degree at most 5, and csgraph searches 371 rows of the 488-vertex
+    # core, whose other 117 rows are derived, in place of 610 rows of h
     g = rand_connected_graph(1000, 1000, seed=1)
-    ind = emulator_module._independent_set(g)
-    members = set(ind.tolist())
-    for v in members:
-        nbrs = set(g.neighbors(v)[0].tolist())
-        assert nbrs and not nbrs & members
-    sources = []
-    real = csgraph.dijkstra
-
-    def spy(mat, *args, indices=None, **kwargs):
-        sources.extend(np.atleast_1d(indices).tolist())
-        return real(mat, *args, indices=indices, **kwargs)
-
-    monkeypatch.setattr(emulator_module, "csgraph", SimpleNamespace(dijkstra=spy))
+    steps, core, kept = emulator_module._eliminate(g)
+    gone = set()
+    for step, step_gone, ids in steps:
+        in_step = set(step_gone.tolist())
+        for v in in_step:
+            nbrs = set(step.neighbors(v)[0].tolist())
+            assert 0 < len(nbrs) <= emulator_module._ELIM_DEGREE and not nbrs & in_step
+        gone |= set(ids[step_gone].tolist())
+    assert [len(s_gone) for (_, s_gone, _) in steps] == [382, 130]
+    assert core.n == 488 and not gone & set(kept.tolist())
+    calls = _csgraph_spy(monkeypatch)
     dist = preprocess(g).levels[-1].dist
-    assert sorted(sources) == sorted(set(range(g.n)) - members)
-    assert (len(sources), len(members)) == (610, 390)
+    assert all(size == core.n for (size, _) in calls)
+    sources = kept[[v for (_, rows) in calls for v in rows]].tolist()
+    assert len(sources) == len(set(sources)) == 371
+    assert not gone & set(sources)
     assert dist.tolist() == distance_rows(g).tolist()
+    # readers take rows: a column-major matrix made approx_sssp 90x slower
+    assert dist.flags.c_contiguous
+
+
+def test_top_matrix_core_stays_inside_the_float_bound(monkeypatch):
+    # weights near 2^53 / 299 keep h inside the float-exact bound, but a
+    # fill edge weighs about twice that, which puts the core's own
+    # (n-1) * max weight past 2^53: the core is still searched by csgraph
+    n = 300
+    rng = np.random.default_rng(3)
+    top = ((1 << 53) - 1) // (n - 1)
+    g = Graph(n, [(u, v, top - int(rng.integers(0, top // 10)))
+                  for (u, v, _) in rand_connected_graph(n, n, seed=1).edge_list()])
+    rows = distance_rows(g)
+    steps, core, _ = emulator_module._eliminate(g)
+    assert steps and (core.n - 1) * int(core.ew.max()) >= 1 << 53
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top matrix ran a Python search")
+
+    monkeypatch.setattr(graphs_module, "shortest_path_tree", refuse)
+    dist = preprocess(g).levels[-1].dist
+    assert dist.dtype == np.uint64 and dist.tolist() == rows.tolist()
 
 
 def test_preprocess_refuses_a_ball_size_below_one():
@@ -502,11 +598,12 @@ def test_preprocess_refuses_a_ball_size_below_one():
 
 
 def test_one_level_preprocess_memory():
-    # oracle1000's instance: a uint8 matrix (1 MB), one float64 block of
-    # 256 searched rows (2 MB) at a time, then per block of 256 derived
-    # rows an accumulator, a gathered neighbour row set and their sum,
-    # each 256 x n narrow (0.25 MB at uint8); a float64 and a uint64
-    # n x n matrix (16 MB) were once held at once
+    # oracle1000's instance: the uint8 result and the working matrix in
+    # elimination order (1 MB each), one float64 block of 256 core rows
+    # (1 MB) before them, then per block of 256 derived rows an
+    # accumulator, a gathered neighbour row set and their sum, each
+    # 256 x n narrow (0.25 MB at uint8); a float64 and a uint64 n x n
+    # matrix (16 MB) were once held at once
     g = rand_connected_graph(1000, 1000, seed=1)
     tracemalloc.start()
     try:

@@ -892,6 +892,30 @@ def test_min_cost_flow_multi_source_vs_transport():
         assert opt - 1e-9 <= sol.cost <= 1.1 * opt + 1e-9
 
 
+def test_min_cost_flow_on_a_tree_runs_no_solver(monkeypatch):
+    # a tree, after the zero-weight contraction, carries one flow that
+    # meets b: mst_routing's.  At eps=0.01 a one-edge flow once ran 77,902
+    # MWU iterations to reach it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MWU ran on a tree")
+
+    monkeypatch.setattr(hopflow.flow, "mwu_feasibility", refuse)
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5, 17, 40):
+        for _ in range(4):
+            g = Graph(n, [(int(rng.integers(0, i)), i, int(rng.integers(0, 10)))
+                          for i in range(1, n)])
+            b = rng.integers(-3, 4, n).astype(np.float64)
+            b[0] -= b.sum()
+            if not b.any():
+                b[0], b[-1] = 1.0, -1.0
+            sol = min_cost_flow(g, b, epsilon=0.01)
+            assert sol.iterations == 0 and sol.trace == []
+            assert np.allclose(sol.f, mst_routing(g, b).f, rtol=0, atol=1e-12)
+            assert sol.residual <= 1e-9
+            assert sol.cost == pytest.approx(transportation_oracle(g, b.astype(np.int64)))
+
+
 def test_min_cost_flow_zero_weight_edges_contracted():
     g = Graph(3, [(0, 1, 0), (1, 2, 5)])
     sol = min_cost_flow(g, np.array([1.0, 0.0, -1.0]), epsilon=0.1)
@@ -1190,8 +1214,9 @@ def test_runtime_embeds_like_the_one_level_tower(case, seed):
 
 
 def test_flow_solution_to_dict_shape():
-    g = Graph(2, [(0, 1, 3)])
-    sol = min_cost_flow(g, np.array([1.0, -1.0]), epsilon=0.1)
+    # a cycle: on a tree no round runs
+    g = Graph(3, [(0, 1, 3), (1, 2, 3), (0, 2, 5)])
+    sol = min_cost_flow(g, np.array([1.0, 0.0, -1.0]), epsilon=0.1)
     d = sol.to_dict(g)
     assert set(d) == {"edges", "cost", "residual", "iterations", "iterations_by_status",
                       "rounds"}

@@ -122,6 +122,9 @@ def test_embedding_matches_columns_through_set_distance(shift, b0):
     assert emb.points.dtype == pts.dtype == (object if shift else np.uint64)
     assert emb.points.tolist() == pts.tolist()
     assert emb.Delta == Delta
+    # each column is 0 at its sampled vertices before the shift
+    assert emb.points.min(axis=0).tolist() == [1] * emb.d
+    assert emb.points.flags.c_contiguous
 
 
 @pytest.mark.parametrize("w01, w23", [(3, 5), (1 << 64, 1 << 64), (3, 1 << 64)])
